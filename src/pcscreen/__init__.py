@@ -42,7 +42,6 @@ from .kernel import (
     as_sample_matrix,
     build_response_cache,
     center_slice,
-    naive_pcov_stats,
     pcov_stats,
     projection_correlation_sq,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "generate_dataset",
     "knockoff_plus_threshold",
     "minimum_model_size",
-    "naive_pcov_stats",
     "nearest_rank_quantile",
     "pc_knockoff",
     "pc_knockoff_core",

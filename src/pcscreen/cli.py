@@ -77,12 +77,17 @@ def _comma_list(text, convert):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=None, help="worker count (default 1)")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker count for replications and multivariate-response scoring (default 1)",
+    )
     common.add_argument(
         "--mem-budget-mb",
         type=float,
         default=None,
-        help="response-cache memory budget in MiB (default 256)",
+        help="multivariate-response cache memory budget in MiB (default 256)",
     )
     common.add_argument("--out", default=None, help="output directory (default .)")
 

@@ -16,6 +16,7 @@ from .kernel import (
     as_sample_matrix,
     build_response_cache,
     projection_correlation_sq,
+    univariate_scores,
 )
 
 # alpha grid for the active-count rule of thumb: 0.01..0.30 in steps of 0.005
@@ -54,8 +55,11 @@ class SelectionResult:
 def w_statistics(x, x_knock, y, threads=1, memory_budget_bytes=DEFAULT_MEMORY_BUDGET):
     """W_j = pc(X_j, Y)^2 - pc(Xknock_j, Y)^2 for every feature column j.
 
-    Both kernel calls share one response cache; large positive values indicate
-    activity, and null statistics have symmetric signs.
+    A univariate response scores ``[X | X_knock]`` in one exact-integer
+    :func:`univariate_scores` call; a multivariate one shares a response cache
+    across the per-feature kernel calls, spread over ``threads`` workers.
+    Large positive values indicate activity, and null statistics have
+    symmetric signs.
     """
     xm = as_sample_matrix(x, "x")
     km = as_sample_matrix(x_knock, "x_knock")
@@ -64,6 +68,18 @@ def w_statistics(x, x_knock, y, threads=1, memory_budget_bytes=DEFAULT_MEMORY_BU
         raise DimensionMismatch(f"x has shape {xm.shape} but x_knock has {km.shape}")
     if ym.shape[0] != xm.shape[0]:
         raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
+    d = xm.shape[1]
+    if ym.shape[1] == 1:
+        scores = univariate_scores(np.hstack([xm, km]), ym[:, 0])
+        w = scores[:d] - scores[d:]
+    else:
+        w = _per_feature_w(xm, km, ym, threads, memory_budget_bytes)
+    if np.any(np.abs(w) > 2.0):
+        raise ValueError("W statistic outside [-2, 2]; kernel outputs are out of range")
+    return WVector(feature=np.arange(d), w_hat=w, n_used=xm.shape[0])
+
+
+def _per_feature_w(xm, km, ym, threads, memory_budget_bytes):
     cache = build_response_cache(ym, memory_budget_bytes)
 
     def stat(j):
@@ -80,9 +96,7 @@ def w_statistics(x, x_knock, y, threads=1, memory_budget_bytes=DEFAULT_MEMORY_BU
     else:
         for j in range(d):
             w[j] = stat(j)
-    if np.any(np.abs(w) > 2.0):
-        raise ValueError("W statistic outside [-2, 2]; kernel outputs are out of range")
-    return WVector(feature=np.arange(d), w_hat=w, n_used=xm.shape[0])
+    return w
 
 
 def estimate_fdp(w, t):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingColumn, NonNumericCell, ParseError, PcScreenError
+from .fdr import empirical_fdp
 from .kernel import DEFAULT_MEMORY_BUDGET
 from .models import ModelSpec, _canonical_id, generate_dataset
 from .pipeline import pc_knockoff_core, selection_from_core
@@ -190,7 +191,7 @@ def _fdr_replication(args):
                     "selected": selected,
                     "t_alpha": None if math.isinf(t_alpha) else float(t_alpha),
                     "fdp_hat": float(report.selection.fdp_hat),
-                    "empirical_fdp": _empirical_fdp(selected, active),
+                    "empirical_fdp": empirical_fdp(selected, active),
                     "sure_screening": sure,
                     "event": event,
                     "screened_all": screened_all,
@@ -201,12 +202,6 @@ def _fdr_replication(args):
     except (PcScreenError, ValueError) as exc:
         exc.args = (f"replication seed {seed} ({spec.id}): {exc}",)
         raise
-
-
-def _empirical_fdp(selected, active):
-    if not selected:
-        return 0.0
-    return len(set(selected) - active) / len(selected)
 
 
 def _map_replications(worker, argses, threads):

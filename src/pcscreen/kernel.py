@@ -23,20 +23,25 @@ return bitwise-identical results:
 
 * one-dimensional samples: with ``s_k = sign(x_k - x_r)`` and ``u = |s|`` the
   angle slice is exactly ``pi/2 (u u^T - s s^T)``, so every centered slice has
-  rank <= 2 and all three sums collapse to dot products of centered sign
-  factors (O(n^2) total per pair, no arccos);
+  rank <= 2 and its sums are squares of centered dot products.  Scaled by n,
+  those dot products are integers built from per-observation counts (how many
+  observations lie below or level with observation r in x, in y, and in
+  both), so a univariate pair is scored in exact integer arithmetic;
+  :func:`univariate_scores` gets the joint counts of every column of X against
+  one y in a single O(n log n)-per-column sweep (a Fenwick tree over each
+  column's x-ranks, walked in y order — the concordance count behind Knight's
+  O(n log n) Kendall's tau);
 * multi-dimensional samples: slices are materialized one ``r`` at a time
-  (O(n^2) working memory) and contracted directly.
+  (O(n^2) working memory) and contracted directly.  When only one side is
+  univariate its rank-2 factors contract with the other side's slices.
 
-Per-slice contributions are gathered into an array indexed by ``r`` and reduced
-with a single ``np.sum``, fixing the accumulation order for run-to-run
-reproducibility.  Cross terms combine in the role-symmetric order
-``(uu + ss) - (us + su)`` so that the X/Y symmetry of the formula also holds
-bitwise.
+On the multi-dimensional path, per-slice contributions are gathered into an
+array indexed by ``r`` and reduced with a single ``np.sum``, fixing the
+accumulation order for run-to-run reproducibility.  Integer sums do not
+depend on order at all.
 
-``naive_pcov_stats`` at the bottom is a deliberately literal translation of the
-formulas (materialize every angle, every mean, every centered value, then sum
-in scalar loops) and shares no code with the fast paths above.
+The literal triple-loop reference these paths are checked against lives with
+the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -152,13 +157,38 @@ def center_slice(slice_values):
 
 
 # ---------------------------------------------------------------------------
-# univariate fast path: centered rank-2 slice factors
+# univariate samples: exact integer sums from per-observation counts
 #
 # For a 1-D sample the angle between scalar differences is 0 (same sign), pi
 # (opposite signs) or forced 0 (a zero difference), which is exactly
 # pi/2 (u_k u_l - s_k s_l).  Double-centering an outer product v w^T gives
-# vtilde wtilde^T, hence A_r = pi/2 (utilde utilde^T - stilde stilde^T).
+# vtilde wtilde^T, hence A_r = pi/2 (utilde utilde^T - stilde stilde^T) and
+#
+#   sum_kl A_r B_r = (pi/2)^2 n^-2 (UU^2 + SS^2 - US^2 - SU^2),
+#
+# with UU = n <u_x, u_y> - sum(u_x) sum(u_y) and likewise for the other three
+# pairs.  Every one of those is an integer: with L, E, G the numbers of
+# observations below, level with (r included) and above observation r, and
+# N(a, b) the joint counts (a, b in {<, =}) of x-order against y-order,
+#
+#   sum(s) = G - L,  sum(u) = n - E,
+#   <u_x, u_y> = n - E_x - E_y + N(=,=),
+#   <u_x, s_y> = G_y - L_y - E_x + 2 N(=,<) + N(=,=),
+#   <s_x, u_y> = G_x - L_x - E_y + 2 N(<,=) + N(=,=),
+#   <s_x, s_y> = G_x - L_x - 2 L_y - E_y + 4 N(<,<) + 2 N(=,<) + 2 N(<,=) + N(=,=).
+#
+# The totals I = sum_r (UU^2 + SS^2 - US^2 - SU^2) are exact, and the squared
+# projection correlation is I_xy / sqrt(I_xx I_yy): the pi/2 and n factors
+# cancel.
 # ---------------------------------------------------------------------------
+
+# Each squared term is at most n^4 and a per-slice term at most 2 n^4 in size,
+# so the totals over r reach 2 n^5: int64 holds them up to n = 5404, and per-
+# slice terms up to n = 46340 (see _exact_totals for the range in between).
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+# int64 elements per temporary in the closing arithmetic (about 0.5 MB)
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _centered_sign_factors(col):
@@ -166,6 +196,7 @@ def _centered_sign_factors(col):
 
     Returns (stilde, utilde); row r of each holds the centered factors of
     slice r, i.e. A_r = pi/2 (utilde_r utilde_r^T - stilde_r stilde_r^T).
+    Used only where the other sample is multivariate.
     """
     s = np.sign(col[None, :] - col[:, None])
     u = np.abs(s)
@@ -174,23 +205,185 @@ def _centered_sign_factors(col):
     return s, u
 
 
-def _factor_self_sum(s, u):
-    """sum_r sum_kl A_r^2 for rank-2 centered slices."""
-    uu = np.einsum("rk,rk->r", u, u)
-    us = np.einsum("rk,rk->r", u, s)
-    ss = np.einsum("rk,rk->r", s, s)
-    per_slice = (uu * uu + ss * ss) - 2.0 * (us * us)
-    return _HALF_PI * _HALF_PI * float(per_slice.sum())
+def _dense_ranks(m):
+    """1-based dense ranks of every column of an (n, p) array, as int32."""
+    columns = np.ascontiguousarray(m.T)  # sorting along the last axis is fastest
+    order = np.argsort(columns, axis=1)
+    ordered = np.take_along_axis(columns, order, axis=1)
+    step = np.ones(columns.shape, dtype=np.int32)
+    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ranks = np.empty(columns.shape, dtype=np.int32)
+    np.put_along_axis(ranks, order, np.cumsum(step, axis=1, dtype=np.int32), axis=1)
+    return ranks.T
 
 
-def _factor_cross_sum(sx, ux, sy, uy):
-    """sum_r sum_kl A_r B_r for two rank-2 centered slice families."""
-    uu = np.einsum("rk,rk->r", ux, uy)
-    us = np.einsum("rk,rk->r", ux, sy)
-    su = np.einsum("rk,rk->r", sx, uy)
-    ss = np.einsum("rk,rk->r", sx, sy)
-    per_slice = (uu * uu + ss * ss) - (us * us + su * su)
-    return _HALF_PI * _HALF_PI * float(per_slice.sum())
+def _rank_marginals(ranks):
+    """Observations below and level with each one, from 1-D dense ranks (int64)."""
+    per_rank = np.bincount(ranks)
+    return (np.cumsum(per_rank) - per_rank)[ranks].astype(np.int64), per_rank[ranks].astype(np.int64)
+
+
+def _fenwick_paths(size):
+    """Node lists of prefix queries and point updates on a Fenwick tree.
+
+    ``size`` is a power of two.  Column v of ``query`` lists the nodes whose
+    sum is the prefix count of ranks 1..v, padded with node 0 (always empty);
+    column v of ``update`` lists the nodes that hold rank v, padded with the
+    spare node ``size + 1`` (never read).
+    """
+    width = size.bit_length()
+    query = np.empty((width, size + 1), dtype=np.int64)
+    node = np.arange(size + 1)
+    for i in range(width):
+        query[i] = node
+        node = node - (node & -node)
+    update = np.empty((width, size + 1), dtype=np.int64)
+    node = np.arange(size + 1)
+    node[0] = size + 1
+    for i in range(width):
+        update[i] = node
+        node = np.minimum(node + (node & -node), size + 1)
+    return query, update
+
+
+def _joint_counts(ranks, starts):
+    """N(<,<), N(=,<), N(<,=), N(=,=) of every (observation, column).
+
+    ``ranks`` holds the x-ranks of the observations in ascending y order and
+    ``starts`` the first row of each y tie group.  The walk takes one group at
+    a time, keeping a Fenwick tree of the x-ranks seen so far and a plain
+    count per x-rank, both with one contiguous stretch per column.  Before a
+    group is inserted they hold exactly the observations with smaller y;
+    after, also those level with it.  Returns the four (n, p) int32 count
+    arrays and the final (rank, column) counts.
+    """
+    n, p = ranks.shape
+    size = 1 << (int(ranks.max()) - 1).bit_length()
+    query, update = _fenwick_paths(size)
+    base = np.arange(p) * (size + 2)
+    tree = np.zeros((size + 2) * p, dtype=np.int32)
+    per_rank = np.zeros((size + 2) * p, dtype=np.int32)
+    chunk = max(1, _BLOCK_ELEMENTS // (p * len(query)))
+
+    def below(block):
+        # prefix counts of ranks 1..rank-1; rows in chunks bound the gather
+        out = np.empty(block.shape, dtype=np.int32)
+        for i in range(0, len(block), chunk):
+            nodes = query[:, block[i : i + chunk] - 1] + base
+            out[i : i + chunk] = tree[nodes].sum(axis=0, dtype=np.int32)
+        return out
+
+    n_ll, n_el, n_le = (np.zeros((n, p), dtype=np.int32) for _ in range(3))
+    n_ee = np.ones((n, p), dtype=np.int32)
+    for a, b in zip(starts, starts[1:] + [n]):
+        block = ranks[a:b]
+        flat = block + base
+        n_ll[a:b] = below(block)
+        n_el[a:b] = per_rank[flat]
+        for row in range(a, b):
+            tree[update[:, ranks[row]] + base] += 1
+            per_rank[flat[row - a]] += 1
+        if b - a > 1:
+            n_le[a:b] = below(block) - n_ll[a:b]
+            n_ee[a:b] = per_rank[flat] - n_el[a:b]
+    return n_ll, n_el, n_le, n_ee, per_rank.reshape(p, size + 2)[:, : size + 1].T
+
+
+def _exact_totals(terms):
+    """Column sums of an int64 (n, p) array of per-slice terms, exactly.
+
+    Returns int64 sums while 2 n^5 fits int64, otherwise an object array of
+    Python ints recombined from separately summed high and low 32-bit halves.
+    """
+    if 2 * terms.shape[0] ** 5 <= _INT64_MAX:
+        return terms.sum(axis=0)
+    high = (terms >> 32).sum(axis=0)
+    low = (terms & 0xFFFFFFFF).sum(axis=0)
+    return np.array([(int(h) << 32) + int(l) for h, l in zip(high, low)], dtype=object)
+
+
+def _self_terms(n, lower, equal):
+    """Per-slice terms UU^2 + SS^2 - 2 US^2 of a sample with itself."""
+    signs = n - lower - equal - lower  # sum(s) = G - L
+    uu = (n - equal) * equal
+    ss = n * (n - equal) - signs * signs
+    us = signs * equal
+    return uu * uu + ss * ss - 2 * us * us
+
+
+def univariate_sums(x, y):
+    """Exact slice totals I_xy, I_xx, I_yy of every column of ``x`` against ``y``.
+
+    ``x`` is a validated (n, p) float array and ``y`` a length-n float vector.
+    I = sum_r (UU^2 + SS^2 - US^2 - SU^2) for the pair; the accumulated
+    statistics are s = (pi/2)^2 I / n^5.  Returns ``(xy, xx, yy)``: two
+    length-p integer arrays (int64, or Python ints past n = 5404) and a
+    Python int.
+    """
+    n, p = x.shape
+    if 2 * n**4 > _INT64_MAX:
+        raise InputTooLarge(f"exact univariate sums are limited to n <= 46340, got {n}")
+    # rows in ascending y from here on; a tie group starts at row L_y
+    y_ranks = _dense_ranks(y[:, None])[:, 0]
+    order = np.argsort(y_ranks)
+    y_lower, y_equal = (a[order][:, None] for a in _rank_marginals(y_ranks))
+    ranks = np.ascontiguousarray(_dense_ranks(x)[order])
+    n_ll, n_el, n_le, n_ee, per_rank = _joint_counts(ranks, np.unique(y_lower).tolist())
+    below_rank = np.cumsum(per_rank, axis=0) - per_rank
+
+    y_signs = n - y_lower - y_equal - y_lower
+    y_count = n - y_equal
+    yy = int(_exact_totals(_self_terms(n, y_lower, y_equal))[0])
+
+    xy = np.empty(p, dtype=np.int64 if 2 * n**5 <= _INT64_MAX else object)
+    xx = np.empty_like(xy)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for c0 in range(0, p, block):
+        c = slice(c0, c0 + block)
+        cols = np.arange(c0, min(c0 + block, p))
+        x_lower = below_rank[ranks[:, c], cols].astype(np.int64)
+        x_equal = per_rank[ranks[:, c], cols].astype(np.int64)
+        ll, el, le, ee = (a[:, c].astype(np.int64) for a in (n_ll, n_el, n_le, n_ee))
+        x_signs = n - x_lower - x_equal - x_lower
+        x_count = n - x_equal
+        uv = x_count - y_equal + ee
+        ut = y_signs - x_equal + 2 * el + ee
+        sv = x_signs - y_equal + 2 * le + ee
+        st = x_signs - 2 * y_lower - y_equal + 4 * ll + 2 * el + 2 * le + ee
+        uu = n * uv - x_count * y_count
+        ss = n * st - x_signs * y_signs
+        us = n * ut - x_count * y_signs
+        su = n * sv - x_signs * y_count
+        xy[c] = _exact_totals(uu * uu + ss * ss - us * us - su * su)
+        xx[c] = _exact_totals(_self_terms(n, x_lower, x_equal))
+    return xy, xx, yy
+
+
+def univariate_scores(x, y):
+    """Squared projection correlation of every column of ``x`` with ``y``.
+
+    ``x`` is a validated (n, p) float array and ``y`` a length-n float vector.
+    Each score is I_xy / sqrt(I_xx I_yy) from :func:`univariate_sums`, 0 when
+    a side is constant (0/0 = 0).  The exact ratio is at most 1 by
+    Cauchy-Schwarz and exactly 1 for a column with y's ranking (or its
+    reverse); the minimum with 1 stops the three int-to-float roundings from
+    lifting a value within an ulp or two of 1 above it.
+    """
+    xy, xx, yy = univariate_sums(x, y)
+    xy = xy.astype(np.float64)
+    denom_sq = xx.astype(np.float64) * float(yy)
+    scores = np.zeros(xy.shape)
+    ok = denom_sq > 0.0
+    scores[ok] = np.minimum(xy[ok] / np.sqrt(denom_sq[ok]), 1.0)
+    return scores
+
+
+def _univariate_self_sum(m):
+    """sum_r sum_kl A_r^2 of a univariate (n, 1) sample, not yet scaled by n^-3."""
+    n = m.shape[0]
+    lower, equal = _rank_marginals(_dense_ranks(m)[:, 0])
+    total = int(_exact_totals(_self_terms(n, lower, equal)[:, None])[0])
+    return _HALF_PI * _HALF_PI * total / float(n) ** 2
 
 
 def _factor_slice_cross_sum(s, u, other, n):
@@ -228,7 +421,9 @@ def build_response_cache(y, memory_budget_bytes=DEFAULT_MEMORY_BUDGET):
 
     The full centered-slice tensor (8*n^3 bytes) is materialized iff it fits
     the budget; otherwise slices are recomputed per call.  For univariate
-    responses the compact sign-factor representation is always kept.
+    responses the compact sign-factor representation is always kept.  Only
+    multivariate responses need a cache: screening and W statistics score
+    univariate responses with :func:`univariate_scores`, which builds none.
     """
     ym = as_sample_matrix(y, "y")
     n, q = ym.shape
@@ -238,7 +433,7 @@ def build_response_cache(y, memory_budget_bytes=DEFAULT_MEMORY_BUDGET):
     factors = None
     if q == 1:
         factors = _centered_sign_factors(ym[:, 0])
-        self_sum = _factor_self_sum(*factors)
+        self_sum = _univariate_self_sum(ym)
     else:
         self_sum = _slice_self_sum(_slice_provider(ym, slices), n)
     return ResponseCache(
@@ -249,6 +444,11 @@ def build_response_cache(y, memory_budget_bytes=DEFAULT_MEMORY_BUDGET):
         sign_factors=factors,
         self_sum=self_sum,
     )
+
+
+def _check_cache(cache, ym):
+    if cache is not None and (cache.n, cache.q) != ym.shape:
+        raise DimensionMismatch("cache was built for a different response matrix shape")
 
 
 def pcov_stats(x, y, cache=None):
@@ -271,36 +471,33 @@ def pcov_stats(x, y, cache=None):
     n = xm.shape[0]
     if ym.shape[0] != n:
         raise DimensionMismatch(f"x has {n} observations but y has {ym.shape[0]}")
-    if cache is not None and (cache.n != n or cache.q != ym.shape[1]):
-        raise DimensionMismatch("cache was built for a different response matrix shape")
+    _check_cache(cache, ym)
 
-    y_factors = cache.sign_factors if cache is not None else None
+    if xm.shape[1] == 1 and ym.shape[1] == 1:
+        xy, xx, yy = univariate_sums(xm, ym[:, 0])
+        scale = _HALF_PI * _HALF_PI / float(n) ** 5
+        return PcStats(
+            s_xy=float(xy[0]) * scale, s_xx=float(xx[0]) * scale, s_yy=float(yy) * scale, n=n
+        )
+
     y_slices = cache.slices if cache is not None else None
     raw_yy = cache.self_sum if cache is not None else None
-    if ym.shape[1] == 1 and y_factors is None:
-        y_factors = _centered_sign_factors(ym[:, 0])
-
     if xm.shape[1] == 1:
         sx, ux = _centered_sign_factors(xm[:, 0])
-        raw_xx = _factor_self_sum(sx, ux)
-        if ym.shape[1] == 1:
-            sy, uy = y_factors
-            raw_xy = _factor_cross_sum(sx, ux, sy, uy)
-            if raw_yy is None:
-                raw_yy = _factor_self_sum(sy, uy)
-        else:
-            provider = _slice_provider(ym, y_slices)
-            raw_xy = _factor_slice_cross_sum(sx, ux, provider, n)
-            if raw_yy is None:
-                raw_yy = _slice_self_sum(provider, n)
+        raw_xx = _univariate_self_sum(xm)
+        provider = _slice_provider(ym, y_slices)
+        raw_xy = _factor_slice_cross_sum(sx, ux, provider, n)
+        if raw_yy is None:
+            raw_yy = _slice_self_sum(provider, n)
     else:
         x_provider = _slice_provider(xm, None)
         raw_xx = _slice_self_sum(x_provider, n)
         if ym.shape[1] == 1:
-            sy, uy = y_factors
+            factors = cache.sign_factors if cache is not None else None
+            sy, uy = factors if factors is not None else _centered_sign_factors(ym[:, 0])
             raw_xy = _factor_slice_cross_sum(sy, uy, x_provider, n)
             if raw_yy is None:
-                raw_yy = _factor_self_sum(sy, uy)
+                raw_yy = _univariate_self_sum(ym)
         else:
             y_provider = _slice_provider(ym, y_slices)
             raw_xy = _slice_cross_sum(x_provider, y_provider, n)
@@ -317,13 +514,18 @@ def projection_correlation_sq(x, y, cache=None):
     Returns ``s_xy / sqrt(s_xx * s_yy)``, with 0 when the denominator
     vanishes (the 0/0 = 0 convention for degenerate samples).  The value is
     not clamped below zero: downstream statistics difference two of these and
-    clamping would bias signs.  Equal inputs short-circuit to exactly 1.0,
-    the correctly-rounded value of the exact ratio.
+    clamping would bias signs.  A univariate pair is scored by
+    :func:`univariate_scores`, bitwise as in a batched call.  Equal
+    multivariate inputs short-circuit to exactly 1.0, the correctly-rounded
+    value of the exact ratio.
     """
     xm = as_sample_matrix(x, "x")
     ym = as_sample_matrix(y, "y")
     if xm.shape[0] != ym.shape[0]:
         raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
+    if xm.shape[1] == 1 and ym.shape[1] == 1:
+        _check_cache(cache, ym)
+        return float(univariate_scores(xm, ym[:, 0])[0])
     stats = pcov_stats(xm, ym, cache)
     denom_sq = stats.s_xx * stats.s_yy
     if denom_sq <= 0.0:
@@ -331,74 +533,3 @@ def projection_correlation_sq(x, y, cache=None):
     if xm.shape == ym.shape and np.array_equal(xm, ym):
         return 1.0
     return stats.s_xy / math.sqrt(denom_sq)
-
-
-# ---------------------------------------------------------------------------
-# naive reference implementation (shares no code with the fast paths)
-# ---------------------------------------------------------------------------
-
-
-def naive_pcov_stats(x, y):
-    """Reference statistics by the most literal translation of the formulas.
-
-    Materializes every angle a_klr, every row/column/grand mean and every
-    centered value in nested lists, then sums with scalar loops.  Guarded to
-    n <= 64; use only as a test oracle.
-    """
-    xm = as_sample_matrix(x, "x")
-    ym = as_sample_matrix(y, "y")
-    n = xm.shape[0]
-    if ym.shape[0] != n:
-        raise DimensionMismatch(f"x has {n} observations but y has {ym.shape[0]}")
-    if n > 64:
-        raise InputTooLarge(f"naive reference limited to n <= 64, got {n}")
-    a = _naive_centered_slices(xm)
-    b = _naive_centered_slices(ym)
-    s_xy = 0.0
-    s_xx = 0.0
-    s_yy = 0.0
-    for r in range(n):
-        for k in range(n):
-            for l in range(n):
-                s_xy += a[r][k][l] * b[r][k][l]
-                s_xx += a[r][k][l] * a[r][k][l]
-                s_yy += b[r][k][l] * b[r][k][l]
-    n3 = float(n * n * n)
-    return PcStats(s_xy=s_xy / n3, s_xx=s_xx / n3, s_yy=s_yy / n3, n=n)
-
-
-def _naive_centered_slices(m):
-    rows = [tuple(float(v) for v in row) for row in m]
-    n = len(rows)
-    dim = len(rows[0])
-    centered = []
-    for r in range(n):
-        raw = [[0.0] * n for _ in range(n)]
-        for k in range(n):
-            if k == r:
-                continue
-            dk = [rows[k][i] - rows[r][i] for i in range(dim)]
-            nk = math.sqrt(sum(v * v for v in dk))
-            if nk == 0.0:
-                continue
-            for l in range(n):
-                if l == r:
-                    continue
-                dl = [rows[l][i] - rows[r][i] for i in range(dim)]
-                nl = math.sqrt(sum(v * v for v in dl))
-                if nl == 0.0:
-                    continue
-                if dl == dk:
-                    continue  # identical difference vectors: angle exactly 0
-                cos = sum(dk[i] * dl[i] for i in range(dim)) / (nk * nl)
-                raw[k][l] = math.acos(min(1.0, max(-1.0, cos)))
-        row_mean = [sum(raw[k][l] for l in range(n)) / n for k in range(n)]
-        col_mean = [sum(raw[k][l] for k in range(n)) / n for l in range(n)]
-        grand = sum(row_mean) / n
-        centered.append(
-            [
-                [raw[k][l] - row_mean[k] - col_mean[l] + grand for l in range(n)]
-                for k in range(n)
-            ]
-        )
-    return centered

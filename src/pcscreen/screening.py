@@ -14,6 +14,7 @@ from .kernel import (
     as_sample_matrix,
     build_response_cache,
     projection_correlation_sq,
+    univariate_scores,
 )
 
 
@@ -55,14 +56,19 @@ def _ranking_from_scores(scores, n_used):
 def rank_features(x, y, threads=1, memory_budget_bytes=DEFAULT_MEMORY_BUDGET):
     """Rank every column of ``x`` by squared projection correlation with ``y``.
 
-    A response cache is shared across the p per-feature kernel calls; the
-    result is independent of ``threads`` because each feature is scored by the
-    identical single-feature routine and written to its own slot.
+    A univariate response scores all columns in one exact-integer
+    :func:`univariate_scores` call.  A multivariate response shares one
+    response cache across the p per-feature kernel calls, spread over
+    ``threads`` workers; the result is independent of ``threads`` because each
+    feature is scored by the identical single-feature routine and written to
+    its own slot.
     """
     xm = as_sample_matrix(x, "x")
     ym = as_sample_matrix(y, "y")
     if xm.shape[0] != ym.shape[0]:
         raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
+    if ym.shape[1] == 1:
+        return _ranking_from_scores(univariate_scores(xm, ym[:, 0]), xm.shape[0])
     p = xm.shape[1]
     cache = build_response_cache(ym, memory_budget_bytes)
 

@@ -1,8 +1,9 @@
 """Independent reference computations used as test oracles.
 
 Everything here is written straight from the definitions with plain Python
-scalars (``math.fsum`` accumulation) or direct simulation, and shares no code
-with the package implementations it is used to check.
+scalars (``math.fsum`` accumulation, literal nested loops) or direct
+simulation, and shares no code with the package implementations it is used
+to check beyond input validation and the result type.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from pcscreen.errors import DimensionMismatch, InputTooLarge
+from pcscreen.kernel import PcStats, as_sample_matrix
 
 
 def angle_matrix_fsum(points, r):
@@ -145,3 +149,69 @@ def scan_stop_frequencies(s, k_max, trials, seed):
     out = np.zeros(k_max + 1)
     out[1:] = stopped.mean(axis=0)
     return out
+
+
+def naive_pcov_stats(x, y):
+    """Reference statistics by the most literal translation of the formulas.
+
+    Materializes every angle a_klr, every row/column/grand mean and every
+    centered value in nested lists, then sums with scalar loops.  Guarded to
+    n <= 64; use only as a test oracle.
+    """
+    xm = as_sample_matrix(x, "x")
+    ym = as_sample_matrix(y, "y")
+    n = xm.shape[0]
+    if ym.shape[0] != n:
+        raise DimensionMismatch(f"x has {n} observations but y has {ym.shape[0]}")
+    if n > 64:
+        raise InputTooLarge(f"naive reference limited to n <= 64, got {n}")
+    a = _naive_centered_slices(xm)
+    b = _naive_centered_slices(ym)
+    s_xy = 0.0
+    s_xx = 0.0
+    s_yy = 0.0
+    for r in range(n):
+        for k in range(n):
+            for l in range(n):
+                s_xy += a[r][k][l] * b[r][k][l]
+                s_xx += a[r][k][l] * a[r][k][l]
+                s_yy += b[r][k][l] * b[r][k][l]
+    n3 = float(n * n * n)
+    return PcStats(s_xy=s_xy / n3, s_xx=s_xx / n3, s_yy=s_yy / n3, n=n)
+
+
+def _naive_centered_slices(m):
+    rows = [tuple(float(v) for v in row) for row in m]
+    n = len(rows)
+    dim = len(rows[0])
+    centered = []
+    for r in range(n):
+        raw = [[0.0] * n for _ in range(n)]
+        for k in range(n):
+            if k == r:
+                continue
+            dk = [rows[k][i] - rows[r][i] for i in range(dim)]
+            nk = math.sqrt(sum(v * v for v in dk))
+            if nk == 0.0:
+                continue
+            for l in range(n):
+                if l == r:
+                    continue
+                dl = [rows[l][i] - rows[r][i] for i in range(dim)]
+                nl = math.sqrt(sum(v * v for v in dl))
+                if nl == 0.0:
+                    continue
+                if dl == dk:
+                    continue  # identical difference vectors: angle exactly 0
+                cos = sum(dk[i] * dl[i] for i in range(dim)) / (nk * nl)
+                raw[k][l] = math.acos(min(1.0, max(-1.0, cos)))
+        row_mean = [sum(raw[k][l] for l in range(n)) / n for k in range(n)]
+        col_mean = [sum(raw[k][l] for k in range(n)) / n for l in range(n)]
+        grand = sum(row_mean) / n
+        centered.append(
+            [
+                [raw[k][l] - row_mean[k] - col_mean[l] + grand for l in range(n)]
+                for k in range(n)
+            ]
+        )
+    return centered

@@ -18,7 +18,7 @@ import pytest
 
 from pcscreen.fdr import phase_transition_probabilities, w_statistics
 from pcscreen.harness import ExperimentConfig, run_fdr_experiment, run_quantile_experiment, write_design_csv
-from pcscreen.kernel import naive_pcov_stats, pcov_stats, projection_correlation_sq
+from pcscreen.kernel import pcov_stats, projection_correlation_sq
 from pcscreen.knockoffs import (
     CovarianceEstimate,
     build_knockoff_model,
@@ -30,7 +30,7 @@ from pcscreen.knockoffs import (
 )
 from pcscreen.models import ModelSpec, ar_covariance, generate_dataset
 
-from .reference import chain_stop_mass, coin_flip_feasibility
+from .reference import chain_stop_mass, coin_flip_feasibility, naive_pcov_stats
 
 
 def _verdict(ok):

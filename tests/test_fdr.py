@@ -24,12 +24,12 @@ from pcscreen.fdr import (
     phase_transition_probabilities,
     w_statistics,
 )
-from pcscreen.kernel import naive_pcov_stats
 
 from .reference import (
     brute_force_selection,
     chain_stop_mass,
     coin_flip_feasibility,
+    naive_pcov_stats,
     scan_stop_frequencies,
 )
 
@@ -87,6 +87,37 @@ def test_w_statistics_matches_differenced_naive_oracle():
     for j in range(3):
         expected = _naive_pc_sq(x[:, [j]], y) - _naive_pc_sq(x_knock[:, [j]], y)
         assert abs(w.w_hat[j] - expected) <= 1e-10
+
+
+@given(
+    n=st.integers(min_value=5, max_value=30),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=30)
+def test_w_statistics_are_antisymmetric_on_tied_samples(n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, size=(n, d)).astype(float)
+    x_knock = np.column_stack([rng.integers(0, 4, size=(n, d - 1)), np.full(n, 2)]).astype(float)
+    y = rng.integers(0, 3, size=(n, 1)).astype(float)
+    forward = w_statistics(x, x_knock, y).w_hat
+    npt.assert_array_equal(w_statistics(x_knock, x, y).w_hat, -forward)
+    for j in range(d):
+        expected = _naive_pc_sq(x[:, [j]], y) - _naive_pc_sq(x_knock[:, [j]], y)
+        assert abs(forward[j] - expected) <= 1e-12
+
+
+def test_w_statistics_with_bivariate_response_are_thread_count_invariant():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((16, 3))
+    x_knock = rng.standard_normal((16, 3))
+    y = np.column_stack([x[:, 0], x[:, 1] ** 2]) + 0.2 * rng.standard_normal((16, 2))
+    one = w_statistics(x, x_knock, y, threads=1)
+    three = w_statistics(x, x_knock, y, threads=3)
+    npt.assert_array_equal(one.w_hat, three.w_hat)
+    for j in range(3):
+        expected = _naive_pc_sq(x[:, [j]], y) - _naive_pc_sq(x_knock[:, [j]], y)
+        assert abs(one.w_hat[j] - expected) <= 1e-10
 
 
 def test_w_statistics_shape_errors():

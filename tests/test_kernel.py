@@ -16,12 +16,14 @@ from pcscreen.kernel import (
     angle_slice,
     build_response_cache,
     center_slice,
-    naive_pcov_stats,
     pcov_stats,
     projection_correlation_sq,
+    univariate_scores,
+    univariate_sums,
 )
+from pcscreen.screening import rank_features
 
-from .reference import angle_matrix_fsum, double_center_fsum
+from .reference import angle_matrix_fsum, double_center_fsum, naive_pcov_stats
 
 
 def _points(seed, n, m):
@@ -168,6 +170,74 @@ def test_non_finite_entries_are_rejected():
     bad[2, 0] = np.nan
     with pytest.raises(ValueError):
         pcov_stats(bad, _points(10, 6, 1))
+
+
+# ---------------------------------------------------------------------------
+# batched univariate kernel
+# ---------------------------------------------------------------------------
+
+
+def _naive_ratio(x, y):
+    stats = naive_pcov_stats(x, y)
+    denom = math.sqrt(stats.s_xx * stats.s_yy)
+    return stats.s_xy / denom if denom > 0.0 else 0.0
+
+
+@given(
+    n=st.integers(min_value=5, max_value=30),
+    p=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=30)
+def test_batched_kernel_on_tied_samples(n, p, seed):
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.integers(0, 4, size=(n, p)), np.full(n, 2)]).astype(float)
+    y = rng.integers(0, 3, size=(n, 1)).astype(float)
+    scores = univariate_scores(x, y[:, 0])
+    ranking = rank_features(x, y)
+    ranked = np.empty(p + 1)
+    ranked[ranking.feature] = ranking.omega_hat
+    for j in range(p + 1):
+        assert abs(scores[j] - _naive_ratio(x[:, j : j + 1], y)) <= 1e-12
+        assert ranked[j] == projection_correlation_sq(x[:, j : j + 1], y)
+    assert scores[p] == 0.0
+
+    # a column ordered like y (or reversed) scores exactly 1, unless y takes
+    # at most two values and every slice is zero (0/0 = 0); coarsening it by
+    # rounding never lifts a score above 1
+    for response in (y[:, 0], y[:, 0] + rng.uniform(-0.4, 0.4, n)):
+        copies = np.column_stack([response, -response, np.exp(response), np.round(response)])
+        got = univariate_scores(copies, response)
+        exact = 1.0 if np.unique(response).size > 2 else 0.0
+        assert got[:3].tolist() == [exact] * 3
+        assert got[3] <= 1.0
+
+
+def _tie_free_self_total(n):
+    # I for a tie-free sample with itself: observation r has d = G - L =
+    # n - 1 - 2r, UU = n - 1, SS = n (n - 1) - d^2 and US = SU = d
+    return sum(
+        (n - 1) ** 2 + (n * (n - 1) - d * d) ** 2 - 2 * d * d
+        for d in (n - 1 - 2 * r for r in range(n))
+    )
+
+
+@pytest.mark.parametrize("n", [6000, 8000])
+def test_exact_sums_past_the_int64_total_range(n):
+    # Totals reach 2 n^5 in the worst case, past int64 from n = 5405; for a
+    # tie-free sample they are about 0.53 n^5 and wrap from n = 7050 or so.
+    y = np.random.default_rng(n).permutation(n).astype(float)
+    expected = _tie_free_self_total(n)
+    xy, xx, yy = univariate_sums(np.column_stack([y, -y]), y)
+    assert yy == expected
+    assert [int(v) for v in xx] == [expected, expected]
+    assert [int(v) for v in xy] == [expected, expected]
+    assert univariate_scores(np.column_stack([y, -y]), y).tolist() == [1.0, 1.0]
+
+
+def test_exact_sums_refuse_samples_past_the_int64_term_range():
+    with pytest.raises(InputTooLarge):
+        univariate_sums(np.zeros((46341, 1)), np.zeros(46341))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pcscreen.errors import (
     MultivariateResponseUnsupported,
     UnknownFeature,
 )
-from pcscreen.kernel import naive_pcov_stats, projection_correlation_sq
+from pcscreen.kernel import projection_correlation_sq
 from pcscreen.models import ModelSpec, generate_dataset
 from pcscreen.screening import (
     FeatureRanking,
@@ -28,7 +28,7 @@ from pcscreen.screening import (
     signal_gap_diagnostic,
 )
 
-from .reference import pearson_abs_fsum
+from .reference import naive_pcov_stats, pearson_abs_fsum
 
 
 def _ranking(scores):
@@ -76,11 +76,22 @@ def test_ranking_matches_per_feature_naive_oracle():
 def test_ranking_is_thread_count_invariant():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((25, 8))
-    y = rng.standard_normal((25, 1))
-    one = rank_features(x, y, threads=1)
-    four = rank_features(x, y, threads=4)
-    npt.assert_array_equal(one.feature, four.feature)
-    npt.assert_array_equal(one.omega_hat, four.omega_hat)
+    for q in (1, 2):
+        y = rng.standard_normal((25, q))
+        one = rank_features(x, y, threads=1)
+        four = rank_features(x, y, threads=4)
+        npt.assert_array_equal(one.feature, four.feature)
+        npt.assert_array_equal(one.omega_hat, four.omega_hat)
+
+
+def test_exactly_tied_scores_rank_by_ascending_index():
+    # Features 262 and 966 of this design have equal exact statistics; a
+    # floating-point kernel split them by rounding and ranked 966 first.
+    data = generate_dataset(ModelSpec("1f", 100, 1000), 0)
+    ranking = rank_features(data.x, data.y)
+    position = {j: i for i, j in enumerate(ranking.feature.tolist())}
+    assert ranking.omega_hat[position[262]] == ranking.omega_hat[position[966]]
+    assert position[966] == position[262] + 1
 
 
 def test_rank_features_row_mismatch():
