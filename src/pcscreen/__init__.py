@@ -35,12 +35,9 @@ from .harness import (
     write_design_csv,
 )
 from .kernel import (
-    DEFAULT_MEMORY_BUDGET,
     PcStats,
-    ResponseCache,
     angle_slice,
     as_sample_matrix,
-    build_response_cache,
     center_slice,
     pcov_stats,
     projection_correlation_sq,
@@ -81,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActiveSetEstimate",
     "CovarianceEstimate",
-    "DEFAULT_MEMORY_BUDGET",
     "DesignData",
     "ExperimentConfig",
     "FdrTable",
@@ -96,7 +92,6 @@ __all__ = [
     "PcStats",
     "PhaseTable",
     "QuantileTable",
-    "ResponseCache",
     "SelectionResult",
     "SplitPlan",
     "WVector",
@@ -104,7 +99,6 @@ __all__ = [
     "ar_covariance",
     "as_sample_matrix",
     "build_knockoff_model",
-    "build_response_cache",
     "center_slice",
     "cli_main",
     "empirical_fdp",

@@ -36,7 +36,6 @@ from .harness import (
     write_quantile_csv,
     write_records_jsonl,
 )
-from .kernel import DEFAULT_MEMORY_BUDGET
 from .pipeline import pc_knockoff
 from .screening import rank_features, signal_gap_diagnostic
 
@@ -81,13 +80,8 @@ def build_parser():
         "--threads",
         type=int,
         default=None,
-        help="worker count for replications and multivariate-response scoring (default 1)",
-    )
-    common.add_argument(
-        "--mem-budget-mb",
-        type=float,
-        default=None,
-        help="multivariate-response cache memory budget in MiB (default 256)",
+        help="replication process-pool size for simulate and reproduce; "
+        "screen and pcknockoff ignore it (default 1)",
     )
     common.add_argument("--out", default=None, help="output directory (default .)")
 
@@ -161,18 +155,10 @@ def _globals(args, cfg=None):
     cfg = cfg or {}
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
-    mb = (
-        args.mem_budget_mb
-        if args.mem_budget_mb is not None
-        else cfg.get("mem_budget_mb", None)
-    )
-    budget = DEFAULT_MEMORY_BUDGET if mb is None else int(float(mb) * 1024 * 1024)
-    if budget < 0:
-        raise ValueError(f"memory budget must be nonnegative, got {mb} MiB")
     out = args.out if args.out is not None else cfg.get("out", ".")
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    return seed, threads, budget, outdir
+    return seed, threads, outdir
 
 
 def _response_spec(args):
@@ -196,9 +182,9 @@ def _write_text(path, text):
 
 def _cmd_screen(args):
     response = _response_spec(args)
-    _, threads, budget, outdir = _globals(args)
+    _, _, outdir = _globals(args)
     design = read_design_csv(args.data, response)
-    ranking = rank_features(design.x, design.y, threads=threads, memory_budget_bytes=budget)
+    ranking = rank_features(design.x, design.y)
     lines = ["feature,omega_hat,rank"]
     for rank, (j, omega) in enumerate(ranking.entries, start=1):
         lines.append(f"{design.x_names[j]},{omega!r},{rank}")
@@ -213,7 +199,7 @@ def _cmd_screen(args):
 
 def _cmd_pcknockoff(args):
     response = _response_spec(args)
-    seed, threads, budget, outdir = _globals(args)
+    seed, _, outdir = _globals(args)
     design = read_design_csv(args.data, response)
     report = pc_knockoff(
         design.x,
@@ -223,8 +209,6 @@ def _cmd_pcknockoff(args):
         d=args.d,
         construction=args.construction,
         seed=seed,
-        threads=threads,
-        memory_budget_bytes=budget,
     )
     t_alpha = report.selection.t_alpha
     payload = {
@@ -259,8 +243,7 @@ def _load_config_file(path):
         raise ParseError(f"config {path} must be a JSON object of flag values")
     known = {
         "kind", "model", "n", "p", "reps", "rho", "s", "alphas", "levels",
-        "methods", "n1", "d", "construction", "seed", "threads",
-        "mem_budget_mb", "out",
+        "methods", "n1", "d", "construction", "seed", "threads", "out",
     }
     unknown = set(cfg) - known
     if unknown:
@@ -282,7 +265,7 @@ def _as_id_tuple(value):
 
 def _cmd_simulate(args):
     cfg = _load_config_file(args.config) if args.config else {}
-    seed, threads, budget, outdir = _globals(args, cfg)
+    seed, threads, outdir = _globals(args, cfg)
     kind = _pick(args.kind, cfg, "kind", "quantile")
     models = _pick(args.model, cfg, "model")
     if models is None:
@@ -316,7 +299,6 @@ def _cmd_simulate(args):
         construction=str(_pick(args.construction, cfg, "construction", "sdp")),
         base_seed=seed,
         threads=threads,
-        memory_budget_bytes=budget,
     )
     return _run_and_write(kind, config, outdir, stem=kind)
 
@@ -343,7 +325,7 @@ def _run_and_write(kind, config, outdir, stem):
 
 
 def _cmd_reproduce(args):
-    seed, threads, budget, outdir = _globals(args)
+    seed, threads, outdir = _globals(args)
     table_no = int(args.table)
     scale = args.scale
     models = _TABLE_MODELS[table_no]
@@ -383,7 +365,6 @@ def _cmd_reproduce(args):
         d=d,
         base_seed=seed,
         threads=threads,
-        memory_budget_bytes=budget,
     )
     return _run_and_write(kind, config, outdir, stem=f"table{table_no}_{scale}")
 

@@ -4,20 +4,18 @@ stopping-probability sequence behind the selection phase transition."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, InvalidAlpha
-from .kernel import (
-    DEFAULT_MEMORY_BUDGET,
-    as_sample_matrix,
-    build_response_cache,
-    projection_correlation_sq,
-    univariate_scores,
-)
+from .kernel import as_sample_matrix, column_scores
+
+# perfbench/tracing.py patches this name (its kernel.build_response_cache
+# layer) when a traced run starts; W statistics build no response cache, so that
+# layer reports 0 calls.
+build_response_cache = None
 
 # alpha grid for the active-count rule of thumb: 0.01..0.30 in steps of 0.005
 DEFAULT_ACTIVE_COUNT_GRID = tuple(np.linspace(0.01, 0.30, 59).tolist())
@@ -52,14 +50,13 @@ class SelectionResult:
     candidate_count: int
 
 
-def w_statistics(x, x_knock, y, threads=1, memory_budget_bytes=DEFAULT_MEMORY_BUDGET):
+def w_statistics(x, x_knock, y):
     """W_j = pc(X_j, Y)^2 - pc(Xknock_j, Y)^2 for every feature column j.
 
-    A univariate response scores ``[X | X_knock]`` in one exact-integer
-    :func:`univariate_scores` call; a multivariate one shares a response cache
-    across the per-feature kernel calls, spread over ``threads`` workers.
-    Large positive values indicate activity, and null statistics have
-    symmetric signs.
+    ``[X | X_knock]`` is scored in one :func:`~pcscreen.kernel.column_scores`
+    call: the exact-integer sweep for a univariate response, the slice loop
+    for a multivariate one.  Large positive values indicate activity, and
+    null statistics have symmetric signs.
     """
     xm = as_sample_matrix(x, "x")
     km = as_sample_matrix(x_knock, "x_knock")
@@ -69,34 +66,11 @@ def w_statistics(x, x_knock, y, threads=1, memory_budget_bytes=DEFAULT_MEMORY_BU
     if ym.shape[0] != xm.shape[0]:
         raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
     d = xm.shape[1]
-    if ym.shape[1] == 1:
-        scores = univariate_scores(np.hstack([xm, km]), ym[:, 0])
-        w = scores[:d] - scores[d:]
-    else:
-        w = _per_feature_w(xm, km, ym, threads, memory_budget_bytes)
+    scores = column_scores(np.hstack([xm, km]), ym)
+    w = scores[:d] - scores[d:]
     if np.any(np.abs(w) > 2.0):
         raise ValueError("W statistic outside [-2, 2]; kernel outputs are out of range")
     return WVector(feature=np.arange(d), w_hat=w, n_used=xm.shape[0])
-
-
-def _per_feature_w(xm, km, ym, threads, memory_budget_bytes):
-    cache = build_response_cache(ym, memory_budget_bytes)
-
-    def stat(j):
-        return projection_correlation_sq(
-            xm[:, j : j + 1], ym, cache
-        ) - projection_correlation_sq(km[:, j : j + 1], ym, cache)
-
-    d = xm.shape[1]
-    w = np.empty(d)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            for j, value in enumerate(pool.map(stat, range(d))):
-                w[j] = value
-    else:
-        for j in range(d):
-            w[j] = stat(j)
-    return w
 
 
 def estimate_fdp(w, t):

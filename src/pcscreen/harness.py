@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import MissingColumn, NonNumericCell, ParseError, PcScreenError
 from .fdr import empirical_fdp
-from .kernel import DEFAULT_MEMORY_BUDGET
 from .models import ModelSpec, _canonical_id, generate_dataset
 from .pipeline import pc_knockoff_core, selection_from_core
 from .screening import minimum_model_size, pearson_sis_rank, rank_features
@@ -27,9 +26,9 @@ QUANTILE_METHODS = ("pc_screen", "pearson_sis")
 class ExperimentConfig:
     """Everything one replicated experiment needs, seeds included.
 
-    Replication r uses seed ``base_seed + r``; ``threads`` is
-    replication-level process parallelism (within-replication work is
-    single-threaded so results are independent of the pool size).
+    Replication r uses seed ``base_seed + r``; ``threads`` is the size of the
+    process pool that runs replications, one each (within-replication work
+    is single-threaded, so results are independent of the pool size).
     """
 
     models: tuple[str, ...]
@@ -46,7 +45,6 @@ class ExperimentConfig:
     construction: str = "sdp"
     base_seed: int = 0
     threads: int = 1
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
 
     def __post_init__(self):
         if not self.models:
@@ -135,15 +133,13 @@ def nearest_rank_quantile(values, level):
 
 
 def _quantile_replication(args):
-    spec, seed, methods, budget = args
+    spec, seed, methods = args
     try:
         data = generate_dataset(spec, seed)
         out = {}
         for method in methods:
             if method == "pc_screen":
-                ranking = rank_features(
-                    data.x, data.y, threads=1, memory_budget_bytes=budget
-                )
+                ranking = rank_features(data.x, data.y)
             else:
                 ranking = pearson_sis_rank(data.x, data.y)
             out[method] = int(minimum_model_size(ranking, data.true_active))
@@ -154,18 +150,11 @@ def _quantile_replication(args):
 
 
 def _fdr_replication(args):
-    spec, seed, alphas, n1, d, construction, budget = args
+    spec, seed, alphas, n1, d, construction = args
     try:
         data = generate_dataset(spec, seed)
         core = pc_knockoff_core(
-            data.x,
-            data.y,
-            n1=n1,
-            d=d,
-            construction=construction,
-            seed=seed,
-            threads=1,
-            memory_budget_bytes=budget,
+            data.x, data.y, n1=n1, d=d, construction=construction, seed=seed
         )
         active = set(data.true_active)
         screened_all = active.issubset(core.survivors)
@@ -233,10 +222,7 @@ def run_quantile_experiment(config):
             for m in config.methods
             if not (m == "pearson_sis" and spec.id in ("3a", "3b"))
         )
-        argses = [
-            (spec, config.base_seed + r, methods, config.memory_budget_bytes)
-            for r in range(config.replications)
-        ]
+        argses = [(spec, config.base_seed + r, methods) for r in range(config.replications)]
         results = _map_replications(_quantile_replication, argses, config.threads)
         for r, result in enumerate(results):
             for method in methods:
@@ -280,7 +266,6 @@ def _run_fdr_records(config):
                 config.n1,
                 config.d,
                 config.construction,
-                config.memory_budget_bytes,
             )
             for r in range(config.replications)
         ]
@@ -472,8 +457,26 @@ def read_design_csv(path, response_columns):
     if not x_names:
         raise ParseError(f"{path}: no feature columns left after removing responses")
 
-    data = np.empty((len(rows) - 1, len(header)))
-    for i, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    if not body:
+        raise ParseError(f"{path}: no data rows")
+    # numpy parses a cell string exactly as float() does; the row-by-row walk
+    # runs only to report the first bad row or cell
+    try:
+        data = np.array(body, dtype=np.float64)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(body), len(header)) or not np.all(np.isfinite(data)):
+        _raise_first_bad_cell(path, header, body)
+    column = {name: j for j, name in enumerate(header)}
+    x = data[:, [column[name] for name in x_names]]
+    y = data[:, [column[name] for name in y_names]]
+    return DesignData(x=x, y=y, x_names=tuple(x_names), y_names=tuple(y_names))
+
+
+def _raise_first_bad_cell(path, header, body):
+    """Raise the error of the first bad row or cell, in file order."""
+    for i, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
@@ -487,13 +490,7 @@ def read_design_csv(path, response_columns):
                 raise NonNumericCell(
                     f"{path}: row {i}, column {header[j]!r}: non-numeric cell {cell!r}"
                 )
-            data[i - 2, j] = value
-    if data.shape[0] == 0:
-        raise ParseError(f"{path}: no data rows")
-    column = {name: j for j, name in enumerate(header)}
-    x = data[:, [column[name] for name in x_names]]
-    y = data[:, [column[name] for name in y_names]]
-    return DesignData(x=x, y=y, x_names=tuple(x_names), y_names=tuple(y_names))
+    raise AssertionError("no bad row or cell found")
 
 
 def write_design_csv(path, x, y, x_names=None, y_names=None):

@@ -17,28 +17,30 @@ and the accumulated sums
 
 yield the squared sample projection correlation ``s_xy / sqrt(s_xx s_yy)``.
 
-Two evaluation strategies are used, chosen by column counts only — never by
-whether a response cache happens to be supplied — so cached and uncached calls
-return bitwise-identical results:
+For a one-dimensional sample, with ``s_k = sign(x_k - x_r)`` and ``u = |s|``,
+the angle slice is exactly ``pi/2 (u u^T - s s^T)``: every centered slice has
+rank <= 2 and is held by its two centered sign factors.  Two evaluation
+strategies are used, chosen by column counts only:
 
-* one-dimensional samples: with ``s_k = sign(x_k - x_r)`` and ``u = |s|`` the
-  angle slice is exactly ``pi/2 (u u^T - s s^T)``, so every centered slice has
-  rank <= 2 and its sums are squares of centered dot products.  Scaled by n,
-  those dot products are integers built from per-observation counts (how many
-  observations lie below or level with observation r in x, in y, and in
-  both), so a univariate pair is scored in exact integer arithmetic;
-  :func:`univariate_scores` gets the joint counts of every column of X against
-  one y in a single O(n log n)-per-column sweep (a Fenwick tree over each
-  column's x-ranks, walked in y order — the concordance count behind Knight's
-  O(n log n) Kendall's tau);
-* multi-dimensional samples: slices are materialized one ``r`` at a time
-  (O(n^2) working memory) and contracted directly.  When only one side is
-  univariate its rank-2 factors contract with the other side's slices.
+* the exact univariate sweep, for a univariate pair: the slice sums are
+  squares of centered dot products which, scaled by n, are integers built
+  from per-observation counts (how many observations lie below or level with
+  observation r in x, in y, and in both).  :func:`univariate_scores` gets the
+  joint counts of every column of X against one y in a single
+  O(n log n)-per-column sweep (a Fenwick tree over each column's x-ranks,
+  walked in y order — the concordance count behind Knight's O(n log n)
+  Kendall's tau);
+* the slice loop, for everything else: one pass over the slice indices r
+  builds each centered slice B_r of the multivariate sample once (O(n^2)
+  working memory).  Univariate feature columns sit on the matrix axis: their
+  sign factors at r form (n, p) arrays, contracted with B_r by two matrix
+  products, a fixed block of columns at a time.  When both samples are
+  multivariate the full slices are contracted directly.  A univariate
+  column's self sum always comes from the exact counts.
 
-On the multi-dimensional path, per-slice contributions are gathered into an
-array indexed by ``r`` and reduced with a single ``np.sum``, fixing the
-accumulation order for run-to-run reproducibility.  Integer sums do not
-depend on order at all.
+The slice loop adds its per-r contributions in ascending r, so results are
+reproducible run to run; integer sums do not depend on order at all.  Nothing
+is cached between calls.
 
 The literal triple-loop reference these paths are checked against lives with
 the tests (``tests/reference.py``).
@@ -52,8 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InputTooLarge
-
-DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 
 _HALF_PI = math.pi / 2.0
 
@@ -86,31 +86,6 @@ class PcStats:
     s_xx: float
     s_yy: float
     n: int
-
-
-@dataclass(frozen=True)
-class ResponseCache:
-    """Precomputed response-side quantities shared across feature evaluations.
-
-    ``slices`` holds all n centered response slices when the 8*n^3-byte tensor
-    fits the budget, otherwise ``None`` (slices are then recomputed per call).
-    ``sign_factors`` is the compact (stilde, utilde) rank-2 representation,
-    kept whenever the response is univariate.  ``self_sum`` is the raw
-    sum-of-squares of the centered response slices (not yet scaled by n^-3).
-    All fields are byproducts of the exact code paths an uncached call runs,
-    so supplying a cache never changes any result bit.
-    """
-
-    n: int
-    q: int
-    memory_budget_bytes: int
-    slices: tuple[np.ndarray, ...] | None
-    sign_factors: tuple[np.ndarray, np.ndarray] | None
-    self_sum: float
-
-    @property
-    def materialized(self):
-        return self.slices is not None
 
 
 def angle_slice(points, r):
@@ -187,22 +162,8 @@ def center_slice(slice_values):
 # slice terms up to n = 46340 (see _exact_totals for the range in between).
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# int64 elements per temporary in the closing arithmetic (about 0.5 MB)
+# elements per (n, columns) temporary of a column block (about 0.5 MB)
 _BLOCK_ELEMENTS = 1 << 16
-
-
-def _centered_sign_factors(col):
-    """Centered rank-2 factors of every angle slice of a univariate sample.
-
-    Returns (stilde, utilde); row r of each holds the centered factors of
-    slice r, i.e. A_r = pi/2 (utilde_r utilde_r^T - stilde_r stilde_r^T).
-    Used only where the other sample is multivariate.
-    """
-    s = np.sign(col[None, :] - col[:, None])
-    u = np.abs(s)
-    s -= s.mean(axis=1, keepdims=True)
-    u -= u.mean(axis=1, keepdims=True)
-    return s, u
 
 
 def _dense_ranks(m):
@@ -218,9 +179,18 @@ def _dense_ranks(m):
 
 
 def _rank_marginals(ranks):
-    """Observations below and level with each one, from 1-D dense ranks (int64)."""
-    per_rank = np.bincount(ranks)
-    return (np.cumsum(per_rank) - per_rank)[ranks].astype(np.int64), per_rank[ranks].astype(np.int64)
+    """Observations below and level with each one, per column of (n, p) dense ranks.
+
+    Returns two (n, p) int64 arrays.
+    """
+    n, p = ranks.shape
+    columns = ranks.T + (n + 1) * np.arange(p)[:, None]  # one bin range per column
+    per_rank = np.bincount(columns.ravel(), minlength=(n + 1) * p).reshape(p, n + 1)
+    below = np.cumsum(per_rank, axis=1) - per_rank
+    return (
+        np.take_along_axis(below, ranks.T, axis=1).T.astype(np.int64),
+        np.take_along_axis(per_rank, ranks.T, axis=1).T.astype(np.int64),
+    )
 
 
 def _fenwick_paths(size):
@@ -311,6 +281,23 @@ def _self_terms(n, lower, equal):
     return uu * uu + ss * ss - 2 * us * us
 
 
+def _check_exact_range(n):
+    if 2 * n**4 > _INT64_MAX:
+        raise InputTooLarge(f"exact univariate sums are limited to n <= 46340, got {n}")
+
+
+def _self_totals(x):
+    """Exact I_xx of every column of an (n, p) array, as float64."""
+    n, p = x.shape
+    _check_exact_range(n)
+    totals = np.empty(p)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for c in range(0, p, block):
+        lower, equal = _rank_marginals(_dense_ranks(x[:, c : c + block]))
+        totals[c : c + block] = _exact_totals(_self_terms(n, lower, equal))
+    return totals
+
+
 def univariate_sums(x, y):
     """Exact slice totals I_xy, I_xx, I_yy of every column of ``x`` against ``y``.
 
@@ -321,12 +308,11 @@ def univariate_sums(x, y):
     Python int.
     """
     n, p = x.shape
-    if 2 * n**4 > _INT64_MAX:
-        raise InputTooLarge(f"exact univariate sums are limited to n <= 46340, got {n}")
+    _check_exact_range(n)
     # rows in ascending y from here on; a tie group starts at row L_y
-    y_ranks = _dense_ranks(y[:, None])[:, 0]
-    order = np.argsort(y_ranks)
-    y_lower, y_equal = (a[order][:, None] for a in _rank_marginals(y_ranks))
+    y_ranks = _dense_ranks(y[:, None])
+    order = np.argsort(y_ranks[:, 0])
+    y_lower, y_equal = (a[order] for a in _rank_marginals(y_ranks))
     ranks = np.ascontiguousarray(_dense_ranks(x)[order])
     n_ll, n_el, n_le, n_ee, per_rank = _joint_counts(ranks, np.unique(y_lower).tolist())
     below_rank = np.cumsum(per_rank, axis=0) - per_rank
@@ -378,89 +364,92 @@ def univariate_scores(x, y):
     return scores
 
 
-def _univariate_self_sum(m):
-    """sum_r sum_kl A_r^2 of a univariate (n, 1) sample, not yet scaled by n^-3."""
-    n = m.shape[0]
-    lower, equal = _rank_marginals(_dense_ranks(m)[:, 0])
-    total = int(_exact_totals(_self_terms(n, lower, equal)[:, None])[0])
-    return _HALF_PI * _HALF_PI * total / float(n) ** 2
+def _slice_sums(full, x, features):
+    """Raw slice sums of ``x`` against the multivariate sample ``full``.
 
+    One loop over the slice indices r builds and centers each slice B_r of
+    ``full`` once.  With ``features``, every column of ``x`` is a univariate
+    sample with slices A_r = pi/2 (U U^T - S S^T); the centered sign factors S
+    and U of a block of columns are (n, block) arrays, contracted with B_r by
+    two matrix products.  Otherwise ``x`` is one multivariate sample whose
+    full slices A_r are contracted directly.  Contributions are added in
+    ascending r.
 
-def _factor_slice_cross_sum(s, u, other, n):
-    """sum_r sum_kl A_r M_r with A_r rank-2 and M_r = other(r) a full slice."""
-    parts = np.empty(n)
-    for r in range(n):
-        m = other(r)
-        parts[r] = np.einsum("k,kl,l->", u[r], m, u[r]) - np.einsum("k,kl,l->", s[r], m, s[r])
-    return _HALF_PI * float(parts.sum())
-
-
-def _slice_self_sum(provider, n):
-    parts = np.empty(n)
-    for r in range(n):
-        b = provider(r)
-        parts[r] = np.einsum("kl,kl->", b, b)
-    return float(parts.sum())
-
-
-def _slice_cross_sum(provider_a, provider_b, n):
-    parts = np.empty(n)
-    for r in range(n):
-        parts[r] = np.einsum("kl,kl->", provider_a(r), provider_b(r))
-    return float(parts.sum())
-
-
-def _slice_provider(sample, cached_slices):
-    if cached_slices is not None:
-        return lambda r: cached_slices[r]
-    return lambda r: center_slice(_angle_slice_raw(sample, r))
-
-
-def build_response_cache(y, memory_budget_bytes=DEFAULT_MEMORY_BUDGET):
-    """Precompute response-side slice data for repeated pcov_stats calls.
-
-    The full centered-slice tensor (8*n^3 bytes) is materialized iff it fits
-    the budget; otherwise slices are recomputed per call.  For univariate
-    responses the compact sign-factor representation is always kept.  Only
-    multivariate responses need a cache: screening and W statistics score
-    univariate responses with :func:`univariate_scores`, which builds none.
+    Returns ``(xy, xx, yy)``: sum_r <A_r, B_r> per column (one entry if not
+    ``features``), sum_r |A_r|^2 (``None`` with ``features``; the exact counts
+    give it) and sum_r |B_r|^2, none of them yet scaled by n^-3.
     """
-    ym = as_sample_matrix(y, "y")
-    n, q = ym.shape
-    slices = None
-    if 8 * n**3 <= memory_budget_bytes:
-        slices = tuple(center_slice(_angle_slice_raw(ym, r)) for r in range(n))
-    factors = None
-    if q == 1:
-        factors = _centered_sign_factors(ym[:, 0])
-        self_sum = _univariate_self_sum(ym)
-    else:
-        self_sum = _slice_self_sum(_slice_provider(ym, slices), n)
-    return ResponseCache(
-        n=n,
-        q=q,
-        memory_budget_bytes=int(memory_budget_bytes),
-        slices=slices,
-        sign_factors=factors,
-        self_sum=self_sum,
-    )
+    n = full.shape[0]
+    block = max(1, _BLOCK_ELEMENTS // n)
+    xy = np.zeros(x.shape[1] if features else 1)
+    xx = None if features else 0.0
+    yy = 0.0
+    for r in range(n):
+        b = center_slice(_angle_slice_raw(full, r))
+        yy += np.einsum("kl,kl->", b, b)
+        if not features:
+            a = center_slice(_angle_slice_raw(x, r))
+            xy += np.einsum("kl,kl->", a, b)
+            xx += np.einsum("kl,kl->", a, a)
+            continue
+        for c in range(0, x.shape[1], block):
+            s = np.sign(x[:, c : c + block] - x[r, c : c + block])
+            u = np.abs(s)
+            s -= s.mean(axis=0)
+            u -= u.mean(axis=0)
+            xy[c : c + block] += np.einsum("kj,kj->j", u, b @ u) - np.einsum("kj,kj->j", s, b @ s)
+    if features:
+        xy *= _HALF_PI
+    return xy, xx, yy
 
 
-def _check_cache(cache, ym):
-    if cache is not None and (cache.n, cache.q) != ym.shape:
-        raise DimensionMismatch("cache was built for a different response matrix shape")
+def _feature_stats(x, full):
+    """s_xy and s_xx of every univariate column of ``x``, and s_yy of ``full``.
+
+    ``full`` is multivariate; all three are scaled by n^-3 as in PcStats.
+    """
+    n = x.shape[0]
+    xy, _, yy = _slice_sums(full, x, features=True)
+    cube = float(n) ** 3
+    return xy / cube, _self_totals(x) * (_HALF_PI * _HALF_PI / float(n) ** 5), yy / cube
 
 
-def pcov_stats(x, y, cache=None):
+def _ratio(s_xy, s_xx, s_yy):
+    """s_xy / sqrt(s_xx s_yy) elementwise, 0 where the denominator vanishes.
+
+    The minimum with 1 keeps rounding from lifting a value above its bound.
+    """
+    denom_sq = s_xx * s_yy
+    scores = np.zeros(np.shape(s_xy))
+    ok = denom_sq > 0.0
+    scores[ok] = np.minimum(s_xy[ok] / np.sqrt(denom_sq[ok]), 1.0)
+    return scores
+
+
+def column_scores(x, y):
+    """Squared projection correlation of every column of ``x`` with ``y``.
+
+    ``x`` is a validated (n, p) array of univariate features and ``y`` a
+    validated (n, q) response.  A univariate response takes the exact sweep
+    of :func:`univariate_scores`; a multivariate one takes the slice loop,
+    with all p columns on the matrix axis.  Each score depends on its own
+    column only; on the slice loop a one-column call may differ from it in
+    the last bits, as a matrix product and a matrix-vector product round
+    differently.
+    """
+    if y.shape[1] == 1:
+        return univariate_scores(x, y[:, 0])
+    s_xy, s_xx, s_yy = _feature_stats(x, y)
+    return _ratio(s_xy, s_xx, s_yy)
+
+
+def pcov_stats(x, y):
     """Accumulated centered-slice sums between two sample matrices.
 
     Parameters
     ----------
     x, y : array-like, shape (n, m) and (n, q)
         Observation matrices with a shared row count.
-    cache : ResponseCache, optional
-        Precomputed response-side data from :func:`build_response_cache`.
-        Results are bitwise identical with and without it.
 
     Returns
     -------
@@ -471,7 +460,6 @@ def pcov_stats(x, y, cache=None):
     n = xm.shape[0]
     if ym.shape[0] != n:
         raise DimensionMismatch(f"x has {n} observations but y has {ym.shape[0]}")
-    _check_cache(cache, ym)
 
     if xm.shape[1] == 1 and ym.shape[1] == 1:
         xy, xx, yy = univariate_sums(xm, ym[:, 0])
@@ -479,42 +467,25 @@ def pcov_stats(x, y, cache=None):
         return PcStats(
             s_xy=float(xy[0]) * scale, s_xx=float(xx[0]) * scale, s_yy=float(yy) * scale, n=n
         )
-
-    y_slices = cache.slices if cache is not None else None
-    raw_yy = cache.self_sum if cache is not None else None
-    if xm.shape[1] == 1:
-        sx, ux = _centered_sign_factors(xm[:, 0])
-        raw_xx = _univariate_self_sum(xm)
-        provider = _slice_provider(ym, y_slices)
-        raw_xy = _factor_slice_cross_sum(sx, ux, provider, n)
-        if raw_yy is None:
-            raw_yy = _slice_self_sum(provider, n)
-    else:
-        x_provider = _slice_provider(xm, None)
-        raw_xx = _slice_self_sum(x_provider, n)
-        if ym.shape[1] == 1:
-            factors = cache.sign_factors if cache is not None else None
-            sy, uy = factors if factors is not None else _centered_sign_factors(ym[:, 0])
-            raw_xy = _factor_slice_cross_sum(sy, uy, x_provider, n)
-            if raw_yy is None:
-                raw_yy = _univariate_self_sum(ym)
-        else:
-            y_provider = _slice_provider(ym, y_slices)
-            raw_xy = _slice_cross_sum(x_provider, y_provider, n)
-            if raw_yy is None:
-                raw_yy = _slice_self_sum(y_provider, n)
-
-    scale = float(n) ** 3
-    return PcStats(s_xy=raw_xy / scale, s_xx=raw_xx / scale, s_yy=raw_yy / scale, n=n)
+    if xm.shape[1] == 1 or ym.shape[1] == 1:
+        # the univariate side always takes the factor axis, so swapping x and
+        # y swaps s_xx and s_yy and nothing else
+        swap = ym.shape[1] == 1
+        s_xy, s_uu, s_mm = _feature_stats(*((ym, xm) if swap else (xm, ym)))
+        s_xx, s_yy = (s_mm, s_uu[0]) if swap else (s_uu[0], s_mm)
+        return PcStats(s_xy=float(s_xy[0]), s_xx=float(s_xx), s_yy=float(s_yy), n=n)
+    xy, xx, yy = _slice_sums(ym, xm, features=False)
+    cube = float(n) ** 3
+    return PcStats(s_xy=float(xy[0]) / cube, s_xx=xx / cube, s_yy=yy / cube, n=n)
 
 
-def projection_correlation_sq(x, y, cache=None):
+def projection_correlation_sq(x, y):
     """Squared sample projection correlation between two sample matrices.
 
     Returns ``s_xy / sqrt(s_xx * s_yy)``, with 0 when the denominator
-    vanishes (the 0/0 = 0 convention for degenerate samples).  The value is
-    not clamped below zero: downstream statistics difference two of these and
-    clamping would bias signs.  A univariate pair is scored by
+    vanishes (the 0/0 = 0 convention for degenerate samples), and at most 1.
+    The value is not clamped below zero: downstream statistics difference two
+    of these and clamping would bias signs.  A univariate pair is scored by
     :func:`univariate_scores`, bitwise as in a batched call.  Equal
     multivariate inputs short-circuit to exactly 1.0, the correctly-rounded
     value of the exact ratio.
@@ -524,12 +495,11 @@ def projection_correlation_sq(x, y, cache=None):
     if xm.shape[0] != ym.shape[0]:
         raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
     if xm.shape[1] == 1 and ym.shape[1] == 1:
-        _check_cache(cache, ym)
         return float(univariate_scores(xm, ym[:, 0])[0])
-    stats = pcov_stats(xm, ym, cache)
+    stats = pcov_stats(xm, ym)
     denom_sq = stats.s_xx * stats.s_yy
     if denom_sq <= 0.0:
         return 0.0
     if xm.shape == ym.shape and np.array_equal(xm, ym):
         return 1.0
-    return stats.s_xy / math.sqrt(denom_sq)
+    return min(stats.s_xy / math.sqrt(denom_sq), 1.0)

@@ -99,14 +99,17 @@ def _sqrt_cov(p, rho):
     return 0.5 * (root + root.T)
 
 def _gaussian_ar(rng, n, p, rho):
-    """Exact N(0, ar_covariance) rows via the stationary AR recursion."""
-    z = rng.standard_normal((n, p))
-    x = np.empty((n, p))
-    x[:, 0] = z[:, 0]
-    scale = math.sqrt(1.0 - rho * rho)
+    """Exact N(0, ar_covariance) rows via the stationary AR recursion.
+
+    Column j is rho * column (j - 1) + sqrt(1 - rho^2) * z_j.  The recursion
+    runs over rows of the transposed draw, so every step reads and writes
+    contiguous memory; the result is C-ordered (n, p).
+    """
+    x = np.ascontiguousarray(rng.standard_normal((n, p)).T)
+    x[1:] *= math.sqrt(1.0 - rho * rho)
     for j in range(1, p):
-        x[:, j] = rho * x[:, j - 1] + scale * z[:, j]
-    return x
+        x[j] += rho * x[j - 1]
+    return np.ascontiguousarray(x.T)
 
 
 def _standard_cauchy(rng, shape):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidSplit, SolverFailure
 from .fdr import SelectionResult, WVector, knockoff_plus_threshold, w_statistics
-from .kernel import DEFAULT_MEMORY_BUDGET, as_sample_matrix
+from .kernel import as_sample_matrix
 from .knockoffs import (
     build_knockoff_model,
     equicorrelated_h,
@@ -109,16 +109,7 @@ def _derive_seeds(seed):
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 
-def pc_knockoff_core(
-    x,
-    y,
-    n1=None,
-    d=None,
-    construction="sdp",
-    seed=0,
-    threads=1,
-    memory_budget_bytes=DEFAULT_MEMORY_BUDGET,
-):
+def pc_knockoff_core(x, y, n1=None, d=None, construction="sdp", seed=0):
     """Run the split / screen / knockoff / W stages once.
 
     The returned core is alpha-free: sweeping FDR levels only needs
@@ -147,9 +138,7 @@ def pc_knockoff_core(
     timings["split"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    ranking1 = rank_features(
-        xm[split.split1], ym[split.split1], threads=threads, memory_budget_bytes=memory_budget_bytes
-    )
+    ranking1 = rank_features(xm[split.split1], ym[split.split1])
     a_hat_1 = select_top_d(ranking1, d)
     timings["screen"] = time.perf_counter() - start
 
@@ -179,9 +168,7 @@ def pc_knockoff_core(
     timings["knockoff"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    w_local = w_statistics(
-        x2_std, x_knock, y2, threads=threads, memory_budget_bytes=memory_budget_bytes
-    )
+    w_local = w_statistics(x2_std, x_knock, y2)
     timings["wstat"] = time.perf_counter() - start
     w = WVector(feature=np.asarray(survivors), w_hat=w_local.w_hat, n_used=w_local.n_used)
 
@@ -220,17 +207,7 @@ def selection_from_core(core, alpha):
     )
 
 
-def pc_knockoff(
-    x,
-    y,
-    alpha,
-    n1=None,
-    d=None,
-    construction="sdp",
-    seed=0,
-    threads=1,
-    memory_budget_bytes=DEFAULT_MEMORY_BUDGET,
-):
+def pc_knockoff(x, y, alpha, n1=None, d=None, construction="sdp", seed=0):
     """Screen on split 1, build knockoffs and select on split 2.
 
     Deterministic given (inputs, seed): the base seed is expanded into
@@ -238,14 +215,5 @@ def pc_knockoff(
     search falls back to the equicorrelated construction with
     ``fallback_flag`` set.
     """
-    core = pc_knockoff_core(
-        x,
-        y,
-        n1=n1,
-        d=d,
-        construction=construction,
-        seed=seed,
-        threads=threads,
-        memory_budget_bytes=memory_budget_bytes,
-    )
+    core = pc_knockoff_core(x, y, n1=n1, d=d, construction=construction, seed=seed)
     return selection_from_core(core, alpha)

@@ -3,19 +3,17 @@ diagnostics, and a Pearson-correlation baseline."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, MultivariateResponseUnsupported, UnknownFeature
-from .kernel import (
-    DEFAULT_MEMORY_BUDGET,
-    as_sample_matrix,
-    build_response_cache,
-    projection_correlation_sq,
-    univariate_scores,
-)
+from .kernel import as_sample_matrix, column_scores
+
+# perfbench/tracing.py patches this name (its kernel.build_response_cache
+# layer) when a traced run starts; screening builds no response cache, so that
+# layer reports 0 calls.
+build_response_cache = None
 
 
 @dataclass(frozen=True)
@@ -53,37 +51,18 @@ def _ranking_from_scores(scores, n_used):
     return FeatureRanking(feature=order, omega_hat=scores[order], n_used=int(n_used))
 
 
-def rank_features(x, y, threads=1, memory_budget_bytes=DEFAULT_MEMORY_BUDGET):
+def rank_features(x, y):
     """Rank every column of ``x`` by squared projection correlation with ``y``.
 
-    A univariate response scores all columns in one exact-integer
-    :func:`univariate_scores` call.  A multivariate response shares one
-    response cache across the p per-feature kernel calls, spread over
-    ``threads`` workers; the result is independent of ``threads`` because each
-    feature is scored by the identical single-feature routine and written to
-    its own slot.
+    All columns are scored in one :func:`~pcscreen.kernel.column_scores`
+    call: a univariate response by the exact-integer sweep, a multivariate
+    one by the slice loop with the columns on the matrix axis.
     """
     xm = as_sample_matrix(x, "x")
     ym = as_sample_matrix(y, "y")
     if xm.shape[0] != ym.shape[0]:
         raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
-    if ym.shape[1] == 1:
-        return _ranking_from_scores(univariate_scores(xm, ym[:, 0]), xm.shape[0])
-    p = xm.shape[1]
-    cache = build_response_cache(ym, memory_budget_bytes)
-
-    def score(j):
-        return projection_correlation_sq(xm[:, j : j + 1], ym, cache)
-
-    omega = np.empty(p)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            for j, value in enumerate(pool.map(score, range(p))):
-                omega[j] = value
-    else:
-        for j in range(p):
-            omega[j] = score(j)
-    return _ranking_from_scores(omega, xm.shape[0])
+    return _ranking_from_scores(column_scores(xm, ym), xm.shape[0])
 
 
 def pearson_sis_rank(x, y):

@@ -351,3 +351,32 @@ def test_design_non_numeric_cell_errors(tmp_path):
             read_design_csv(path, 1)
         assert "row 2" in str(err.value)
         assert "'b'" in str(err.value)
+
+
+def test_design_reports_the_first_fault_in_file_order(tmp_path):
+    cases = {
+        # every row one cell too wide: the body parses as a rectangle
+        "wide.csv": ("a,b\n1,2,3\n4,5,6\n", ParseError, "row 2 has 3 cells, expected 2"),
+        "cell_then_ragged.csv": (
+            "a,b\n1,2\n3,x\n4\n", NonNumericCell, "row 3, column 'b': non-numeric cell 'x'"
+        ),
+        "ragged_then_cell.csv": ("a,b\n1,x\n3\n", NonNumericCell, "row 2, column 'b'"),
+        "two_cells.csv": ("a,b\n1,2\nnan,inf\n", NonNumericCell, "row 3, column 'a'"),
+    }
+    for name, (text, error, message) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(error) as err:
+            read_design_csv(path, 1)
+        assert message in str(err.value), name
+
+
+def test_design_cells_parse_as_python_floats(tmp_path):
+    cells = ["1_0", " 2 ", "+1e3", "-0.0", "1e-320", "٣", "0.1"]
+    path = tmp_path / "cells.csv"
+    text = "a,b\n" + "\n".join(f"{cell},{cell}" for cell in cells) + "\n"
+    path.write_text(text, encoding="utf-8")
+    parsed = read_design_csv(path, 1)
+    expected = np.array([float(cell) for cell in cells])
+    npt.assert_array_equal(parsed.x[:, 0].view(np.int64), expected.view(np.int64))
+    npt.assert_array_equal(parsed.y[:, 0].view(np.int64), expected.view(np.int64))

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcscreen import kernel
 from pcscreen.errors import DimensionMismatch, InputTooLarge
 from pcscreen.kernel import (
     angle_slice,
-    build_response_cache,
     center_slice,
+    column_scores,
     pcov_stats,
     projection_correlation_sq,
     univariate_scores,
@@ -213,6 +214,43 @@ def test_batched_kernel_on_tied_samples(n, p, seed):
         assert got[3] <= 1.0
 
 
+# ---------------------------------------------------------------------------
+# slice loop: univariate columns against a multivariate response
+# ---------------------------------------------------------------------------
+
+
+@given(
+    n=st.integers(min_value=5, max_value=20),
+    p=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=30)
+def test_slice_loop_on_tied_samples(n, p, seed):
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.integers(0, 4, size=(n, p)), np.full(n, 2)]).astype(float)
+    y = rng.integers(0, 4, size=(n, 2)).astype(float)
+    scores = column_scores(x, y)
+    single = np.array([projection_correlation_sq(x[:, j : j + 1], y) for j in range(p + 1)])
+    for j in range(p + 1):
+        assert abs(scores[j] - _naive_ratio(x[:, j : j + 1], y)) <= 1e-12
+    npt.assert_allclose(scores, single, rtol=0, atol=1e-14)
+    ranking = rank_features(x, y)
+    npt.assert_array_equal(ranking.omega_hat, scores[ranking.feature])
+    npt.assert_array_equal(ranking.feature, np.lexsort((np.arange(p + 1), -single)))
+    assert np.all(np.diff(ranking.omega_hat) <= 0.0)
+    assert scores[p] == 0.0
+    assert np.all(scores <= 1.0)
+
+
+def test_slice_loop_column_blocks_do_not_change_scores(monkeypatch):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((12, 7))
+    y = rng.standard_normal((12, 3))
+    whole = column_scores(x, y)
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 2 * 12)  # two columns a block
+    npt.assert_allclose(column_scores(x, y), whole, rtol=0, atol=1e-14)
+
+
 def _tie_free_self_total(n):
     # I for a tie-free sample with itself: observation r has d = G - L =
     # n - 1 - 2r, UU = n - 1, SS = n (n - 1) - d^2 and US = SU = d
@@ -305,43 +343,3 @@ def test_statistic_spread_shrinks_with_sample_size():
         return float(np.std(values))
 
     assert spread(400) < spread(100)
-
-
-# ---------------------------------------------------------------------------
-# response cache
-# ---------------------------------------------------------------------------
-
-
-def test_cache_materialization_follows_the_budget():
-    y = _points(17, 100, 1)
-    assert build_response_cache(y, 64 * 1024 * 1024).materialized
-    yq = _points(18, 40, 2)
-    assert build_response_cache(yq, 8 * 40**3).materialized
-    assert not build_response_cache(yq, 8 * 40**3 - 1).materialized
-
-
-def test_big_sample_cache_degrades_gracefully():
-    y = _points(19, 1000, 1)
-    cache = build_response_cache(y, 1024**3)  # needs 8e9 bytes, budget 1 GiB
-    assert not cache.materialized
-    assert cache.sign_factors is not None
-
-
-def test_cache_transparency_is_bitwise():
-    rng = np.random.default_rng(20)
-    x = rng.standard_normal((18, 2))
-    for q in (1, 2):
-        y = rng.standard_normal((18, q))
-        plain = projection_correlation_sq(x, y)
-        for budget in (0, 64 * 1024 * 1024):
-            cache = build_response_cache(y, budget)
-            assert projection_correlation_sq(x, y, cache) == plain
-            assert projection_correlation_sq(x[:, :1], y, cache) == (
-                projection_correlation_sq(x[:, :1], y)
-            )
-
-
-def test_cache_shape_mismatch_is_rejected():
-    cache = build_response_cache(_points(21, 10, 1))
-    with pytest.raises(DimensionMismatch):
-        pcov_stats(_points(21, 12, 1), _points(21, 12, 1), cache)

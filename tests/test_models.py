@@ -3,6 +3,8 @@ tail behavior, and overflow tallies for every simulation design."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,7 @@ from pcscreen.errors import UnknownModel
 from pcscreen.models import (
     MODEL_IDS,
     ModelSpec,
+    _gaussian_ar,
     ar_covariance,
     generate_dataset,
 )
@@ -132,6 +135,18 @@ def test_ar_covariance_large_is_positive_definite():
 def test_ar_covariance_rejects_unit_rho():
     with pytest.raises(ValueError):
         ar_covariance(5, 1.0)
+
+
+def test_gaussian_ar_matches_the_column_recursion():
+    n, p, rho = 7, 9, 0.5
+    z = np.random.default_rng(4).standard_normal((n, p))
+    expected = np.empty((n, p))
+    expected[:, 0] = z[:, 0]
+    for j in range(1, p):
+        expected[:, j] = rho * expected[:, j - 1] + math.sqrt(1.0 - rho * rho) * z[:, j]
+    got = _gaussian_ar(np.random.default_rng(4), n, p, rho)
+    assert got.flags["C_CONTIGUOUS"]
+    npt.assert_array_equal(got, expected)
 
 
 def test_gaussian_design_moments():

@@ -129,12 +129,17 @@ def test_full_survivor_set_matches_unscreened_knockoff_stage():
 
 
 def test_pipeline_is_deterministic_across_thread_counts():
+    # No stage runs a thread pool; repeated runs must agree bit for bit, for
+    # a univariate and a bivariate response alike.
     ds = _strong_linear(seed=8)
-    one = pc_knockoff(ds.x, ds.y, alpha=0.3, n1=80, d=12, seed=1, threads=1)
-    two = pc_knockoff(ds.x, ds.y, alpha=0.3, n1=80, d=12, seed=1, threads=2)
-    npt.assert_array_equal(one.w.w_hat, two.w.w_hat)
-    assert one.selection == two.selection
-    npt.assert_array_equal(one.split.perm, two.split.perm)
+    bivariate = np.column_stack([ds.y[:, 0], ds.x[:, 1] ** 2])
+    for y in (ds.y, bivariate):
+        one = pc_knockoff(ds.x, y, alpha=0.3, n1=80, d=12, seed=1)
+        two = pc_knockoff(ds.x, y, alpha=0.3, n1=80, d=12, seed=1)
+        npt.assert_array_equal(one.ranking1.omega_hat, two.ranking1.omega_hat)
+        npt.assert_array_equal(one.w.w_hat, two.w.w_hat)
+        assert one.selection == two.selection
+        npt.assert_array_equal(one.split.perm, two.split.perm)
 
 
 def test_different_seeds_change_the_split():

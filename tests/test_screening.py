@@ -73,15 +73,32 @@ def test_ranking_matches_per_feature_naive_oracle():
     assert sorted(ranking.feature.tolist()) == list(range(p))
 
 
+def _scores_by_feature(ranking):
+    scores = np.empty(len(ranking))
+    scores[ranking.feature] = ranking.omega_hat
+    return scores
+
+
 def test_ranking_is_thread_count_invariant():
+    # Scoring runs no thread pool; what can vary is how the columns are
+    # batched into calls, and that must not change a feature's score: exactly
+    # for a univariate response, to rounding (matrix products) otherwise.
     rng = np.random.default_rng(2)
     x = rng.standard_normal((25, 8))
     for q in (1, 2):
         y = rng.standard_normal((25, q))
-        one = rank_features(x, y, threads=1)
-        four = rank_features(x, y, threads=4)
-        npt.assert_array_equal(one.feature, four.feature)
-        npt.assert_array_equal(one.omega_hat, four.omega_hat)
+        whole = rank_features(x, y)
+        split = np.concatenate(
+            [_scores_by_feature(rank_features(x[:, :3], y)),
+             _scores_by_feature(rank_features(x[:, 3:], y))]
+        )
+        single = [projection_correlation_sq(x[:, j : j + 1], y) for j in range(8)]
+        for other in (split, single):
+            if q == 1:
+                npt.assert_array_equal(_scores_by_feature(whole), other)
+            else:
+                npt.assert_allclose(_scores_by_feature(whole), other, rtol=0, atol=1e-14)
+        npt.assert_array_equal(whole.feature, np.lexsort((np.arange(8), -split)))
 
 
 def test_exactly_tied_scores_rank_by_ascending_index():
