@@ -9,7 +9,6 @@ discovery control; models/harness reproduce the simulation studies.
 from __future__ import annotations
 
 from . import errors
-from .cli import cli_main
 from .errors import PcScreenError
 from .fdr import (
     SelectionResult,
@@ -100,7 +99,6 @@ __all__ = [
     "as_sample_matrix",
     "build_knockoff_model",
     "center_slice",
-    "cli_main",
     "empirical_fdp",
     "equicorrelated_h",
     "errors",

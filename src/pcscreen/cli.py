@@ -210,21 +210,20 @@ def _cmd_pcknockoff(args):
         construction=args.construction,
         seed=seed,
     )
-    t_alpha = report.selection.t_alpha
+    core, selection = report.core, report.selection
+    t_alpha = selection.t_alpha
     payload = {
-        "alpha": report.selection.alpha,
+        "alpha": selection.alpha,
         "t_alpha": None if t_alpha == float("inf") else t_alpha,
-        "selected": [design.x_names[j] for j in report.selection.selected],
-        "fdp_hat": report.selection.fdp_hat,
-        "survivors": [design.x_names[j] for j in report.survivors],
-        "w": [
-            {"feature": design.x_names[j], "w_hat": w} for j, w in report.w.entries
-        ],
+        "selected": [design.x_names[j] for j in selection.selected],
+        "fdp_hat": selection.fdp_hat,
+        "survivors": [design.x_names[j] for j in core.survivors],
+        "w": [{"feature": design.x_names[j], "w_hat": w} for j, w in core.w.entries],
         "diagnostics": {
-            "jitter": report.jitter_applied,
-            "clip": report.clip_magnitude,
-            "fallback": report.fallback_flag,
-            "construction": report.construction_used,
+            "jitter": core.jitter_applied,
+            "clip": core.clip_magnitude,
+            "fallback": core.fallback_flag,
+            "construction": core.construction_used,
         },
     }
     _write_text(outdir / "selection.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

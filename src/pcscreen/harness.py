@@ -184,7 +184,7 @@ def _fdr_replication(args):
                     "sure_screening": sure,
                     "event": event,
                     "screened_all": screened_all,
-                    "fallback": report.fallback_flag,
+                    "fallback": core.fallback_flag,
                 }
             )
         return records

@@ -18,8 +18,7 @@ and the accumulated sums
 yield the squared sample projection correlation ``s_xy / sqrt(s_xx s_yy)``.
 
 For a one-dimensional sample, with ``s_k = sign(x_k - x_r)`` and ``u = |s|``,
-the angle slice is exactly ``pi/2 (u u^T - s s^T)``: every centered slice has
-rank <= 2 and is held by its two centered sign factors.  Two evaluation
+the angle slice is exactly ``pi/2 (u u^T - s s^T)``.  Two evaluation
 strategies are used, chosen by column counts only:
 
 * the exact univariate sweep, for a univariate pair: the slice sums are
@@ -32,11 +31,17 @@ strategies are used, chosen by column counts only:
   Kendall's tau);
 * the slice loop, for everything else: one pass over the slice indices r
   builds each centered slice B_r of the multivariate sample once (O(n^2)
-  working memory).  Univariate feature columns sit on the matrix axis: their
-  sign factors at r form (n, p) arrays, contracted with B_r by two matrix
-  products, a fixed block of columns at a time.  When both samples are
-  multivariate the full slices are contracted directly.  A univariate
-  column's self sum always comes from the exact counts.
+  working memory).  B_r has zero row and column sums, so the centering of
+  a univariate column's slice and every constant in it drop out of the
+  contraction: with g_k = 1[x_k > x_r] and h_k = 1[x_k >= x_r],
+
+      <A_r, B_r> = -2 pi sum_k g_k (B_r h)_k.
+
+  Univariate feature columns sit on the matrix axis: their 0/1 indicators
+  at r form (n, p) arrays, and B_r meets them in one matrix product, a fixed
+  block of columns at a time.  When both samples are multivariate the full
+  slices are contracted directly.  A univariate column's self sum always
+  comes from the exact counts.
 
 The slice loop adds its per-r contributions in ascending r, so results are
 reproducible run to run; integer sums do not depend on order at all.  Nothing
@@ -345,6 +350,18 @@ def univariate_sums(x, y):
     return xy, xx, yy
 
 
+def _ratio(s_xy, s_xx, s_yy):
+    """s_xy / sqrt(s_xx s_yy) elementwise, 0 where the denominator vanishes.
+
+    The minimum with 1 keeps rounding from lifting a value above its bound.
+    """
+    denom_sq = s_xx * s_yy
+    scores = np.zeros(np.shape(s_xy))
+    ok = denom_sq > 0.0
+    scores[ok] = np.minimum(s_xy[ok] / np.sqrt(denom_sq[ok]), 1.0)
+    return scores
+
+
 def univariate_scores(x, y):
     """Squared projection correlation of every column of ``x`` with ``y``.
 
@@ -356,12 +373,7 @@ def univariate_scores(x, y):
     lifting a value within an ulp or two of 1 above it.
     """
     xy, xx, yy = univariate_sums(x, y)
-    xy = xy.astype(np.float64)
-    denom_sq = xx.astype(np.float64) * float(yy)
-    scores = np.zeros(xy.shape)
-    ok = denom_sq > 0.0
-    scores[ok] = np.minimum(xy[ok] / np.sqrt(denom_sq[ok]), 1.0)
-    return scores
+    return _ratio(xy.astype(np.float64), xx.astype(np.float64), np.float64(yy))
 
 
 def _slice_sums(full, x, features):
@@ -369,11 +381,11 @@ def _slice_sums(full, x, features):
 
     One loop over the slice indices r builds and centers each slice B_r of
     ``full`` once.  With ``features``, every column of ``x`` is a univariate
-    sample with slices A_r = pi/2 (U U^T - S S^T); the centered sign factors S
-    and U of a block of columns are (n, block) arrays, contracted with B_r by
-    two matrix products.  Otherwise ``x`` is one multivariate sample whose
-    full slices A_r are contracted directly.  Contributions are added in
-    ascending r.
+    sample, and <A_r, B_r> = -2 pi sum_k g_k (B_r h)_k with the indicators
+    g = 1[x > x_r] and h = 1[x >= x_r] (see the module docstring); those of a
+    block of columns are (n, block) arrays, and B_r meets them in one matrix
+    product.  Otherwise ``x`` is one multivariate sample whose full slices
+    A_r are contracted directly.  Contributions are added in ascending r.
 
     Returns ``(xy, xx, yy)``: sum_r <A_r, B_r> per column (one entry if not
     ``features``), sum_r |A_r|^2 (``None`` with ``features``; the exact counts
@@ -393,13 +405,12 @@ def _slice_sums(full, x, features):
             xx += np.einsum("kl,kl->", a, a)
             continue
         for c in range(0, x.shape[1], block):
-            s = np.sign(x[:, c : c + block] - x[r, c : c + block])
-            u = np.abs(s)
-            s -= s.mean(axis=0)
-            u -= u.mean(axis=0)
-            xy[c : c + block] += np.einsum("kj,kj->j", u, b @ u) - np.einsum("kj,kj->j", s, b @ s)
+            cols = x[:, c : c + block]
+            above = (cols > cols[r]).astype(np.float64)
+            level = (cols >= cols[r]).astype(np.float64)
+            xy[c : c + block] -= np.einsum("kj,kj->j", above, b @ level)
     if features:
-        xy *= _HALF_PI
+        xy *= 2.0 * math.pi
     return xy, xx, yy
 
 
@@ -414,28 +425,16 @@ def _feature_stats(x, full):
     return xy / cube, _self_totals(x) * (_HALF_PI * _HALF_PI / float(n) ** 5), yy / cube
 
 
-def _ratio(s_xy, s_xx, s_yy):
-    """s_xy / sqrt(s_xx s_yy) elementwise, 0 where the denominator vanishes.
-
-    The minimum with 1 keeps rounding from lifting a value above its bound.
-    """
-    denom_sq = s_xx * s_yy
-    scores = np.zeros(np.shape(s_xy))
-    ok = denom_sq > 0.0
-    scores[ok] = np.minimum(s_xy[ok] / np.sqrt(denom_sq[ok]), 1.0)
-    return scores
-
-
 def column_scores(x, y):
     """Squared projection correlation of every column of ``x`` with ``y``.
 
     ``x`` is a validated (n, p) array of univariate features and ``y`` a
     validated (n, q) response.  A univariate response takes the exact sweep
     of :func:`univariate_scores`; a multivariate one takes the slice loop,
-    with all p columns on the matrix axis.  Each score depends on its own
-    column only; on the slice loop a one-column call may differ from it in
-    the last bits, as a matrix product and a matrix-vector product round
-    differently.
+    with all p columns on the matrix axis and one matrix product per slice
+    and block of columns.  Each score depends on its own column only; on the
+    slice loop a one-column call may differ from it in the last bits, as a
+    matrix product and a matrix-vector product round differently.
     """
     if y.shape[1] == 1:
         return univariate_scores(x, y[:, 0])

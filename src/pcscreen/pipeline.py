@@ -46,7 +46,13 @@ class SplitPlan:
 
 @dataclass(frozen=True)
 class PcKnockoffCore:
-    """Everything up to the W statistics; thresholding at any alpha reuses it."""
+    """Everything up to the W statistics; thresholding at any alpha reuses it.
+
+    ``a_hat_1`` lists screening survivors in rank order; ``survivors`` is the
+    same set sorted ascending, the order in which split-2 columns are consumed
+    (so ``w.feature`` and a selection's ``selected`` carry original feature
+    indices ascending).
+    """
 
     split: SplitPlan
     ranking1: FeatureRanking
@@ -62,24 +68,13 @@ class PcKnockoffCore:
 
 @dataclass(frozen=True)
 class PcKnockoffReport:
-    """Full pipeline output: all intermediate diagnostics plus the selection.
+    """Full pipeline output: the alpha-free core plus its selection at one alpha.
 
-    ``a_hat_1`` lists screening survivors in rank order; ``survivors`` is the
-    same set sorted ascending, the order in which split-2 columns are consumed
-    (so ``w.feature`` and ``selection.selected`` carry original feature
-    indices ascending).
+    ``timings`` holds the core's stage timings plus ``"select"``.
     """
 
-    split: SplitPlan
-    ranking1: FeatureRanking
-    a_hat_1: ActiveSetEstimate
-    survivors: tuple[int, ...]
-    w: WVector
+    core: PcKnockoffCore
     selection: SelectionResult
-    construction_used: str
-    fallback_flag: bool
-    jitter_applied: float
-    clip_magnitude: float
     timings: dict[str, float]
 
 
@@ -190,21 +185,8 @@ def selection_from_core(core, alpha):
     """Threshold an existing core's W statistics at FDR level alpha."""
     start = time.perf_counter()
     selection = knockoff_plus_threshold(core.w, alpha)
-    timings = dict(core.timings)
-    timings["select"] = time.perf_counter() - start
-    return PcKnockoffReport(
-        split=core.split,
-        ranking1=core.ranking1,
-        a_hat_1=core.a_hat_1,
-        survivors=core.survivors,
-        w=core.w,
-        selection=selection,
-        construction_used=core.construction_used,
-        fallback_flag=core.fallback_flag,
-        jitter_applied=core.jitter_applied,
-        clip_magnitude=core.clip_magnitude,
-        timings=timings,
-    )
+    timings = dict(core.timings, select=time.perf_counter() - start)
+    return PcKnockoffReport(core=core, selection=selection, timings=timings)
 
 
 def pc_knockoff(x, y, alpha, n1=None, d=None, construction="sdp", seed=0):
@@ -212,7 +194,7 @@ def pc_knockoff(x, y, alpha, n1=None, d=None, construction="sdp", seed=0):
 
     Deterministic given (inputs, seed): the base seed is expanded into
     independent split and knockoff-noise streams.  A failed semidefinite
-    search falls back to the equicorrelated construction with
+    search falls back to the equicorrelated construction with the core's
     ``fallback_flag`` set.
     """
     core = pc_knockoff_core(x, y, n1=n1, d=d, construction=construction, seed=seed)

@@ -212,10 +212,9 @@ def test_a06_fdr_control_and_sure_screening(fdr_benchmark):
         f"{sure:.2f} (>= 0.85), {elapsed:.0f}s -> {_verdict(ok)}"
     )
     assert fdr <= 0.25, f"empirical FDR {fdr:.3f} exceeds 0.25"
-    # The +1 in the threshold numerator over 50 survivors prices one to two
-    # negative-null statistics above the weakest active W at this sample
-    # size, so roughly half the replications drop at least one of the ten
-    # active features.
+    # Under estimation noise the semidefinite h comes out uneven; an active
+    # feature with h_j near 0 gets W_j near 0, so roughly half the
+    # replications drop at least one of the ten active features.
     assert sure >= 0.85, f"all-active selection rate {sure:.2f} is below 0.85"
     assert elapsed < 3600.0
 
@@ -380,6 +379,7 @@ def _run_cli(args, outdir):
         check=False,
     )
     assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr, result.stderr
     return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
 
 

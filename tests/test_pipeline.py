@@ -88,13 +88,14 @@ def test_default_sizes():
 def test_report_bookkeeping_fields():
     ds = _strong_linear()
     rpt = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=12, seed=3)
-    assert rpt.survivors == tuple(sorted(rpt.a_hat_1.indices))
-    assert len(rpt.survivors) == 12
-    assert set(rpt.selection.selected) <= set(rpt.survivors)
-    npt.assert_array_equal(rpt.w.feature, np.asarray(rpt.survivors))
-    assert rpt.construction_used == "sdp"
-    assert rpt.fallback_flag is False
-    assert rpt.clip_magnitude >= 0.0
+    core = rpt.core
+    assert core.survivors == tuple(sorted(core.a_hat_1.indices))
+    assert len(core.survivors) == 12
+    assert set(rpt.selection.selected) <= set(core.survivors)
+    npt.assert_array_equal(core.w.feature, np.asarray(core.survivors))
+    assert core.construction_used == "sdp"
+    assert core.fallback_flag is False
+    assert core.clip_magnitude >= 0.0
     assert set(rpt.timings) == {"split", "screen", "knockoff", "wstat", "select"}
     assert all(v >= 0.0 for v in rpt.timings.values())
 
@@ -106,7 +107,7 @@ def test_core_plus_selection_equals_one_shot_run():
         via_core = selection_from_core(core, alpha)
         one_shot = pc_knockoff(ds.x, ds.y, alpha, n1=80, d=10, seed=5)
         assert via_core.selection == one_shot.selection
-        npt.assert_array_equal(via_core.w.w_hat, one_shot.w.w_hat)
+        npt.assert_array_equal(via_core.core.w.w_hat, one_shot.core.w.w_hat)
 
 
 def test_full_survivor_set_matches_unscreened_knockoff_stage():
@@ -114,18 +115,18 @@ def test_full_survivor_set_matches_unscreened_knockoff_stage():
     # split 2 exactly as it would with no screening step at all.
     ds = _strong_linear(n=150, p=8, seed=6)
     rpt = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=50, d=8, seed=7)
-    assert rpt.survivors == tuple(range(8))
+    assert rpt.core.survivors == tuple(range(8))
 
     split_seed, knock_seed = pipeline._derive_seeds(7)
     plan = split_sample(150, 50, split_seed)
-    npt.assert_array_equal(plan.perm, rpt.split.perm)
+    npt.assert_array_equal(plan.perm, rpt.core.split.perm)
     x2 = ds.x[plan.split2]
     cov = estimate_covariance(x2)
     x2_std = standardize(x2, cov)
     model = build_knockoff_model(cov, sdp_h(cov), construction="sdp")
     x_knock = sample_knockoffs(x2_std, model, knock_seed)
     w_manual = w_statistics(x2_std, x_knock, ds.y[plan.split2])
-    npt.assert_array_equal(rpt.w.w_hat, w_manual.w_hat)
+    npt.assert_array_equal(rpt.core.w.w_hat, w_manual.w_hat)
 
 
 def test_pipeline_is_deterministic_across_thread_counts():
@@ -136,17 +137,17 @@ def test_pipeline_is_deterministic_across_thread_counts():
     for y in (ds.y, bivariate):
         one = pc_knockoff(ds.x, y, alpha=0.3, n1=80, d=12, seed=1)
         two = pc_knockoff(ds.x, y, alpha=0.3, n1=80, d=12, seed=1)
-        npt.assert_array_equal(one.ranking1.omega_hat, two.ranking1.omega_hat)
-        npt.assert_array_equal(one.w.w_hat, two.w.w_hat)
+        npt.assert_array_equal(one.core.ranking1.omega_hat, two.core.ranking1.omega_hat)
+        npt.assert_array_equal(one.core.w.w_hat, two.core.w.w_hat)
         assert one.selection == two.selection
-        npt.assert_array_equal(one.split.perm, two.split.perm)
+        npt.assert_array_equal(one.core.split.perm, two.core.split.perm)
 
 
 def test_different_seeds_change_the_split():
     ds = _strong_linear(seed=9)
     a = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=10, seed=0)
     b = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=10, seed=1)
-    assert not np.array_equal(a.split.perm, b.split.perm)
+    assert not np.array_equal(a.core.split.perm, b.core.split.perm)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +215,12 @@ def test_sdp_failure_falls_back_to_equicorrelated(monkeypatch):
     monkeypatch.setattr(pipeline, "sdp_h", broken_sdp)
     ds = _strong_linear(n=150, p=10, seed=11)
     rpt = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=50, d=8, seed=2)
-    assert rpt.construction_used == "equicorrelated"
-    assert rpt.fallback_flag is True
-    assert len(rpt.w.w_hat) == 8
+    assert rpt.core.construction_used == "equicorrelated"
+    assert rpt.core.fallback_flag is True
+    assert len(rpt.core.w.w_hat) == 8
 
     explicit = pc_knockoff(
         ds.x, ds.y, alpha=0.5, n1=50, d=8, seed=2, construction="equicorrelated"
     )
-    npt.assert_array_equal(rpt.w.w_hat, explicit.w.w_hat)
-    assert explicit.fallback_flag is False
+    npt.assert_array_equal(rpt.core.w.w_hat, explicit.core.w.w_hat)
+    assert explicit.core.fallback_flag is False
