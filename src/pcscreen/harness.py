@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +131,11 @@ def nearest_rank_quantile(values, level):
     return ordered[max(0, min(idx, len(ordered) - 1))]
 
 
+def _overflow_tallies(data):
+    """The generator's overflow counts, as record keys."""
+    return {"clamp_events": data.clamp_events, "extreme_responses": data.extreme_responses}
+
+
 def _quantile_replication(args):
     spec, seed, methods = args
     try:
@@ -143,7 +147,7 @@ def _quantile_replication(args):
             else:
                 ranking = pearson_sis_rank(data.x, data.y)
             out[method] = int(minimum_model_size(ranking, data.true_active))
-        return out
+        return out, _overflow_tallies(data)
     except (PcScreenError, ValueError) as exc:
         exc.args = (f"replication seed {seed} ({spec.id}): {exc}",)
         raise
@@ -185,6 +189,7 @@ def _fdr_replication(args):
                     "event": event,
                     "screened_all": screened_all,
                     "fallback": core.fallback_flag,
+                    **_overflow_tallies(data),
                 }
             )
         return records
@@ -195,6 +200,9 @@ def _fdr_replication(args):
 
 def _map_replications(worker, argses, threads):
     if threads and int(threads) > 1:
+        # imported here: a serial run never pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=int(threads)) as pool:
             return list(pool.map(worker, argses))
     return [worker(a) for a in argses]
@@ -224,7 +232,7 @@ def run_quantile_experiment(config):
         )
         argses = [(spec, config.base_seed + r, methods) for r in range(config.replications)]
         results = _map_replications(_quantile_replication, argses, config.threads)
-        for r, result in enumerate(results):
+        for r, (mms, tallies) in enumerate(results):
             for method in methods:
                 records.append(
                     {
@@ -232,13 +240,14 @@ def run_quantile_experiment(config):
                         "model": spec.id,
                         "method": method,
                         "seed": int(config.base_seed + r),
-                        "mms": result[method],
+                        "mms": mms[method],
                         "n": config.n,
                         "p": config.p,
+                        **tallies,
                     }
                 )
         for method in methods:
-            sizes = [result[method] for result in results]
+            sizes = [mms[method] for mms, _ in results]
             rows.append(
                 QuantileRow(
                     model=spec.id,

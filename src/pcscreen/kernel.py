@@ -434,7 +434,9 @@ def column_scores(x, y):
     with all p columns on the matrix axis and one matrix product per slice
     and block of columns.  Each score depends on its own column only; on the
     slice loop a one-column call may differ from it in the last bits, as a
-    matrix product and a matrix-vector product round differently.
+    matrix product and a matrix-vector product round differently.  Only the
+    exact sweep scores every pair of exactly tied columns equal; the slice
+    loop can leave them some ulps apart (n=5, p=2, q=2, seed 255263: 16 ulps).
     """
     if y.shape[1] == 1:
         return univariate_scores(x, y[:, 0])

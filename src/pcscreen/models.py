@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import UnknownModel
 
@@ -88,7 +87,8 @@ def ar_covariance(p, rho):
     rho = float(rho)
     if not abs(rho) < 1:
         raise ValueError(f"|rho| must be below 1, got {rho}")
-    return toeplitz(rho ** np.arange(int(p)))
+    lags = np.arange(int(p))
+    return (rho ** lags)[np.abs(lags[:, None] - lags[None, :])]
 
 
 @lru_cache(maxsize=8)

@@ -21,7 +21,12 @@ class FeatureRanking:
     """Features sorted by score, descending, ties broken by ascending index.
 
     ``feature`` is a permutation of 0..p-1 and ``omega_hat`` the aligned
-    non-increasing scores.
+    non-increasing scores.  Ties are broken on the scores as computed: with a
+    univariate response every score is a correctly rounded ratio of exact
+    integers, so exactly tied columns always score equal and rank by index.
+    A multivariate response is scored in floating point by the slice loop,
+    which can leave exactly tied columns some ulps apart (n=5, p=2, q=2,
+    seed 255263: 16 ulps), and then the larger one ranks first.
     """
 
     feature: np.ndarray

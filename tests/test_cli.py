@@ -4,10 +4,15 @@ config-file merge, and table presets — all run in-process via cli_main."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pcscreen
 from pcscreen import cli
 from pcscreen.cli import cli_main
 from pcscreen.harness import write_design_csv
@@ -316,3 +321,23 @@ def test_reproduce_rejects_models_outside_the_table(tmp_path, capsys):
     )
     assert code == 2
     assert "not part of table 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+
+def test_import_loads_neither_scipy_nor_a_process_pool():
+    # every CLI call pays for what `import pcscreen` loads; the process pool
+    # is imported only when a run asks for more than one worker
+    src = str(Path(pcscreen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, pcscreen; print(sorted(m for m in sys.modules if m.startswith("
+        "('scipy', 'multiprocessing', 'concurrent.futures.process'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

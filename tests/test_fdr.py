@@ -318,13 +318,13 @@ def test_phase_probability_bounds_and_partial_sum():
 
 
 def test_phase_log_branch_matches_exact_rationals():
-    # k > 50 switches to log-space binomial terms; check against Fraction sums.
-    s = 10
-    a, _, _ = phase_transition_probabilities(s, k_max=60)
-    for k in (51, 55, 60):
-        cap = (k - 1) // (s + 1)
-        exact = sum(Fraction(math.comb(k, i), 2**k) for i in range(cap + 1))
-        assert abs(a[k] - float(exact)) <= 1e-12
+    # every a_k is the correctly rounded binomial tail, past k = 50 as well
+    for s in (1, 3, 10):
+        a, _, _ = phase_transition_probabilities(s, k_max=120)
+        for k in range(1, 121):
+            cap = (k - 1) // (s + 1)
+            exact = sum(Fraction(math.comb(k, i), 2**k) for i in range(cap + 1))
+            assert a[k] == float(exact), (s, k)
 
 
 def test_phase_feasibility_frequencies_match_formula():

@@ -23,6 +23,7 @@ from pcscreen.harness import (
     write_quantile_csv,
     write_records_jsonl,
 )
+from pcscreen.models import ModelSpec, generate_dataset
 
 
 def _quantile_config(**overrides):
@@ -228,6 +229,26 @@ def test_phase_extremes_on_an_easy_signal():
     by_alpha = {row.alpha: row for row in table.rows}
     assert by_alpha[0.02].e1_freq >= 0.9
     assert by_alpha[0.9].e2_freq >= 0.9
+
+
+def test_records_carry_the_generator_overflow_tallies():
+    # a 400-term signal pushes Poisson rates past the sampler limit
+    wide = dict(n=50, p=400, s=400, replications=1, base_seed=3)
+    _, records = run_quantile_experiment(
+        ExperimentConfig(models=("1f",), methods=("pc_screen",), **wide)
+    )
+    assert [rec["clamp_events"] for rec in records] == [
+        generate_dataset(ModelSpec(id="1f", n=50, p=400, s=400), seed=3).clamp_events
+    ]
+    assert records[0]["clamp_events"] > 0
+    _, records = run_fdr_experiment(_fdr_config(models=("4e",), p=400, s=400))
+    for rec in records:
+        data = generate_dataset(ModelSpec(id="4e", n=120, p=400, s=400), seed=rec["seed"])
+        assert rec["clamp_events"] == data.clamp_events
+        assert rec["extreme_responses"] == data.extreme_responses
+    assert any(rec["clamp_events"] > 0 for rec in records)
+    _, records = run_quantile_experiment(_quantile_config())
+    assert all(rec["clamp_events"] == rec["extreme_responses"] == 0 for rec in records)
 
 
 # ---------------------------------------------------------------------------
