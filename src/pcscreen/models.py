@@ -87,8 +87,13 @@ def ar_covariance(p, rho):
     rho = float(rho)
     if not abs(rho) < 1:
         raise ValueError(f"|rho| must be below 1, got {rho}")
-    lags = np.arange(int(p))
-    return (rho ** lags)[np.abs(lags[:, None] - lags[None, :])]
+    p = int(p)
+    powers = rho ** np.arange(p)
+    # row i is the p-wide window at offset p - 1 - i of
+    # rho^(p-1), ..., rho, 1, rho, ..., rho^(p-1)
+    mirrored = np.concatenate((powers[::-1], powers[1:]))
+    windows = np.lib.stride_tricks.sliding_window_view(mirrored, p)
+    return windows[np.arange(p - 1, -1, -1)]
 
 
 @lru_cache(maxsize=8)

@@ -132,11 +132,13 @@ def test_ar_covariance_large_is_positive_definite():
     npt.assert_allclose(np.diag(sigma), 1.0)
 
 
-@pytest.mark.parametrize("p", [1, 6])
+@pytest.mark.parametrize("p", [0, 1, 6])
 @pytest.mark.parametrize("rho", [0.5, -0.3])
 def test_ar_covariance_entries_are_powers_of_rho(p, rho):
     powers = np.power(rho, np.arange(p))
-    expected = np.array([[powers[abs(i - j)] for j in range(p)] for i in range(p)])
+    expected = np.array(
+        [[powers[abs(i - j)] for j in range(p)] for i in range(p)], dtype=np.float64
+    ).reshape(p, p)
     sigma = ar_covariance(p, rho)
     assert sigma.dtype == np.float64 and sigma.shape == (p, p)
     npt.assert_array_equal(sigma, expected)
