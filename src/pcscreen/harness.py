@@ -439,13 +439,39 @@ def read_design_csv(path, response_columns):
     errors carry 1-based row numbers (header is row 1) and column names.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"{path}: empty file (a header row is required)")
+        header = [name.strip() for name in first]
+        x_names, y_names = _split_header(path, header, response_columns)
+        # each row becomes floats as it is read, so the cells never all
+        # exist as strings at once; numpy parses a cell string exactly as
+        # float() does
+        rows = []
+        for i, row in enumerate(reader, start=2):
+            try:
+                values = np.array(row, dtype=np.float64)
+            except ValueError:
+                values = None
+            if values is None or values.shape != (len(header),) or not np.all(np.isfinite(values)):
+                _raise_bad_row(path, header, i, row)
+            rows.append(values)
     if not rows:
-        raise ParseError(f"{path}: empty file (a header row is required)")
-    header = [name.strip() for name in rows[0]]
+        raise ParseError(f"{path}: no data rows")
+    data = np.stack(rows)
+    column = {name: j for j, name in enumerate(header)}
+    x = data[:, [column[name] for name in x_names]]
+    y = data[:, [column[name] for name in y_names]]
+    return DesignData(x=x, y=y, x_names=tuple(x_names), y_names=tuple(y_names))
+
+
+def _split_header(path, header, response_columns):
+    """The (feature, response) column names of a header."""
     if len(set(header)) != len(header):
         raise ParseError(f"{path}: duplicate column names in header")
     if isinstance(response_columns, int):
@@ -462,44 +488,27 @@ def read_design_csv(path, response_columns):
                 raise MissingColumn(f"{path}: response column {name!r} not in header {header}")
         if len(set(y_names)) != len(y_names):
             raise ParseError(f"{path}: repeated response column name")
-    x_names = [name for name in header if name not in set(y_names)]
+    responses = set(y_names)
+    x_names = [name for name in header if name not in responses]
     if not x_names:
         raise ParseError(f"{path}: no feature columns left after removing responses")
-
-    body = rows[1:]
-    if not body:
-        raise ParseError(f"{path}: no data rows")
-    # numpy parses a cell string exactly as float() does; the row-by-row walk
-    # runs only to report the first bad row or cell
-    try:
-        data = np.array(body, dtype=np.float64)
-    except ValueError:
-        data = None
-    if data is None or data.shape != (len(body), len(header)) or not np.all(np.isfinite(data)):
-        _raise_first_bad_cell(path, header, body)
-    column = {name: j for j, name in enumerate(header)}
-    x = data[:, [column[name] for name in x_names]]
-    y = data[:, [column[name] for name in y_names]]
-    return DesignData(x=x, y=y, x_names=tuple(x_names), y_names=tuple(y_names))
+    return x_names, y_names
 
 
-def _raise_first_bad_cell(path, header, body):
-    """Raise the error of the first bad row or cell, in file order."""
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+def _raise_bad_row(path, header, i, row):
+    """Raise the error of row i: its first bad cell, or its length."""
+    if len(row) != len(header):
+        raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+    for j, cell in enumerate(row):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise NonNumericCell(
+                f"{path}: row {i}, column {header[j]!r}: non-numeric cell {cell!r}"
             )
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise NonNumericCell(
-                    f"{path}: row {i}, column {header[j]!r}: non-numeric cell {cell!r}"
-                )
-    raise AssertionError("no bad row or cell found")
+    raise AssertionError(f"row {i} has no bad cell")
 
 
 def write_design_csv(path, x, y, x_names=None, y_names=None):
