@@ -26,15 +26,14 @@ from .errors import (
 )
 from .harness import (
     DEFAULT_QUANTILE_LEVELS,
+    QUANTILE_METHODS,
     ExperimentConfig,
     read_design_csv,
     run_fdr_experiment,
     run_phase_transition,
     run_quantile_experiment,
-    write_fdr_csv,
-    write_phase_csv,
-    write_quantile_csv,
     write_records_jsonl,
+    write_summary_csv,
 )
 from .pipeline import pc_knockoff
 from .screening import rank_features, signal_gap_diagnostic
@@ -59,6 +58,21 @@ _TABLE_MODELS = {
 }
 _TABLE_ALPHAS = (0.10, 0.15, 0.20, 0.25, 0.30)
 
+# The settings of one experiment and their defaults: the keys `simulate`
+# reads from --config and its flags, and the form `reproduce` expands its
+# table presets into.
+_SETTINGS = dict(
+    kind="quantile", model=None, n=None, p=None, reps=None, rho=0.5, s=None,
+    alphas=(0.2,), levels=DEFAULT_QUANTILE_LEVELS, methods=QUANTILE_METHODS,
+    n1=None, d=None, construction="sdp", seed=0, threads=1, out=".",
+)
+
+_RUNNERS = {
+    "quantile": run_quantile_experiment,
+    "fdr": run_fdr_experiment,
+    "phase": run_phase_transition,
+}
+
 
 class _UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -69,8 +83,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _comma_list(text, convert):
-    return tuple(convert(part.strip()) for part in str(text).split(",") if part.strip())
+def _listed(value, convert):
+    """A comma-separated flag value or a config-file list, as a tuple."""
+    if isinstance(value, str):
+        return tuple(convert(part.strip()) for part in value.split(",") if part.strip())
+    return tuple(convert(v) for v in value)
+
+
+def _given(args, keys):
+    """The flags among ``keys`` that were set on the command line."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def build_parser():
@@ -85,26 +107,23 @@ def build_parser():
     )
     common.add_argument("--out", default=None, help="output directory (default .)")
 
+    design = argparse.ArgumentParser(add_help=False)
+    design.add_argument("data", help="input CSV with a header row")
+    design.add_argument("--response-cols", default=None, help="comma-separated response names")
+    design.add_argument(
+        "--response-count", type=int, default=None, help="number of trailing response columns"
+    )
+
     parser = _Parser(prog="pcscreen", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     screen = sub.add_parser(
-        "screen", parents=[common], help="rank CSV features by projection correlation"
-    )
-    screen.add_argument("data", help="input CSV with a header row")
-    screen.add_argument("--response-cols", default=None, help="comma-separated response names")
-    screen.add_argument(
-        "--response-count", type=int, default=None, help="number of trailing response columns"
+        "screen", parents=[common, design], help="rank CSV features by projection correlation"
     )
     screen.set_defaults(func=_cmd_screen)
 
     knock = sub.add_parser(
-        "pcknockoff", parents=[common], help="screen + knockoff selection on a CSV"
-    )
-    knock.add_argument("data", help="input CSV with a header row")
-    knock.add_argument("--response-cols", default=None, help="comma-separated response names")
-    knock.add_argument(
-        "--response-count", type=int, default=None, help="number of trailing response columns"
+        "pcknockoff", parents=[common, design], help="screen + knockoff selection on a CSV"
     )
     knock.add_argument("--alpha", type=float, default=0.2, help="target FDR level")
     knock.add_argument("--n1", type=int, default=None, help="screening split size")
@@ -151,21 +170,17 @@ def build_parser():
     return parser
 
 
-def _globals(args, cfg=None):
-    cfg = cfg or {}
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
-    out = args.out if args.out is not None else cfg.get("out", ".")
+def _output_dir(out):
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    return seed, threads, outdir
+    return outdir
 
 
 def _response_spec(args):
     if args.response_cols is not None and args.response_count is not None:
         raise _UsageError("--response-cols and --response-count are mutually exclusive")
     if args.response_cols is not None:
-        names = list(_comma_list(args.response_cols, str))
+        names = list(_listed(args.response_cols, str))
         if not names:
             raise _UsageError("--response-cols is empty")
         return names
@@ -182,7 +197,7 @@ def _write_text(path, text):
 
 def _cmd_screen(args):
     response = _response_spec(args)
-    _, _, outdir = _globals(args)
+    outdir = _output_dir(args.out or ".")
     design = read_design_csv(args.data, response)
     ranking = rank_features(design.x, design.y)
     lines = ["feature,omega_hat,rank"]
@@ -199,7 +214,7 @@ def _cmd_screen(args):
 
 def _cmd_pcknockoff(args):
     response = _response_spec(args)
-    seed, _, outdir = _globals(args)
+    outdir = _output_dir(args.out or ".")
     design = read_design_csv(args.data, response)
     report = pc_knockoff(
         design.x,
@@ -208,7 +223,7 @@ def _cmd_pcknockoff(args):
         n1=args.n1,
         d=args.d,
         construction=args.construction,
-        seed=seed,
+        seed=args.seed or 0,
     )
     core, selection = report.core, report.selection
     t_alpha = selection.t_alpha
@@ -240,132 +255,87 @@ def _load_config_file(path):
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParseError(f"config {path} must be a JSON object of flag values")
-    known = {
-        "kind", "model", "n", "p", "reps", "rho", "s", "alphas", "levels",
-        "methods", "n1", "d", "construction", "seed", "threads", "out",
-    }
-    unknown = set(cfg) - known
+    unknown = set(cfg) - set(_SETTINGS)
     if unknown:
         raise ParseError(f"config {path} has unknown keys: {sorted(unknown)}")
     return cfg
 
 
-def _pick(cli_value, cfg, key, default=None):
-    if cli_value is not None:
-        return cli_value
-    return cfg.get(key, default)
-
-
-def _as_id_tuple(value):
-    if isinstance(value, str):
-        return _comma_list(value, str)
-    return tuple(str(v) for v in value)
-
-
 def _cmd_simulate(args):
     cfg = _load_config_file(args.config) if args.config else {}
-    seed, threads, outdir = _globals(args, cfg)
-    kind = _pick(args.kind, cfg, "kind", "quantile")
-    models = _pick(args.model, cfg, "model")
-    if models is None:
+    return _run_experiment({**cfg, **_given(args, _SETTINGS)})
+
+
+def _table_preset(table, scale):
+    """The settings of one `reproduce` table at one scale."""
+    if table == 4:
+        if scale == "paper":
+            return dict(kind="fdr", n=1000, p=5000, reps=200, n1=250, d=100, alphas=_TABLE_ALPHAS)
+        return dict(kind="fdr", n=600, p=1000, reps=100, n1=150, d=50, alphas=_TABLE_ALPHAS)
+    if scale == "paper":
+        return dict(kind="quantile", n=100, p=5000, reps=200)
+    return dict(kind="quantile", n=100, p=500 if table == 3 else 1000, reps=100)
+
+
+def _cmd_reproduce(args):
+    table = int(args.table)
+    models = _TABLE_MODELS[table]
+    if args.models is not None:
+        chosen = _listed(args.models, str)
+        bad = [m for m in chosen if m not in models]
+        if bad:
+            raise ValueError(f"models {bad} are not part of table {table}")
+        models = chosen
+    settings = {**_table_preset(table, args.scale), "model": models}
+    overrides = _given(args, ("n", "p", "reps", "alphas", "seed", "threads", "out"))
+    if settings["kind"] == "quantile":
+        overrides.pop("alphas", None)  # the quantile tables have no FDR levels
+    if "n" in overrides:
+        # overriding n invalidates the preset split sizes; fall back to the
+        # pipeline defaults (n1 = ceil(n/4), d = min(floor(n2/2) - 1, 100))
+        settings.update(n1=None, d=None)
+    return _run_experiment({**settings, **overrides}, stem=f"table{table}_{args.scale}")
+
+
+def _run_experiment(settings, stem=None):
+    """Run the experiment that ``settings`` (keys of ``_SETTINGS``) describe
+    and write its summary CSV and records as ``<stem>_*`` (stem: the kind)."""
+    settings = {**_SETTINGS, **settings}
+    seed, threads = int(settings["seed"]), int(settings["threads"])
+    outdir = _output_dir(settings["out"])
+    if settings["model"] is None:
         raise _UsageError("--model is required (or a config file with 'model')")
-    n = _pick(args.n, cfg, "n")
-    p = _pick(args.p, cfg, "p")
-    reps = _pick(args.reps, cfg, "reps")
-    if n is None or p is None or reps is None:
+    if settings["n"] is None or settings["p"] is None or settings["reps"] is None:
         raise _UsageError("--n, --p and --reps are required (or config values)")
-    alphas = _pick(args.alphas, cfg, "alphas", (0.2,))
-    if isinstance(alphas, str):
-        alphas = _comma_list(alphas, float)
-    levels = _pick(args.levels, cfg, "levels", DEFAULT_QUANTILE_LEVELS)
-    if isinstance(levels, str):
-        levels = _comma_list(levels, float)
-    methods = _pick(args.methods, cfg, "methods", ("pc_screen", "pearson_sis"))
-    if isinstance(methods, str):
-        methods = _comma_list(methods, str)
     config = ExperimentConfig(
-        models=_as_id_tuple(models),
-        n=int(n),
-        p=int(p),
-        replications=int(reps),
-        rho=float(_pick(args.rho, cfg, "rho", 0.5)),
-        s=_pick(args.s, cfg, "s"),
-        methods=tuple(methods),
-        quantile_levels=tuple(float(q) for q in levels),
-        alphas=tuple(float(a) for a in alphas),
-        n1=_pick(args.n1, cfg, "n1"),
-        d=_pick(args.d, cfg, "d"),
-        construction=str(_pick(args.construction, cfg, "construction", "sdp")),
+        models=_listed(settings["model"], str),
+        n=int(settings["n"]),
+        p=int(settings["p"]),
+        replications=int(settings["reps"]),
+        rho=float(settings["rho"]),
+        s=settings["s"],
+        methods=_listed(settings["methods"], str),
+        quantile_levels=_listed(settings["levels"], float),
+        alphas=_listed(settings["alphas"], float),
+        n1=settings["n1"],
+        d=settings["d"],
+        construction=str(settings["construction"]),
         base_seed=seed,
         threads=threads,
     )
-    return _run_and_write(kind, config, outdir, stem=kind)
-
-
-def _run_and_write(kind, config, outdir, stem):
-    if kind == "quantile":
-        table, records = run_quantile_experiment(config)
-        writer = write_quantile_csv
-    elif kind == "fdr":
-        table, records = run_fdr_experiment(config)
-        writer = write_fdr_csv
-    elif kind == "phase":
-        table, records = run_phase_transition(config)
-        writer = write_phase_csv
-    else:
+    kind = settings["kind"]
+    runner = _RUNNERS.get(kind) if isinstance(kind, str) else None
+    if runner is None:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    table, records = runner(config)
+    stem = stem or kind
     summary_path = outdir / f"{stem}_summary.csv"
     records_path = outdir / f"{stem}_records.jsonl"
-    writer(table, summary_path)
+    write_summary_csv(table, summary_path)
     print(f"wrote {summary_path}")
     write_records_jsonl(records, records_path)
     print(f"wrote {records_path}")
     return 0
-
-
-def _cmd_reproduce(args):
-    seed, threads, outdir = _globals(args)
-    table_no = int(args.table)
-    scale = args.scale
-    models = _TABLE_MODELS[table_no]
-    if args.models is not None:
-        chosen = _comma_list(args.models, str)
-        bad = [m for m in chosen if m not in models]
-        if bad:
-            raise ValueError(f"models {bad} are not part of table {table_no}")
-        models = chosen
-    if table_no == 4:
-        kind = "fdr"
-        preset = (
-            dict(n=1000, p=5000, reps=200, n1=250, d=100)
-            if scale == "paper"
-            else dict(n=600, p=1000, reps=100, n1=150, d=50)
-        )
-        alphas = (
-            _comma_list(args.alphas, float) if args.alphas is not None else _TABLE_ALPHAS
-        )
-    else:
-        kind = "quantile"
-        if scale == "paper":
-            preset = dict(n=100, p=5000, reps=200, n1=None, d=None)
-        else:
-            preset = dict(n=100, p=500 if table_no == 3 else 1000, reps=100, n1=None, d=None)
-        alphas = (0.2,)
-    # overriding n invalidates the preset split sizes; fall back to the
-    # pipeline defaults (n1 = ceil(n/4), d = min(floor(n2/2) - 1, 100))
-    n1, d = (None, None) if args.n is not None else (preset["n1"], preset["d"])
-    config = ExperimentConfig(
-        models=models,
-        n=args.n if args.n is not None else preset["n"],
-        p=args.p if args.p is not None else preset["p"],
-        replications=args.reps if args.reps is not None else preset["reps"],
-        alphas=tuple(alphas),
-        n1=n1,
-        d=d,
-        base_seed=seed,
-        threads=threads,
-    )
-    return _run_and_write(kind, config, outdir, stem=f"table{table_no}_{scale}")
 
 
 def cli_main(argv=None):

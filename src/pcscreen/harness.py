@@ -1,13 +1,13 @@
 """Replicated experiment runners (minimum-model-size quantiles, FDR tables,
-phase-transition sweeps), per-replication JSON-lines records, summary CSV
-writers, and numeric design-matrix CSV ingestion."""
+phase-transition sweeps), per-replication JSON-lines records, the summary
+CSV writer, and numeric design-matrix CSV ingestion."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -78,6 +78,10 @@ class QuantileTable:
     rows: tuple[QuantileRow, ...]
     base_seed: int
 
+    @property
+    def columns(self):
+        return ("model", "method", "replications") + tuple(f"q{level:g}" for level in self.levels)
+
 
 @dataclass(frozen=True)
 class FdrRow:
@@ -98,6 +102,14 @@ class FdrTable:
     rows: tuple[FdrRow, ...]
     base_seed: int
 
+    @property
+    def columns(self):
+        s = len(self.rows[0].active_selection_freq) if self.rows else 0
+        return (
+            "model", "alpha", "replications", "mean_selected", "sure_screening_freq",
+            "empirical_fdr",
+        ) + tuple(f"freq_X{j + 1}" for j in range(s))
+
 
 @dataclass(frozen=True)
 class PhaseRow:
@@ -116,6 +128,8 @@ class PhaseTable:
 
     rows: tuple[PhaseRow, ...]
     base_seed: int
+
+    columns = ("model", "alpha", "replications", "e1_freq", "e2_freq", "e3_freq")
 
 
 def nearest_rank_quantile(values, level):
@@ -189,6 +203,8 @@ def _fdr_replication(args):
                     "event": event,
                     "screened_all": screened_all,
                     "fallback": core.fallback_flag,
+                    "jitter": core.jitter_applied,
+                    "clip": core.clip_magnitude,
                     **_overflow_tallies(data),
                 }
             )
@@ -360,65 +376,17 @@ def write_records_jsonl(records, path):
         handle.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def write_quantile_csv(table, path):
+def write_summary_csv(table, path):
+    """Write a summary table as CSV: its columns, then one line per row, with
+    tuple fields spread over their columns (floats print as ``repr``)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["model", "method", "replications"]
-            + [f"q{level:g}" for level in table.levels]
-        )
+        writer.writerow(table.columns)
         for row in table.rows:
-            writer.writerow(
-                [row.model, row.method, row.replications] + [repr(q) for q in row.quantiles]
-            )
-
-
-def write_fdr_csv(table, path):
-    s = len(table.rows[0].active_selection_freq) if table.rows else 0
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "model",
-                "alpha",
-                "replications",
-                "mean_selected",
-                "sure_screening_freq",
-                "empirical_fdr",
-            ]
-            + [f"freq_X{j + 1}" for j in range(s)]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.model,
-                    repr(row.alpha),
-                    row.replications,
-                    repr(row.mean_selected),
-                    repr(row.sure_screening_freq),
-                    repr(row.empirical_fdr),
-                ]
-                + [repr(f) for f in row.active_selection_freq]
-            )
-
-
-def write_phase_csv(table, path):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["model", "alpha", "replications", "e1_freq", "e2_freq", "e3_freq"]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.model,
-                    repr(row.alpha),
-                    row.replications,
-                    repr(row.e1_freq),
-                    repr(row.e2_freq),
-                    repr(row.e3_freq),
-                ]
-            )
+            cells = []
+            for value in astuple(row):
+                cells.extend(value if isinstance(value, tuple) else (value,))
+            writer.writerow(cells)
 
 
 @dataclass(frozen=True)

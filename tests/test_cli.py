@@ -15,7 +15,7 @@ import pytest
 import pcscreen
 from pcscreen import cli
 from pcscreen.cli import cli_main
-from pcscreen.harness import write_design_csv
+from pcscreen.harness import PhaseTable, write_design_csv
 from pcscreen.models import ModelSpec, generate_dataset
 
 
@@ -313,6 +313,67 @@ def test_reproduce_fdr_preset_with_overrides(tmp_path):
     assert summary[1].startswith("4a,0.5,2,")
     records = (out / "table4_desk_records.jsonl").read_text().splitlines()
     assert len(records) == 2
+
+
+@pytest.fixture()
+def captured_runs(monkeypatch):
+    """Replace the experiment runners by one that records (kind, config)."""
+    runs = []
+    for kind in ("quantile", "fdr", "phase"):
+        def capture(config, kind=kind):
+            runs.append((kind, config))
+            return PhaseTable(rows=(), base_seed=config.base_seed), []
+
+        monkeypatch.setitem(cli._RUNNERS, kind, capture)
+    return runs
+
+
+_TABLE_MODELS = {
+    1: ("1a", "1b", "1c", "1d", "1e", "1f"),
+    3: ("3a", "3b"),
+    4: ("4a", "4b", "4c", "4d", "4e"),
+}
+_TABLE_ALPHAS = (0.10, 0.15, 0.20, 0.25, 0.30)
+
+
+@pytest.mark.parametrize(
+    ("table", "scale", "kind", "n", "p", "reps", "n1", "d", "alphas"),
+    [
+        (1, "desk", "quantile", 100, 1000, 100, None, None, (0.2,)),
+        (1, "paper", "quantile", 100, 5000, 200, None, None, (0.2,)),
+        (3, "desk", "quantile", 100, 500, 100, None, None, (0.2,)),
+        (3, "paper", "quantile", 100, 5000, 200, None, None, (0.2,)),
+        (4, "desk", "fdr", 600, 1000, 100, 150, 50, _TABLE_ALPHAS),
+        (4, "paper", "fdr", 1000, 5000, 200, 250, 100, _TABLE_ALPHAS),
+    ],
+)
+def test_reproduce_presets(tmp_path, captured_runs, table, scale, kind, n, p, reps, n1, d, alphas):
+    argv = ["reproduce", "--table", str(table), "--scale", scale, "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    [(got_kind, config)] = captured_runs
+    assert got_kind == kind
+    assert config.models == _TABLE_MODELS[table]
+    assert (config.n, config.p, config.replications) == (n, p, reps)
+    assert (config.n1, config.d) == (n1, d)
+    assert config.alphas == alphas
+    assert (config.base_seed, config.threads) == (0, 1)
+    assert (tmp_path / f"table{table}_{scale}_summary.csv").exists()
+
+
+def test_reproduce_n_override_clears_the_split_sizes(tmp_path, captured_runs):
+    argv = ["reproduce", "--table", "4", "--n", "300", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    [(_, config)] = captured_runs
+    assert (config.n, config.p, config.replications) == (300, 1000, 100)
+    assert (config.n1, config.d) == (None, None)
+
+
+def test_reproduce_ignores_alphas_for_quantile_tables(tmp_path, captured_runs):
+    argv = ["reproduce", "--table", "1", "--alphas", "0.05,0.5", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    argv = ["reproduce", "--table", "4", "--alphas", "0.05,0.5", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    assert [config.alphas for _, config in captured_runs] == [(0.2,), (0.05, 0.5)]
 
 
 def test_reproduce_rejects_models_outside_the_table(tmp_path, capsys):

@@ -4,26 +4,28 @@ audits, record persistence, and design CSV ingestion."""
 from __future__ import annotations
 
 import json
+from dataclasses import astuple, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pcscreen import harness
 from pcscreen.errors import MissingColumn, NonNumericCell, ParseError
 from pcscreen.harness import (
     ExperimentConfig,
+    FdrTable,
     nearest_rank_quantile,
     read_design_csv,
     run_fdr_experiment,
     run_phase_transition,
     run_quantile_experiment,
     write_design_csv,
-    write_fdr_csv,
-    write_phase_csv,
-    write_quantile_csv,
     write_records_jsonl,
+    write_summary_csv,
 )
 from pcscreen.models import ModelSpec, generate_dataset
+from pcscreen.pipeline import pc_knockoff_core
 
 
 def _quantile_config(**overrides):
@@ -251,6 +253,27 @@ def test_records_carry_the_generator_overflow_tallies():
     assert all(rec["clamp_events"] == rec["extreme_responses"] == 0 for rec in records)
 
 
+def test_fdr_and_phase_records_carry_the_knockoff_diagnostics(monkeypatch):
+    # At 2d < n2 the sample correlation is nonsingular, so the real jitter is
+    # 0; the core gets marker values to show which value each record carries.
+    cores = []
+
+    def marked_core(*args, **kwargs):
+        core = pc_knockoff_core(*args, **kwargs)
+        cores.append(replace(core, jitter_applied=0.125, clip_magnitude=0.25))
+        return cores[-1]
+
+    monkeypatch.setattr(harness, "pc_knockoff_core", marked_core)
+    config = _fdr_config(replications=1)
+    for run in (run_fdr_experiment, run_phase_transition):
+        cores.clear()
+        _, records = run(config)
+        [core] = cores
+        assert len(records) == len(config.alphas)
+        for rec in records:
+            assert (rec["jitter"], rec["clip"]) == (core.jitter_applied, core.clip_magnitude)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -277,18 +300,29 @@ def test_empty_records_file(tmp_path):
     assert path.read_bytes() == b""
 
 
-def test_summary_csv_writers(tmp_path):
+def _summary_line(row):
+    """A row's fields joined by commas: floats as repr, tuples spread."""
+    cells = []
+    for value in astuple(row):
+        for cell in value if isinstance(value, tuple) else (value,):
+            cells.append(repr(cell) if isinstance(cell, float) else str(cell))
+    return ",".join(cells)
+
+
+def test_summary_csv_writer(tmp_path):
     table, _ = run_quantile_experiment(_quantile_config(replications=2))
     qpath = tmp_path / "quantiles.csv"
-    write_quantile_csv(table, qpath)
+    write_summary_csv(table, qpath)
     lines = qpath.read_text().splitlines()
     assert lines[0] == "model,method,replications,q5,q25,q50,q75,q95"
     assert len(lines) == 1 + len(table.rows)
+    assert lines[1:] == [_summary_line(row) for row in table.rows]
 
     fdr_table, _ = run_fdr_experiment(_fdr_config(replications=2))
     fpath = tmp_path / "fdr.csv"
-    write_fdr_csv(fdr_table, fpath)
-    header = fpath.read_text().splitlines()[0].split(",")
+    write_summary_csv(fdr_table, fpath)
+    lines = fpath.read_text().splitlines()
+    header = lines[0].split(",")
     assert header[:6] == [
         "model",
         "alpha",
@@ -298,12 +332,19 @@ def test_summary_csv_writers(tmp_path):
         "empirical_fdr",
     ]
     assert header[6:] == [f"freq_X{j}" for j in range(1, 11)]
+    assert lines[1:] == [_summary_line(row) for row in fdr_table.rows]
 
     phase_table, _ = run_phase_transition(_fdr_config(replications=2))
     ppath = tmp_path / "phase.csv"
-    write_phase_csv(phase_table, ppath)
-    assert ppath.read_text().splitlines()[0] == (
-        "model,alpha,replications,e1_freq,e2_freq,e3_freq"
+    write_summary_csv(phase_table, ppath)
+    lines = ppath.read_text().splitlines()
+    assert lines[0] == "model,alpha,replications,e1_freq,e2_freq,e3_freq"
+    assert lines[1:] == [_summary_line(row) for row in phase_table.rows]
+
+    empty = tmp_path / "empty_fdr.csv"
+    write_summary_csv(FdrTable(rows=(), base_seed=0), empty)
+    assert empty.read_bytes() == (
+        b"model,alpha,replications,mean_selected,sure_screening_freq,empirical_fdr\r\n"
     )
 
 
