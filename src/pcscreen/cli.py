@@ -301,32 +301,41 @@ def _run_experiment(settings, stem=None):
     """Run the experiment that ``settings`` (keys of ``_SETTINGS``) describe
     and write its summary CSV and records as ``<stem>_*`` (stem: the kind)."""
     settings = {**_SETTINGS, **settings}
-    seed, threads = int(settings["seed"]), int(settings["threads"])
-    outdir = _output_dir(settings["out"])
     if settings["model"] is None:
         raise _UsageError("--model is required (or a config file with 'model')")
     if settings["n"] is None or settings["p"] is None or settings["reps"] is None:
         raise _UsageError("--n, --p and --reps are required (or config values)")
+
+    def value(key, convert):
+        try:
+            return convert(settings[key])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"setting {key!r} has an invalid value {settings[key]!r}") from exc
+
+    def optional_int(v):
+        return None if v is None else int(v)
+
     config = ExperimentConfig(
-        models=_listed(settings["model"], str),
-        n=int(settings["n"]),
-        p=int(settings["p"]),
-        replications=int(settings["reps"]),
-        rho=float(settings["rho"]),
-        s=settings["s"],
-        methods=_listed(settings["methods"], str),
-        quantile_levels=_listed(settings["levels"], float),
-        alphas=_listed(settings["alphas"], float),
-        n1=settings["n1"],
-        d=settings["d"],
+        models=value("model", lambda v: _listed(v, str)),
+        n=value("n", int),
+        p=value("p", int),
+        replications=value("reps", int),
+        rho=value("rho", float),
+        s=value("s", optional_int),
+        methods=value("methods", lambda v: _listed(v, str)),
+        quantile_levels=value("levels", lambda v: _listed(v, float)),
+        alphas=value("alphas", lambda v: _listed(v, float)),
+        n1=value("n1", optional_int),
+        d=value("d", optional_int),
         construction=str(settings["construction"]),
-        base_seed=seed,
-        threads=threads,
+        base_seed=value("seed", int),
+        threads=value("threads", int),
     )
     kind = settings["kind"]
     runner = _RUNNERS.get(kind) if isinstance(kind, str) else None
     if runner is None:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    outdir = _output_dir(settings["out"])
     table, records = runner(config)
     stem = stem or kind
     summary_path = outdir / f"{stem}_summary.csv"

@@ -24,11 +24,12 @@ strategies are used, chosen by column counts only:
 * the exact univariate sweep, for a univariate pair: the slice sums are
   squares of centered dot products which, scaled by n, are integers built
   from per-observation counts (how many observations lie below or level with
-  observation r in x, in y, and in both).  :func:`univariate_scores` gets the
-  joint counts of every column of X against one y in a single
-  O(n log n)-per-column sweep (a Fenwick tree over each column's x-ranks,
-  walked in y order — the concordance count behind Knight's O(n log n)
-  Kendall's tau);
+  observation r in x, in y, and in both).  :func:`univariate_sums` gets the
+  joint counts of a block of columns of X against one y at a time: with the
+  observations in y order, 64 to a machine word, a bit set of the first c
+  observations in each column's x order answers every count "how many of
+  them lie below a y position" with one masked popcount.  That is one sort
+  and O(n^2 / 64) word operations per column, in O(n) memory per column;
 * the slice loop, for everything else: one pass over the slice indices r
   builds each centered slice B_r of the multivariate sample once (O(n^2)
   working memory).  B_r has zero row and column sums, so the centering of
@@ -167,119 +168,84 @@ def center_slice(slice_values):
 # slice terms up to n = 46340 (see _exact_totals for the range in between).
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# elements per (n, columns) temporary of a column block (about 0.5 MB)
+# elements per temporary of a column block (about 0.5 MB)
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _dense_ranks(m):
-    """1-based dense ranks of every column of an (n, p) array, as int32."""
-    columns = np.ascontiguousarray(m.T)  # sorting along the last axis is fastest
+def _sorted_counts(columns):
+    """Sort order of every row of a (p, n) array, with counts in that order.
+
+    Returns ``(order, below, above)``: the argsort of each row and, for its
+    entries in sorted order, how many entries of the row lie strictly below
+    and strictly above each one; n - below - above are level with it.
+    """
+    p, n = columns.shape
     order = np.argsort(columns, axis=1)
     ordered = np.take_along_axis(columns, order, axis=1)
-    step = np.ones(columns.shape, dtype=np.int32)
-    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    ranks = np.empty(columns.shape, dtype=np.int32)
-    np.put_along_axis(ranks, order, np.cumsum(step, axis=1, dtype=np.int32), axis=1)
-    return ranks.T
+    edge = np.ones((p, n + 1), dtype=bool)  # edge[:, i]: a new value starts at i
+    edge[:, 1:-1] = ordered[:, 1:] != ordered[:, :-1]
+    steps = np.arange(n)
+    below = np.maximum.accumulate(np.where(edge[:, :-1], steps, 0), axis=1)
+    above = np.maximum.accumulate(np.where(edge[:, :0:-1], steps, 0), axis=1)[:, ::-1]
+    return order, below, above
 
 
-def _rank_marginals(ranks):
-    """Observations below and level with each one, per column of (n, p) dense ranks.
+def _joint_below(rank, queries):
+    """How many of the first c observations in x order lie below a y position.
 
-    Returns two (n, p) int64 arrays.
+    ``rank`` is a (b, n) block of columns: each row's place in its column's
+    x order, the rows in ascending y.  Each query is a pair of a (2b, m)
+    array of counts c (column j of the block in rows j and b + j) and m
+    ascending row positions; its answer is a (2b, m) array.
+
+    The rows are taken 64 at a time, one bit each in a 64-bit word.  Word
+    t[c] holds those of the first c observations in x order: one scatter
+    puts each observation's bit into the word its place opens, and a
+    cumulative OR over c fills in the rest.  A position in this word counts
+    the rows of earlier words (``carry``) plus the popcount of t[c] masked
+    below it.  One word's table is b (n + 1) words.
     """
-    n, p = ranks.shape
-    columns = ranks.T + (n + 1) * np.arange(p)[:, None]  # one bin range per column
-    per_rank = np.bincount(columns.ravel(), minlength=(n + 1) * p).reshape(p, n + 1)
-    below = np.cumsum(per_rank, axis=1) - per_rank
-    return (
-        np.take_along_axis(below, ranks.T, axis=1).T.astype(np.int64),
-        np.take_along_axis(per_rank, ranks.T, axis=1).T.astype(np.int64),
-    )
+    b, n = rank.shape
+    columns = np.arange(b)[:, None]
+    offsets = np.tile(np.arange(b) * (n + 1), 2)[:, None]
+    carry = np.zeros((b, n + 1), dtype=np.int64)  # rows of earlier words among the first c
+    found = [np.empty(cuts.shape, dtype=np.int64) for cuts, _ in queries]
+    for start in range(0, n + 1, 64):  # position n is queried, in an empty word if 64 | n
+        rows = np.arange(start, min(start + 64, n))
+        table = np.zeros((b, n + 1), dtype=np.uint64)
+        table[columns, rank[:, rows] + 1] = _bits(rows)
+        np.bitwise_or.accumulate(table, axis=1, out=table)
+        for (cuts, positions), out in zip(queries, found):
+            lo, hi = np.searchsorted(positions, [start, start + 64])
+            flat = offsets + cuts[:, lo:hi]
+            below = table.ravel()[flat] & (_bits(positions[lo:hi]) - np.uint64(1))
+            out[:, lo:hi] = carry.ravel()[flat] + np.bitwise_count(below)
+        carry += np.bitwise_count(table)
+    return found
 
 
-def _fenwick_paths(size):
-    """Node lists of prefix queries and point updates on a Fenwick tree.
-
-    ``size`` is a power of two.  Column v of ``query`` lists the nodes whose
-    sum is the prefix count of ranks 1..v, padded with node 0 (always empty);
-    column v of ``update`` lists the nodes that hold rank v, padded with the
-    spare node ``size + 1`` (never read).
-    """
-    width = size.bit_length()
-    query = np.empty((width, size + 1), dtype=np.int64)
-    node = np.arange(size + 1)
-    for i in range(width):
-        query[i] = node
-        node = node - (node & -node)
-    update = np.empty((width, size + 1), dtype=np.int64)
-    node = np.arange(size + 1)
-    node[0] = size + 1
-    for i in range(width):
-        update[i] = node
-        node = np.minimum(node + (node & -node), size + 1)
-    return query, update
-
-
-def _joint_counts(ranks, starts):
-    """N(<,<), N(=,<), N(<,=), N(=,=) of every (observation, column).
-
-    ``ranks`` holds the x-ranks of the observations in ascending y order and
-    ``starts`` the first row of each y tie group.  The walk takes one group at
-    a time, keeping a Fenwick tree of the x-ranks seen so far and a plain
-    count per x-rank, both with one contiguous stretch per column.  Before a
-    group is inserted they hold exactly the observations with smaller y;
-    after, also those level with it.  Returns the four (n, p) int32 count
-    arrays and the final (rank, column) counts.
-    """
-    n, p = ranks.shape
-    size = 1 << (int(ranks.max()) - 1).bit_length()
-    query, update = _fenwick_paths(size)
-    base = np.arange(p) * (size + 2)
-    tree = np.zeros((size + 2) * p, dtype=np.int32)
-    per_rank = np.zeros((size + 2) * p, dtype=np.int32)
-    chunk = max(1, _BLOCK_ELEMENTS // (p * len(query)))
-
-    def below(block):
-        # prefix counts of ranks 1..rank-1; rows in chunks bound the gather
-        out = np.empty(block.shape, dtype=np.int32)
-        for i in range(0, len(block), chunk):
-            nodes = query[:, block[i : i + chunk] - 1] + base
-            out[i : i + chunk] = tree[nodes].sum(axis=0, dtype=np.int32)
-        return out
-
-    n_ll, n_el, n_le = (np.zeros((n, p), dtype=np.int32) for _ in range(3))
-    n_ee = np.ones((n, p), dtype=np.int32)
-    for a, b in zip(starts, starts[1:] + [n]):
-        block = ranks[a:b]
-        flat = block + base
-        n_ll[a:b] = below(block)
-        n_el[a:b] = per_rank[flat]
-        for row in range(a, b):
-            tree[update[:, ranks[row]] + base] += 1
-            per_rank[flat[row - a]] += 1
-        if b - a > 1:
-            n_le[a:b] = below(block) - n_ll[a:b]
-            n_ee[a:b] = per_rank[flat] - n_el[a:b]
-    return n_ll, n_el, n_le, n_ee, per_rank.reshape(p, size + 2)[:, : size + 1].T
+def _bits(positions):
+    """The bit of each position within its 64-bit word."""
+    return np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64))
 
 
 def _exact_totals(terms):
-    """Column sums of an int64 (n, p) array of per-slice terms, exactly.
+    """Row sums of an int64 (p, n) array of per-slice terms, exactly.
 
     Returns int64 sums while 2 n^5 fits int64, otherwise an object array of
     Python ints recombined from separately summed high and low 32-bit halves.
     """
-    if 2 * terms.shape[0] ** 5 <= _INT64_MAX:
-        return terms.sum(axis=0)
-    high = (terms >> 32).sum(axis=0)
-    low = (terms & 0xFFFFFFFF).sum(axis=0)
+    if 2 * terms.shape[1] ** 5 <= _INT64_MAX:
+        return terms.sum(axis=1)
+    high = (terms >> 32).sum(axis=1)
+    low = (terms & 0xFFFFFFFF).sum(axis=1)
     return np.array([(int(h) << 32) + int(l) for h, l in zip(high, low)], dtype=object)
 
 
-def _self_terms(n, lower, equal):
+def _self_terms(n, below, above):
     """Per-slice terms UU^2 + SS^2 - 2 US^2 of a sample with itself."""
-    signs = n - lower - equal - lower  # sum(s) = G - L
+    equal = n - below - above
+    signs = above - below  # sum(s) = G - L
     uu = (n - equal) * equal
     ss = n * (n - equal) - signs * signs
     us = signs * equal
@@ -298,8 +264,8 @@ def _self_totals(x):
     totals = np.empty(p)
     block = max(1, _BLOCK_ELEMENTS // n)
     for c in range(0, p, block):
-        lower, equal = _rank_marginals(_dense_ranks(x[:, c : c + block]))
-        totals[c : c + block] = _exact_totals(_self_terms(n, lower, equal))
+        _, below, above = _sorted_counts(np.ascontiguousarray(x[:, c : c + block].T))
+        totals[c : c + block] = _exact_totals(_self_terms(n, below, above))
     return totals
 
 
@@ -311,42 +277,59 @@ def univariate_sums(x, y):
     statistics are s = (pi/2)^2 I / n^5.  Returns ``(xy, xx, yy)``: two
     length-p integer arrays (int64, or Python ints past n = 5404) and a
     Python int.
+
+    The rows are put in ascending y once; then a block of columns at a time
+    is sorted, and its joint counts are read from bit sets of y positions
+    (:func:`_joint_below`): O(n^2 / 64) word operations per column, plus one
+    sort.
     """
     n, p = x.shape
     _check_exact_range(n)
-    # rows in ascending y from here on; a tie group starts at row L_y
-    y_ranks = _dense_ranks(y[:, None])
-    order = np.argsort(y_ranks[:, 0])
-    y_lower, y_equal = (a[order] for a in _rank_marginals(y_ranks))
-    ranks = np.ascontiguousarray(_dense_ranks(x)[order])
-    n_ll, n_el, n_le, n_ee, per_rank = _joint_counts(ranks, np.unique(y_lower).tolist())
-    below_rank = np.cumsum(per_rank, axis=0) - per_rank
-
-    y_signs = n - y_lower - y_equal - y_lower
+    # rows in ascending y from here on: row k's y tie group is the rows from
+    # y_below[k] to n - y_above[k] - 1
+    y_order, y_below, y_above = _sorted_counts(y[None, :])
+    yy = int(_exact_totals(_self_terms(n, y_below, y_above))[0])
+    y_order, y_below, y_above = y_order[0], y_below[0], y_above[0]
+    y_equal = n - y_below - y_above
+    y_signs = y_above - y_below
     y_count = n - y_equal
-    yy = int(_exact_totals(_self_terms(n, y_lower, y_equal))[0])
+    tied = np.flatnonzero(y_equal > 1)
+    y_end = (n - y_above)[tied]
 
     xy = np.empty(p, dtype=np.int64 if 2 * n**5 <= _INT64_MAX else object)
     xx = np.empty_like(xy)
     block = max(1, _BLOCK_ELEMENTS // n)
+    steps = np.arange(n)[None, :]
     for c0 in range(0, p, block):
         c = slice(c0, c0 + block)
-        cols = np.arange(c0, min(c0 + block, p))
-        x_lower = below_rank[ranks[:, c], cols].astype(np.int64)
-        x_equal = per_rank[ranks[:, c], cols].astype(np.int64)
-        ll, el, le, ee = (a[:, c].astype(np.int64) for a in (n_ll, n_el, n_le, n_ee))
-        x_signs = n - x_lower - x_equal - x_lower
+        order, below, above = _sorted_counts(np.ascontiguousarray(x[y_order, c].T))
+        xx[c] = _exact_totals(_self_terms(n, below, above))
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, steps, axis=1)
+        x_lower = np.take_along_axis(below, rank, axis=1)
+        x_upper = np.take_along_axis(above, rank, axis=1)
+        # N(<x, <y) and N(<=x, <y) of every row; N(., <=y) of rows in y ties
+        cuts = np.concatenate([x_lower, n - x_upper])
+        at_start, at_end = _joint_below(rank, [(cuts, y_below), (cuts[:, tied], y_end)])
+        b = len(rank)
+        ll = at_start[:b]
+        el = at_start[b:] - ll
+        le = np.zeros_like(ll)
+        ee = np.ones_like(ll)
+        le[:, tied] = at_end[:b] - ll[:, tied]
+        ee[:, tied] = at_end[b:] - at_end[:b] - el[:, tied]
+        x_equal = n - x_lower - x_upper
+        x_signs = x_upper - x_lower
         x_count = n - x_equal
         uv = x_count - y_equal + ee
         ut = y_signs - x_equal + 2 * el + ee
         sv = x_signs - y_equal + 2 * le + ee
-        st = x_signs - 2 * y_lower - y_equal + 4 * ll + 2 * el + 2 * le + ee
+        st = x_signs - 2 * y_below - y_equal + 4 * ll + 2 * el + 2 * le + ee
         uu = n * uv - x_count * y_count
         ss = n * st - x_signs * y_signs
         us = n * ut - x_count * y_signs
         su = n * sv - x_signs * y_count
         xy[c] = _exact_totals(uu * uu + ss * ss - us * us - su * su)
-        xx[c] = _exact_totals(_self_terms(n, x_lower, x_equal))
     return xy, xx, yy
 
 

@@ -151,6 +151,44 @@ def scan_stop_frequencies(s, k_max, trials, seed):
     return out
 
 
+def exact_univariate_totals(x, y):
+    """Slice totals I_xy, I_xx, I_yy of every column of ``x`` against ``y``.
+
+    Literal loops over Python ints: at slice r each sample gives its sign
+    vector s_k = sign(v_k - v_r) and u = |s|, and every centered dot product
+    such as UU = n <u_x, u_y> - sum(u_x) sum(u_y) is formed directly.  I sums
+    UU^2 + SS^2 - US^2 - SU^2 over r.  O(n^2) per column and pair.
+    """
+    columns = [[float(v) for v in col] for col in np.asarray(x, dtype=np.float64).T]
+    response = [float(v) for v in y]
+    n = len(response)
+
+    def total(a, b):
+        out = 0
+        for r in range(n):
+            sa = [(v > a[r]) - (v < a[r]) for v in a]
+            sb = [(v > b[r]) - (v < b[r]) for v in b]
+            ua = [abs(v) for v in sa]
+            ub = [abs(v) for v in sb]
+
+            def centered(f, g):
+                return n * sum(i * j for i, j in zip(f, g)) - sum(f) * sum(g)
+
+            out += (
+                centered(ua, ub) ** 2
+                + centered(sa, sb) ** 2
+                - centered(ua, sb) ** 2
+                - centered(sa, ub) ** 2
+            )
+        return out
+
+    return (
+        [total(col, response) for col in columns],
+        [total(col, col) for col in columns],
+        total(response, response),
+    )
+
+
 def naive_pcov_stats(x, y):
     """Reference statistics by the most literal translation of the formulas.
 

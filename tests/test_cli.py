@@ -280,6 +280,29 @@ def test_simulate_config_file_errors(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, value", [("alphas", 0.2), ("n", "forty"), ("levels", ["high"]), ("d", [3])]
+)
+def test_simulate_config_value_of_a_wrong_type_is_a_data_error(tmp_path, capsys, key, value):
+    config = {"model": "1a", "n": 40, "p": 10, "reps": 1, key: value}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"setting '{key}' has an invalid value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rejected_simulate_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--model", "1a", "--out", str(out)]) == 1
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"kind": "bogus", "model": "1a", "n": 40, "p": 10, "reps": 1}))
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "unknown experiment kind 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reproduce subcommand
 # ---------------------------------------------------------------------------

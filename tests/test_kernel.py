@@ -24,7 +24,12 @@ from pcscreen.kernel import (
 )
 from pcscreen.screening import rank_features
 
-from .reference import angle_matrix_fsum, double_center_fsum, naive_pcov_stats
+from .reference import (
+    angle_matrix_fsum,
+    double_center_fsum,
+    exact_univariate_totals,
+    naive_pcov_stats,
+)
 
 
 def _points(seed, n, m):
@@ -255,6 +260,33 @@ def test_slice_loop_column_blocks_do_not_change_scores(monkeypatch):
     npt.assert_allclose(column_scores(x, y), whole, rtol=0, atol=1e-14)
 
 
+def _tied_sample(n):
+    # y ties observations 58..69 in y order, across the 64-row word boundary
+    # for n > 64 and up to row n otherwise, and its last three; x has integer
+    # ties, a constant column and copies of y's ordering
+    rng = np.random.default_rng(n)
+    y = np.arange(n, dtype=float)
+    y[58:70] = 58.0
+    y[n - 3 :] = n - 3
+    y = rng.permutation(y)
+    x = np.column_stack(
+        [rng.integers(0, k, size=n) for k in (2, 5, n // 3)] + [np.ones(n), y, -y, y // 4]
+    ).astype(float)
+    return x, y
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 3 * 129])
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_exact_sums_match_the_sign_vector_loop(monkeypatch, n, block_elements):
+    # a column block holds _BLOCK_ELEMENTS // n columns: the default takes all
+    # seven at once, 1 one at a time, 3 * 129 three to six with a partial last
+    if block_elements is not None:
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", block_elements)
+    x, y = _tied_sample(n)
+    xy, xx, yy = univariate_sums(x, y)
+    assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == exact_univariate_totals(x, y)
+
+
 def _tie_free_self_total(n):
     # I for a tie-free sample with itself: observation r has d = G - L =
     # n - 1 - 2r, UU = n - 1, SS = n (n - 1) - d^2 and US = SU = d
@@ -264,10 +296,11 @@ def _tie_free_self_total(n):
     )
 
 
-@pytest.mark.parametrize("n", [6000, 8000])
+@pytest.mark.parametrize("n", [6000, 8000, 46340])
 def test_exact_sums_past_the_int64_total_range(n):
     # Totals reach 2 n^5 in the worst case, past int64 from n = 5405; for a
     # tie-free sample they are about 0.53 n^5 and wrap from n = 7050 or so.
+    # n = 46340 is the largest n the exact sums accept.
     y = np.random.default_rng(n).permutation(n).astype(float)
     expected = _tie_free_self_total(n)
     xy, xx, yy = univariate_sums(np.column_stack([y, -y]), y)
