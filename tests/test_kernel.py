@@ -261,9 +261,10 @@ def test_slice_loop_column_blocks_do_not_change_scores(monkeypatch):
 
 
 def _tied_sample(n):
-    # y ties observations 58..69 in y order, across the 64-row word boundary
-    # for n > 64 and up to row n otherwise, and its last three; x has integer
-    # ties, a constant column and copies of y's ordering
+    # y ties places 58..69 of its order and its last three places (the two
+    # groups overlap below n = 70): at n = 65 and 129 a group straddles a
+    # 64-row word boundary, at n = 63 and 64 the last one ends at place n.
+    # x has integer ties, a constant column and copies of y's ordering.
     rng = np.random.default_rng(n)
     y = np.arange(n, dtype=float)
     y[58:70] = 58.0
