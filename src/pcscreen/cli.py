@@ -90,6 +90,13 @@ def _listed(value, convert):
     return tuple(convert(v) for v in value)
 
 
+def _whole(value):
+    """``int(value)``, refusing a bool and a float with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _given(args, keys):
     """The flags among ``keys`` that were set on the command line."""
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
@@ -312,24 +319,24 @@ def _run_experiment(settings, stem=None):
         except (TypeError, ValueError) as exc:
             raise ParseError(f"setting {key!r} has an invalid value {settings[key]!r}") from exc
 
-    def optional_int(v):
-        return None if v is None else int(v)
+    def optional(v):
+        return None if v is None else _whole(v)
 
     config = ExperimentConfig(
         models=value("model", lambda v: _listed(v, str)),
-        n=value("n", int),
-        p=value("p", int),
-        replications=value("reps", int),
+        n=value("n", _whole),
+        p=value("p", _whole),
+        replications=value("reps", _whole),
         rho=value("rho", float),
-        s=value("s", optional_int),
+        s=value("s", optional),
         methods=value("methods", lambda v: _listed(v, str)),
         quantile_levels=value("levels", lambda v: _listed(v, float)),
         alphas=value("alphas", lambda v: _listed(v, float)),
-        n1=value("n1", optional_int),
-        d=value("d", optional_int),
+        n1=value("n1", optional),
+        d=value("d", optional),
         construction=str(settings["construction"]),
-        base_seed=value("seed", int),
-        threads=value("threads", int),
+        base_seed=value("seed", _whole),
+        threads=value("threads", _whole),
     )
     kind = settings["kind"]
     runner = _RUNNERS.get(kind) if isinstance(kind, str) else None

@@ -280,8 +280,8 @@ def univariate_sums(x, y):
 
     The rows are put in ascending y once; then a block of columns at a time
     is sorted, and its joint counts are read from bit sets of y positions
-    (:func:`_joint_below`): O(n^2 / 64) word operations per column, plus one
-    sort.
+    (:func:`_joint_below`): O(n^2 p / 64) word operations in all, plus one
+    sort per column.
     """
     n, p = x.shape
     _check_exact_range(n)

@@ -281,7 +281,8 @@ def test_simulate_config_file_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("alphas", 0.2), ("n", "forty"), ("levels", ["high"]), ("d", [3])]
+    "key, value",
+    [("alphas", 0.2), ("n", "forty"), ("n", 40.5), ("reps", True), ("levels", ["high"]), ("d", [3])],
 )
 def test_simulate_config_value_of_a_wrong_type_is_a_data_error(tmp_path, capsys, key, value):
     config = {"model": "1a", "n": 40, "p": 10, "reps": 1, key: value}
