@@ -24,6 +24,7 @@ _EXP_CLAMP = 700.0
 # numpy's Poisson sampler rejects rates beyond the int64 range
 _POISSON_RATE_LIMIT = 9e18
 _EXTREME_RESPONSE = 1e12
+_AR_BLOCK = 64
 
 
 def _canonical_id(model_id):
@@ -106,20 +107,29 @@ def _sqrt_cov(p, rho):
 def _gaussian_ar(rng, n, p, rho):
     """Exact N(0, ar_covariance) rows via the stationary AR recursion.
 
-    Column j is rho * column (j - 1) + sqrt(1 - rho^2) * z_j.  The recursion
-    runs over rows of the transposed draw, so every step reads and writes
-    contiguous memory; the result is C-ordered (n, p).
+    Column j is rho * column (j - 1) + sqrt(1 - rho^2) * z_j, run in place on
+    the C-ordered draw through a transposed buffer of _AR_BLOCK columns: every
+    step reads and writes contiguous memory and no second (n, p) array is made.
     """
-    x = np.ascontiguousarray(rng.standard_normal((n, p)).T)
-    x[1:] *= math.sqrt(1.0 - rho * rho)
-    for j in range(1, p):
-        x[j] += rho * x[j - 1]
-    return np.ascontiguousarray(x.T)
+    x = rng.standard_normal((n, p))
+    buf = np.empty((min(_AR_BLOCK, p - 1) + 1, n))
+    for start in range(1, p, _AR_BLOCK):
+        cols = x[:, start : start + _AR_BLOCK]
+        block = buf[1 : cols.shape[1] + 1]
+        buf[0] = x[:, start - 1]  # the column the block's first step reads
+        np.multiply(cols.T, math.sqrt(1.0 - rho * rho), out=block)
+        for prev, row in zip(buf, block):
+            row += rho * prev
+        cols[...] = block.T
+    return x
 
 
 def _standard_cauchy(rng, shape):
     """Inverse-CDF standard Cauchy draws: tan(pi (U - 1/2))."""
-    return np.tan(np.pi * (rng.random(shape) - 0.5))
+    u = rng.random(shape)
+    u -= 0.5
+    u *= np.pi
+    return np.tan(u, out=u)
 
 
 def _correlated_cauchy(rng, n, p, rho):
@@ -131,7 +141,7 @@ def _multivariate_t2(rng, n, p, rho):
     """t_2(0, Sigma) rows: Gaussian divided by sqrt(chi^2_2 / 2)."""
     z = _gaussian_ar(rng, n, p, rho)
     w = rng.chisquare(2.0, n)
-    return z / np.sqrt(w / 2.0)[:, None]
+    return np.divide(z, np.sqrt(w / 2.0)[:, None], out=z)
 
 
 def _signal(x, s, coef):
@@ -156,7 +166,11 @@ def generate_dataset(spec, seed):
     if mid in ("1c", "1d"):
         x = _correlated_cauchy(rng, n, p, rho)
     elif mid == "4c":
-        x = 0.9 * _gaussian_ar(rng, n, p, rho) + 0.1 * _multivariate_t2(rng, n, p, rho)
+        x = _gaussian_ar(rng, n, p, rho)
+        x *= 0.9
+        t = _multivariate_t2(rng, n, p, rho)
+        t *= 0.1
+        x += t
     else:
         x = _gaussian_ar(rng, n, p, rho)
 

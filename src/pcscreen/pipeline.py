@@ -141,7 +141,7 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction="sdp", seed=0):
     # every feature the knockoff step sees split 2 exactly as it would with no
     # screening at all.
     survivors = tuple(sorted(a_hat_1.indices))
-    x2 = xm[split.split2][:, survivors]
+    x2 = xm[np.ix_(split.split2, survivors)]
     y2 = ym[split.split2]
 
     start = time.perf_counter()

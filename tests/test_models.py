@@ -3,7 +3,9 @@ tail behavior, and overflow tallies for every simulation design."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +13,7 @@ import pytest
 
 from pcscreen.errors import UnknownModel
 from pcscreen.models import (
+    _AR_BLOCK,
     MODEL_IDS,
     ModelSpec,
     _gaussian_ar,
@@ -19,6 +22,29 @@ from pcscreen.models import (
 )
 
 BIVARIATE = ("3a", "3b")
+
+# sha256 of x.tobytes() + y.tobytes() for ModelSpec(id, n=30, p=130) at seed 3,
+# recorded at commit 5e8120e, before the AR recursion ran in place; p = 130
+# spans three blocks of it.
+PINNED_DIGESTS = {
+    "1a": "d00ef85cb3df20ac1a6732e3864cf5bc9aacee55c8626518059881b3641f1d9f",
+    "1b": "42889bc876f043af020338e48cf92c9059fd50b68f52addbfcfe6ce982c4175e",
+    "1c": "f1f53b4a84fe03315c2e0f8fcf502a79589d8db6e12a5915bf8e67b4ad68ad4c",
+    "1d": "f2c6d08c6d1401283aff14adc822da0ac6d65ade7d6d4dadef1f3edac2b076e3",
+    "1e": "c1d75248315d795326785595e9c51810d981ce8af1d8b54146300768a7eed870",
+    "1f": "1e87d7ce21dbea92b652439b72c339c545d83331e6b5eab4417ac383a4288c6e",
+    "2a": "6bcf2baa651f8a4a70ff76f5a82cf7da3c2e42d84d786b1259f89d579a12f813",
+    "2b": "7b55e1fdfd6237599390e436b9f4547b1be2407bb95223d4ebf2608c59da7666",
+    "2c": "e0f4570ac340a1dd986b3deb6652d00ee46c32400de165e72d0255167bcfd21f",
+    "2d": "f346596370fb9b810834b71f441e02719dd60be0d222fbcc9eda35a66a406f17",
+    "3a": "35e6610c01d75e9104afb390bdf9e8e5f28ab97b6bded6d8919f602100a305f8",
+    "3b": "0ae7234ca5cea7f23c7382d257bfb83831c55156e3f1ddc5122dc51fe9f93ac0",
+    "4a": "3a1351fda7bd83378342e8a1ba9afe37ddaa63b2b2efbb43f0ace2569acfe2a4",
+    "4b": "94ced11ed9b50de3a60e39eda1523b3dde9d13c1d48865c99760c632ef1e6824",
+    "4c": "9c932e6594595fc319a623c8c2fc64eec008ab687f57a6bef7e37c54c1b5d5b3",
+    "4d": "59d660531031c28b503392805bd7ab01084f35f78045485aa4d1b10f2443b2f3",
+    "4e": "2e35daaa5ca1bf9246afe8b8235e3c6f42b08e38d14a08eec82e5d40a7d5146f",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +80,13 @@ def test_generation_is_deterministic_per_seed(mid):
     npt.assert_array_equal(first.y, second.y)
     other = generate_dataset(spec, seed=12)
     assert not np.array_equal(first.x, other.x)
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_generated_bits_match_the_pinned_digests(mid):
+    ds = generate_dataset(ModelSpec(id=mid, n=30, p=130), seed=3)
+    digest = hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest()
+    assert digest == PINNED_DIGESTS[mid]
 
 
 def test_dotted_uppercase_id_is_canonicalized():
@@ -151,15 +184,33 @@ def test_ar_covariance_rejects_unit_rho():
 
 
 def test_gaussian_ar_matches_the_column_recursion():
-    n, p, rho = 7, 9, 0.5
-    z = np.random.default_rng(4).standard_normal((n, p))
-    expected = np.empty((n, p))
-    expected[:, 0] = z[:, 0]
-    for j in range(1, p):
-        expected[:, j] = rho * expected[:, j - 1] + math.sqrt(1.0 - rho * rho) * z[:, j]
-    got = _gaussian_ar(np.random.default_rng(4), n, p, rho)
-    assert got.flags["C_CONTIGUOUS"]
-    npt.assert_array_equal(got, expected)
+    # p on both sides of each block boundary of the in-place recursion
+    rho = 0.5
+    scale = math.sqrt(1.0 - rho * rho)
+    for n in (2, 7):
+        for p in (1, 2, _AR_BLOCK - 1, _AR_BLOCK, _AR_BLOCK + 1, 2 * _AR_BLOCK + 1):
+            z = np.random.default_rng(4).standard_normal((n, p))
+            expected = np.empty((n, p))
+            expected[:, 0] = z[:, 0]
+            for j in range(1, p):
+                expected[:, j] = rho * expected[:, j - 1] + scale * z[:, j]
+            got = _gaussian_ar(np.random.default_rng(4), n, p, rho)
+            assert got.flags["C_CONTIGUOUS"]
+            npt.assert_array_equal(got, expected, err_msg=f"n={n}, p={p}")
+
+
+@pytest.mark.parametrize("mid, bound", [("4a", 1.25), ("4c", 2.25)])
+def test_generation_peak_memory_stays_near_one_design(mid, bound):
+    # numpy reports its buffers to tracemalloc; the covariates are drawn and
+    # correlated in place, so the peak is x itself (4c: plus its t_2 part)
+    spec = ModelSpec(id=mid, n=200, p=2000)
+    tracemalloc.start()
+    try:
+        ds = generate_dataset(spec, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * ds.x.nbytes
 
 
 def test_gaussian_design_moments():
