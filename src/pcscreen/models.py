@@ -116,7 +116,7 @@ def _gaussian_ar(rng, n, p, rho):
     for start in range(1, p, _AR_BLOCK):
         cols = x[:, start : start + _AR_BLOCK]
         block = buf[1 : cols.shape[1] + 1]
-        buf[0] = x[:, start - 1]  # the column the block's first step reads
+        buf[0] = x[:, start - 1]  # carried in; block row k follows buf row k
         np.multiply(cols.T, math.sqrt(1.0 - rho * rho), out=block)
         for prev, row in zip(buf, block):
             row += rho * prev

