@@ -223,15 +223,19 @@ def _cmd_pcknockoff(args):
     response = _response_spec(args)
     outdir = _output_dir(args.out or ".")
     design = read_design_csv(args.data, response)
-    report = pc_knockoff(
-        design.x,
-        design.y,
-        alpha=args.alpha,
-        n1=args.n1,
-        d=args.d,
-        construction=args.construction,
-        seed=args.seed or 0,
-    )
+    try:
+        report = pc_knockoff(
+            design.x,
+            design.y,
+            alpha=args.alpha,
+            n1=args.n1,
+            d=args.d,
+            construction=args.construction,
+            seed=args.seed or 0,
+        )
+    except DegenerateColumn as exc:
+        name = design.x_names[exc.column]
+        raise DegenerateColumn(f"feature {name!r} has zero variance in split 2", name) from exc
     core, selection = report.core, report.selection
     t_alpha = selection.t_alpha
     payload = {

@@ -24,7 +24,15 @@ class MultivariateResponseUnsupported(PcScreenError):
 
 
 class DegenerateColumn(PcScreenError):
-    """A column with zero variance where standardization is required."""
+    """A column with zero variance where standardization is required.
+
+    ``column`` identifies it: its index in the array that was checked, or
+    its name in a CSV header.
+    """
+
+    def __init__(self, message, column):
+        super().__init__(message)
+        self.column = column
 
 
 class SolverFailure(PcScreenError):

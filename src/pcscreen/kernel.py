@@ -19,7 +19,7 @@ yield the squared sample projection correlation ``s_xy / sqrt(s_xx s_yy)``.
 
 For a one-dimensional sample, with ``s_k = sign(x_k - x_r)`` and ``u = |s|``,
 the angle slice is exactly ``pi/2 (u u^T - s s^T)``.  Two evaluation
-strategies are used, chosen by column counts only:
+strategies are used, chosen by column counts:
 
 * the exact univariate sweep, for a univariate pair: the slice sums are
   squares of centered dot products which, scaled by n, are integers built
@@ -29,7 +29,12 @@ strategies are used, chosen by column counts only:
   observations in y order, 64 to a machine word, a bit set of the first c
   observations in each column's x order answers every count "how many of
   them lie below a y position" with one masked popcount.  That is one sort
-  and O(n^2 / 64) word operations per column, in O(n) memory per column;
+  and O(n^2 / 64) word operations per column, in O(n) memory per column.
+  A block in which neither y nor any column has a tie takes the same
+  formulas with the tie terms collapsed: the self totals are one constant
+  of n, and the cross total needs one joint count, N(<x, <y), the
+  concordance count behind Kendall's tau.  The data decide, and the
+  integers are the same either way;
 * the slice loop, for everything else: one pass over the slice indices r
   builds each centered slice B_r of the multivariate sample once (O(n^2)
   working memory).  B_r has zero row and column sums, so the centering of
@@ -175,28 +180,33 @@ _BLOCK_ELEMENTS = 1 << 16
 def _sorted_counts(columns):
     """Sort order of every row of a (p, n) array, with counts in that order.
 
-    Returns ``(order, below, above)``: the argsort of each row and, for its
+    Returns ``(order, below, above, tied)``: the argsort of each row; for its
     entries in sorted order, how many entries of the row lie strictly below
-    and strictly above each one; n - below - above are level with it.
+    and strictly above each one (n - below - above are level with it); and
+    whether each row has a tie.  With no tie in any row, ``below`` and
+    ``above`` are read-only views of 0..n-1 and its reverse.
     """
     p, n = columns.shape
     order = np.argsort(columns, axis=1)
     ordered = np.take_along_axis(columns, order, axis=1)
     edge = np.ones((p, n + 1), dtype=bool)  # edge[:, i]: a new value starts at i
     edge[:, 1:-1] = ordered[:, 1:] != ordered[:, :-1]
+    tied = ~edge.all(axis=1)
     steps = np.arange(n)
+    if not tied.any():
+        return order, np.broadcast_to(steps, (p, n)), np.broadcast_to(steps[::-1], (p, n)), tied
     below = np.maximum.accumulate(np.where(edge[:, :-1], steps, 0), axis=1)
     above = np.maximum.accumulate(np.where(edge[:, :0:-1], steps, 0), axis=1)[:, ::-1]
-    return order, below, above
+    return order, below, above, tied
 
 
 def _joint_below(rank, queries):
     """How many of the first c observations in x order lie below a y position.
 
     ``rank`` is a (b, n) block of columns: each row's place in its column's
-    x order, the rows in ascending y.  Each query is a pair of a (2b, m)
-    array of counts c (column j of the block in rows j and b + j) and m
-    ascending row positions; its answer is a (2b, m) array.
+    x order, the rows in ascending y.  Each query is a pair of a (kb, m)
+    array of counts c (column j of the block in rows j, b + j, ...) and m
+    ascending row positions; its answer is a (kb, m) array.
 
     The rows are taken 64 at a time, one bit each in a 64-bit word.  Word
     t[c] holds those of the first c observations in x order: one scatter
@@ -206,18 +216,18 @@ def _joint_below(rank, queries):
     below it.  One word's table is b (n + 1) words.
     """
     b, n = rank.shape
-    columns = np.arange(b)[:, None]
-    offsets = np.tile(np.arange(b) * (n + 1), 2)[:, None]
-    carry = np.zeros((b, n + 1), dtype=np.int64)  # rows of earlier words among the first c
+    bases = (np.arange(b) * (n + 1))[:, None]  # flat index of each column's table row
+    offsets = [np.tile(bases, (len(cuts) // b, 1)) for cuts, _ in queries]
+    carry = np.zeros((b, n + 1), dtype=np.int32)  # rows of earlier words among the first c
     found = [np.empty(cuts.shape, dtype=np.int64) for cuts, _ in queries]
     for start in range(0, n + 1, 64):  # position n is queried, in an empty word if 64 | n
         rows = np.arange(start, min(start + 64, n))
         table = np.zeros((b, n + 1), dtype=np.uint64)
-        table[columns, rank[:, rows] + 1] = _bits(rows)
+        table.ravel()[bases + rank[:, rows] + 1] = _bits(rows)
         np.bitwise_or.accumulate(table, axis=1, out=table)
-        for (cuts, positions), out in zip(queries, found):
+        for (cuts, positions), offset, out in zip(queries, offsets, found):
             lo, hi = np.searchsorted(positions, [start, start + 64])
-            flat = offsets + cuts[:, lo:hi]
+            flat = offset + cuts[:, lo:hi]
             below = table.ravel()[flat] & (_bits(positions[lo:hi]) - np.uint64(1))
             out[:, lo:hi] = carry.ravel()[flat] + np.bitwise_count(below)
         carry += np.bitwise_count(table)
@@ -229,17 +239,37 @@ def _bits(positions):
     return np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64))
 
 
+def _totals_dtype(n):
+    """int64 while the totals of n observations fit it (2 n^5), else object."""
+    return np.int64 if 2 * n**5 <= _INT64_MAX else object
+
+
 def _exact_totals(terms):
     """Row sums of an int64 (p, n) array of per-slice terms, exactly.
 
     Returns int64 sums while 2 n^5 fits int64, otherwise an object array of
     Python ints recombined from separately summed high and low 32-bit halves.
     """
-    if 2 * terms.shape[1] ** 5 <= _INT64_MAX:
+    if _totals_dtype(terms.shape[1]) is np.int64:
         return terms.sum(axis=1)
     high = (terms >> 32).sum(axis=1)
     low = (terms & 0xFFFFFFFF).sum(axis=1)
     return np.array([(int(h) << 32) + int(l) for h, l in zip(high, low)], dtype=object)
+
+
+def _tie_free_totals(n):
+    """The parts of the totals that are constants of n when nothing is tied.
+
+    With no tie every E is 1 and observation r of a sample, at place L in its
+    order, has d = G - L = n - 1 - 2 L, so UU = n - 1, US = d_y and SU = d_x;
+    with sum d^2 = n (n^2 - 1) / 3 and sum d^4 = n (n^2 - 1) (3 n^2 - 7) / 15,
+    returns ``(cross, self)``: sum_r (UU^2 - US^2 - SU^2) of any tie-free pair,
+    and I of a tie-free sample with itself, where SS = n (n - 1) - d^2.
+    """
+    d2 = n * (n * n - 1) // 3
+    d4 = n * (n * n - 1) * (3 * n * n - 7) // 15
+    cross = n * (n - 1) ** 2 - 2 * d2
+    return cross, cross + n**3 * (n - 1) ** 2 - 2 * n * (n - 1) * d2 + d4
 
 
 def _self_terms(n, below, above):
@@ -250,6 +280,18 @@ def _self_terms(n, below, above):
     ss = n * (n - equal) - signs * signs
     us = signs * equal
     return uu * uu + ss * ss - 2 * us * us
+
+
+def _block_self_totals(n, below, above, tied):
+    """Exact I of every row of a block with itself, from :func:`_sorted_counts`.
+
+    A row with no tie takes the constant of :func:`_tie_free_totals`; a tied
+    one sums its :func:`_self_terms`.  Same types as :func:`_exact_totals`.
+    """
+    totals = np.full(len(tied), _tie_free_totals(n)[1], dtype=_totals_dtype(n))
+    if tied.any():
+        totals[tied] = _exact_totals(_self_terms(n, below[tied], above[tied]))
+    return totals
 
 
 def _check_exact_range(n):
@@ -264,8 +306,8 @@ def _self_totals(x):
     totals = np.empty(p)
     block = max(1, _BLOCK_ELEMENTS // n)
     for c in range(0, p, block):
-        _, below, above = _sorted_counts(np.ascontiguousarray(x[:, c : c + block].T))
-        totals[c : c + block] = _exact_totals(_self_terms(n, below, above))
+        _, below, above, tied = _sorted_counts(np.ascontiguousarray(x[:, c : c + block].T))
+        totals[c : c + block] = _block_self_totals(n, below, above, tied)
     return totals
 
 
@@ -281,31 +323,44 @@ def univariate_sums(x, y):
     The rows are put in ascending y once; then a block of columns at a time
     is sorted, and its joint counts are read from bit sets of y positions
     (:func:`_joint_below`): O(n^2 p / 64) word operations in all, plus one
-    sort per column.
+    sort per column.  When neither y nor any column of the block has a tie
+    (0.0 and -0.0 tie), the block takes the same formulas with the tie terms
+    collapsed: row r at place R in x order has d_x = n - 1 - 2 R,
+    d_y = n - 1 - 2 r and a = N(<x, <y), SS = n (d_x - 2 r + 4 a) - d_x d_y,
+    and I_xy is a constant of n (:func:`_tie_free_totals`) plus sum_r SS^2,
+    so a is the one joint count it needs.  The integers are the same either
+    way.
     """
     n, p = x.shape
     _check_exact_range(n)
     # rows in ascending y from here on: row k's y tie group is the rows from
     # y_below[k] to n - y_above[k] - 1
-    y_order, y_below, y_above = _sorted_counts(y[None, :])
-    yy = int(_exact_totals(_self_terms(n, y_below, y_above))[0])
+    y_order, y_below, y_above, y_tied = _sorted_counts(y[None, :])
+    yy = int(_block_self_totals(n, y_below, y_above, y_tied)[0])
     y_order, y_below, y_above = y_order[0], y_below[0], y_above[0]
     y_equal = n - y_below - y_above
     y_signs = y_above - y_below
     y_count = n - y_equal
     tied = np.flatnonzero(y_equal > 1)
     y_end = (n - y_above)[tied]
+    tie_free_cross = _tie_free_totals(n)[0]
 
-    xy = np.empty(p, dtype=np.int64 if 2 * n**5 <= _INT64_MAX else object)
+    xy = np.empty(p, dtype=_totals_dtype(n))
     xx = np.empty_like(xy)
     block = max(1, _BLOCK_ELEMENTS // n)
     steps = np.arange(n)[None, :]
     for c0 in range(0, p, block):
         c = slice(c0, c0 + block)
-        order, below, above = _sorted_counts(np.ascontiguousarray(x[y_order, c].T))
-        xx[c] = _exact_totals(_self_terms(n, below, above))
+        order, below, above, x_tied = _sorted_counts(np.ascontiguousarray(x[y_order, c].T))
+        xx[c] = _block_self_totals(n, below, above, x_tied)
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, steps, axis=1)
+        if not (y_tied[0] or x_tied.any()):
+            (ll,) = _joint_below(rank, [(rank, steps[0])])
+            x_signs = n - 1 - 2 * rank
+            ss = n * (x_signs - 2 * steps + 4 * ll) - x_signs * y_signs
+            xy[c] = _exact_totals(ss * ss) + tie_free_cross
+            continue
         x_lower = np.take_along_axis(below, rank, axis=1)
         x_upper = np.take_along_axis(above, rank, axis=1)
         # N(<x, <y) and N(<=x, <y) of every row; N(., <=y) of rows in y ties

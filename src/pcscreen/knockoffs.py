@@ -67,7 +67,8 @@ def estimate_covariance(x):
     centered = xm - mu
     sumsq = np.einsum("ij,ij->j", centered, centered)
     if np.any(sumsq <= 0.0):
-        raise DegenerateColumn(f"column {int(np.argmin(sumsq))} has zero variance")
+        column = int(np.argmin(sumsq))
+        raise DegenerateColumn(f"column {column} has zero variance", column)
     scale = np.sqrt(sumsq / (n - 1))
     z = centered / scale
     sigma = (z.T @ z) / (n - 1)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSplit, SolverFailure
+from .errors import DegenerateColumn, InvalidSplit, SolverFailure
 from .fdr import SelectionResult, WVector, knockoff_plus_threshold, w_statistics
 from .kernel import as_sample_matrix
 from .knockoffs import (
@@ -145,7 +145,11 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction="sdp", seed=0):
     y2 = ym[split.split2]
 
     start = time.perf_counter()
-    cov = estimate_covariance(x2)
+    try:
+        cov = estimate_covariance(x2)
+    except DegenerateColumn as exc:
+        feature = survivors[exc.column]
+        raise DegenerateColumn(f"feature {feature} has zero variance in split 2", feature) from exc
     x2_std = standardize(x2, cov)
     fallback = False
     construction_used = construction

@@ -182,6 +182,22 @@ def test_pcknockoff_selection_schema(design_csv, tmp_path):
         assert payload["fdp_hat"] < 0.5
 
 
+def test_pcknockoff_names_a_constant_survivor_by_its_header(tmp_path, capsys):
+    # features 5-7 carry the signal and survive; the one in the CSV column
+    # x7 is constant on the rows of split 2
+    x = generate_dataset(ModelSpec(id="1a", n=80, p=8), seed=0).x.copy()
+    y = x[:, 5:].sum(axis=1)
+    core = pcscreen.pc_knockoff_core(x, y, n1=30, d=3, seed=4)
+    assert core.survivors == (5, 6, 7)
+    x[core.split.split2, 6] = 2.5
+    path = tmp_path / "flat.csv"
+    write_design_csv(path, x, y)
+    args = ["pcknockoff", str(path), "--response-count", "1", "--n1", "30", "--d", "3"]
+    assert cli_main(args + ["--seed", "4", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: feature 'x7' has zero variance in split 2\n"
+    assert not (tmp_path / "out" / "selection.json").exists()
+
+
 def test_pcknockoff_runs_are_byte_identical(design_csv, tmp_path):
     args = [
         "pcknockoff", str(design_csv), "--response-count", "1",

@@ -297,6 +297,102 @@ def _tie_free_self_total(n):
     )
 
 
+def _tie_free_sample(n, p=5):
+    rng = np.random.default_rng(1000 + n)
+    y = rng.standard_normal(n)
+    x = np.column_stack([rng.standard_normal((n, p - 2)), y, -np.exp(y)])
+    return x, y
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, "3n"])
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129])
+def test_tie_free_sums_match_the_sign_vector_loop(monkeypatch, n, block_elements):
+    # no sample has a tie, so every block takes the closed form on one joint
+    # count; "3n" puts three columns in a block, with a partial last one
+    if block_elements is not None:
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 3 * n if block_elements == "3n" else 1)
+    x, y = _tie_free_sample(n)
+    xy, xx, yy = univariate_sums(x, y)
+    expected = exact_univariate_totals(x, y)
+    assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == expected
+    assert expected[1] == [_tie_free_self_total(n)] * 5 and expected[2] == _tie_free_self_total(n)
+
+
+def _query_rows(monkeypatch):
+    # the number of count rows of each _joint_below query, per call
+    calls = []
+    joint_below = kernel._joint_below
+
+    def spy(rank, queries):
+        calls.append([len(cuts) // len(rank) for cuts, _ in queries])
+        return joint_below(rank, queries)
+
+    monkeypatch.setattr(kernel, "_joint_below", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 64, 65])
+def test_one_tie_sends_its_block_to_the_general_formulas(monkeypatch, n):
+    x, y = _tie_free_sample(n, p=6)
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 3 * n)  # blocks of columns 0-2 and 3-5
+    calls = _query_rows(monkeypatch)
+    x_tie = x.copy()
+    x_tie[1, 4] = x_tie[0, 4]
+    cases = {
+        "tie-free": (x, y, [[1], [1]]),
+        # column 4 ties rows 0 and 1: only the second block loses the closed form
+        "x tie": (x_tie, y, [[1], [2, 2]]),
+        # a single tied pair in y sends every block to the general formulas
+        "y tie": (x, np.where(np.arange(n) == 1, y[0], y), [[2, 2], [2, 2]]),
+    }
+    signed_zero = x.copy()
+    signed_zero[:2, 1] = [0.0, -0.0]  # equal as numbers, so a tie
+    cases["signed zero"] = (signed_zero, y, [[2, 2], [1]])
+    for name, (xs, ys, rows) in cases.items():
+        calls.clear()
+        xy, xx, yy = univariate_sums(xs, ys)
+        assert calls == rows, name
+        got = ([int(v) for v in xy], [int(v) for v in xx], int(yy))
+        assert got == exact_univariate_totals(xs, ys), name
+
+
+@given(
+    n=st.integers(min_value=2, max_value=140),
+    p=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=40)
+def test_closed_form_and_general_blocks_agree(n, p, seed):
+    # the same tie-free columns in one block: alone they take the closed form,
+    # next to a tied column (which shares their block) the general formulas
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    alone = univariate_sums(x, y)
+    tied = univariate_sums(np.column_stack([x, np.zeros(n)]), y)
+    assert alone[0].tolist() == tied[0][:p].tolist()
+    assert alone[1].tolist() == tied[1][:p].tolist()
+    assert alone[2] == tied[2] == _tie_free_self_total(n)
+
+
+def test_closed_form_at_the_first_n_with_object_totals(monkeypatch):
+    # n = 5405 is the first n whose totals may pass int64 (2 n^5), so they
+    # are Python ints; the constant column puts the same columns through the
+    # general formulas for comparison
+    n = 5405
+    x, y = _tie_free_sample(n, p=3)
+    calls = _query_rows(monkeypatch)
+    xy, xx, yy = univariate_sums(x, y)
+    assert calls == [[1]]
+    general = univariate_sums(np.column_stack([x, np.ones(n)]), y)
+    assert calls[1] == [2, 2]
+    assert xy.dtype == object and all(type(v) is int for v in xy)
+    assert xy.tolist() == general[0][:3].tolist()
+    assert xx.tolist() == [_tie_free_self_total(n)] * 3 == general[1][:3].tolist()
+    assert yy == general[2] == _tie_free_self_total(n)
+    assert xy[1] == _tie_free_self_total(n)
+
+
 @pytest.mark.parametrize("n", [6000, 8000, 46340])
 def test_exact_sums_past_the_int64_total_range(n):
     # Totals reach 2 n^5 in the worst case, past int64 from n = 5405; for a

@@ -180,8 +180,21 @@ def test_degenerate_survivor_column_propagates():
     ds = _strong_linear(n=80, p=6)
     x = ds.x.copy()
     x[:, 3] = 2.5  # constant column; survives when every feature does
-    with pytest.raises(DegenerateColumn):
+    with pytest.raises(DegenerateColumn, match="feature 3 has zero variance") as caught:
         pc_knockoff(x, ds.y, alpha=0.5, n1=30, d=6)
+    assert caught.value.column == 3
+
+    # the survivors are features 5, 6 and 7, and feature 6 is constant on the
+    # rows of split 2 only: the error names feature 6, not its place 1
+    x = _strong_linear(n=80, p=8).x.copy()
+    y = x[:, 5:].sum(axis=1)
+    core = pc_knockoff_core(x, y, n1=30, d=3)
+    assert core.survivors == (5, 6, 7)
+    x[core.split.split2, 6] = 2.5
+    with pytest.raises(DegenerateColumn) as caught:
+        pc_knockoff_core(x, y, n1=30, d=3)
+    assert caught.value.column == 6
+    assert str(caught.value) == "feature 6 has zero variance in split 2"
 
 
 def test_alpha_below_one_over_d_never_selects():
