@@ -66,8 +66,11 @@ def estimate_covariance(x):
     mu = xm.mean(axis=0)
     centered = xm - mu
     sumsq = np.einsum("ij,ij->j", centered, centered)
-    if np.any(sumsq <= 0.0):
-        column = int(np.argmin(sumsq))
+    # a constant column whose mean rounds (0.1 fifty times) leaves rounding
+    # noise in sumsq, so equal entries are checked as such
+    degenerate = np.all(xm == xm[0], axis=0) | (sumsq <= 0.0)
+    if np.any(degenerate):
+        column = int(np.argmax(degenerate))
         raise DegenerateColumn(f"column {column} has zero variance", column)
     scale = np.sqrt(sumsq / (n - 1))
     z = centered / scale

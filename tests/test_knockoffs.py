@@ -75,6 +75,12 @@ def test_zero_variance_column_is_rejected():
     x[:, 0] = np.arange(30)
     with pytest.raises(DegenerateColumn):
         estimate_covariance(x)
+    # the mean of fifty 0.1s is not 0.1, which left sumsq at about 1e-32
+    x = np.random.default_rng(0).standard_normal((50, 3))
+    x[:, 1] = 0.1
+    with pytest.raises(DegenerateColumn, match="column 1 has zero variance") as caught:
+        estimate_covariance(x)
+    assert caught.value.column == 1
 
 
 # ---------------------------------------------------------------------------
