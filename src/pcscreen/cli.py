@@ -204,24 +204,23 @@ def _write_text(path, text):
 
 def _cmd_screen(args):
     response = _response_spec(args)
-    outdir = _output_dir(args.out or ".")
     design = read_design_csv(args.data, response)
     ranking = rank_features(design.x, design.y)
     lines = ["feature,omega_hat,rank"]
     for rank, (j, omega) in enumerate(ranking.entries, start=1):
         lines.append(f"{design.x_names[j]},{omega!r},{rank}")
-    _write_text(outdir / "ranking.csv", "\n".join(lines) + "\n")
     gap_lines = ["rank,omega_hat,gap"]
     if len(ranking) >= 2:
         for rank, omega, gap in signal_gap_diagnostic(ranking):
             gap_lines.append(f"{rank},{omega!r},{gap!r}")
+    outdir = _output_dir(args.out or ".")
+    _write_text(outdir / "ranking.csv", "\n".join(lines) + "\n")
     _write_text(outdir / "gaps.csv", "\n".join(gap_lines) + "\n")
     return 0
 
 
 def _cmd_pcknockoff(args):
     response = _response_spec(args)
-    outdir = _output_dir(args.out or ".")
     design = read_design_csv(args.data, response)
     try:
         report = pc_knockoff(
@@ -252,6 +251,7 @@ def _cmd_pcknockoff(args):
             "construction": core.construction_used,
         },
     }
+    outdir = _output_dir(args.out or ".")
     _write_text(outdir / "selection.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 

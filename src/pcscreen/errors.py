@@ -12,7 +12,10 @@ class DimensionMismatch(PcScreenError):
 
 
 class InputTooLarge(PcScreenError):
-    """Guard against running the O(n^3)-materializing reference code on large n."""
+    """A sample past the range of the exact univariate counts, n <= 46340.
+
+    Up to that n every per-slice term of the exact sums fits int64.
+    """
 
 
 class UnknownFeature(PcScreenError):

@@ -147,9 +147,8 @@ def phase_transition_probabilities(s, k_max):
     Returns (a, b, partial_sum) with arrays indexed so that a[k], b[k]
     correspond to sequence position k (entry 0 is 0).  Every a_k is the
     correctly rounded value of the exact binomial tail: the tail count
-    T(k) = sum_{i<=cutoff} C(k, i) is a Python int, advanced by Pascal's rule
-    T(k+1) = 2 T(k) - C(k, cutoff), plus C(k+1, cutoff+1) when the cutoff
-    steps up, and a_k = T(k) / 2^k is one int-by-int true division.
+    T(k) = sum_{i<=(k-1)//(s+1)} C(k, i) is a Python int, and a_k = T(k) / 2^k
+    is one int-by-int true division.
     """
     s = int(s)
     k_max = int(k_max)
@@ -158,18 +157,8 @@ def phase_transition_probabilities(s, k_max):
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     a = np.zeros(k_max + 1)
-    # at k = 1: cutoff 0, tail C(1, 0) = 1, and the running C(k, cutoff) = 1
-    cutoff, tail, edge = 0, 1, 1
     for k in range(1, k_max + 1):
-        a[k] = tail / 2**k
-        tail = 2 * tail - edge
-        # C(k+1, cutoff) from C(k, cutoff)
-        edge = edge * (k + 1) // (k + 1 - cutoff)
-        if k // (s + 1) > cutoff:
-            cutoff += 1
-            # C(k+1, cutoff) from C(k+1, cutoff - 1)
-            edge = edge * (k + 2 - cutoff) // cutoff
-            tail += edge
+        a[k] = sum(math.comb(k, i) for i in range((k - 1) // (s + 1) + 1)) / 2**k
     b = np.zeros(k_max + 1)
     partial_a = 0.0
     for k in range(1, k_max + 1):

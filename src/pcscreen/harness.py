@@ -26,8 +26,9 @@ class ExperimentConfig:
     """Everything one replicated experiment needs, seeds included.
 
     Replication r uses seed ``base_seed + r``; ``threads`` is the size of the
-    process pool that runs replications, one each (within-replication work
-    is single-threaded, so results are independent of the pool size).
+    process pool that runs replications, one each, so results are
+    independent of the pool size.  They can depend on the BLAS thread count
+    of the processes, which no setting here fixes.
     """
 
     models: tuple[str, ...]

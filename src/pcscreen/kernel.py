@@ -17,29 +17,35 @@ and the accumulated sums
 
 yield the squared sample projection correlation ``s_xy / sqrt(s_xx s_yy)``.
 
-For a one-dimensional sample, with ``s_k = sign(x_k - x_r)`` and ``u = |s|``,
-the angle slice is exactly ``pi/2 (u u^T - s s^T)``.  Two evaluation
-strategies are used, chosen by column counts:
+For a one-dimensional sample the angle between two scalar differences is pi
+when they have opposite signs and 0 otherwise.  With g+_k = 1[x_k > x_r]
+and g-_k = 1[x_k < x_r] marking the observations above and below x_r, and
+as double-centering an outer product v w^T gives vtilde wtilde^T, one
+identity gives the centered slice:
 
-* the exact univariate sweep, for a univariate pair: the slice sums are
-  squares of centered dot products which, scaled by n, are integers built
-  from per-observation counts (how many observations lie below or level with
-  observation r in x, in y, and in both).  :func:`univariate_sums` gets the
-  joint counts of a block of columns of X against one y at a time: with the
-  observations in y order, 64 to a machine word, a bit set of the first c
-  observations in each column's x order answers every count "how many of
-  them lie below a y position" with one masked popcount.  That is one sort
-  and O(n^2 / 64) word operations per column, in O(n) memory per column.
-  A block in which neither y nor any column has a tie takes the same
-  formulas with the tie terms collapsed: the self totals are one constant
-  of n, and the cross total needs one joint count, N(<x, <y), the
-  concordance count behind Kendall's tau.  The data decide, and the
-  integers are the same either way;
+    A_r = pi (g+tilde g-tilde^T + g-tilde g+tilde^T).
+
+Both evaluation strategies follow from it, chosen by column counts:
+
+* the exact univariate sweep, for a univariate pair: each slice sum is
+  a d + b c in the centered counts a, b, c, d of the four above/below
+  quadrants of x against y, integers (see the comment above
+  :func:`_sorted_counts`).  :func:`univariate_sums` gets the joint counts
+  of a block of columns of X against one y at a time: with the observations
+  in y order, 64 to a machine word, a bit set of the first c observations in
+  each column's x order answers every count "how many of them lie below a y
+  position" with one masked popcount.  That is one sort and O(n^2 / 64)
+  word operations per column, in O(n) memory per column.  A block in which
+  neither y nor any column has a tie takes the same identity with the tie
+  terms collapsed: the self totals are one constant of n, and the cross
+  total needs one joint count, N(<x, <y), the concordance count behind
+  Kendall's tau.  The data decide, and the integers are the same either way;
 * the slice loop, for everything else: one pass over the slice indices r
   builds each centered slice B_r of the multivariate sample once (O(n^2)
-  working memory).  B_r has zero row and column sums, so the centering of
-  a univariate column's slice and every constant in it drop out of the
-  contraction: with g_k = 1[x_k > x_r] and h_k = 1[x_k >= x_r],
+  working memory).  B_r is symmetric with zero row and column sums, so the
+  centering of a univariate column's slice drops out of the contraction.
+  With g = g+ and h_k = 1[x_k >= x_r], so that g- = 1 - h, the identity
+  gives
 
       <A_r, B_r> = -2 pi sum_k g_k (B_r h)_k.
 
@@ -145,32 +151,40 @@ def center_slice(slice_values):
 # ---------------------------------------------------------------------------
 # univariate samples: exact integer sums from per-observation counts
 #
-# For a 1-D sample the angle between scalar differences is 0 (same sign), pi
-# (opposite signs) or forced 0 (a zero difference), which is exactly
-# pi/2 (u_k u_l - s_k s_l).  Double-centering an outer product v w^T gives
-# vtilde wtilde^T, hence A_r = pi/2 (utilde utilde^T - stilde stilde^T) and
+# Let B_r = pi (h+tilde h-tilde^T + h-tilde h+tilde^T) be the centered slice
+# of a univariate y, as A_r is that of x (module docstring).  As
+# <v w^T, v' w'^T> = <v, v'> <w, w'>,
 #
-#   sum_kl A_r B_r = (pi/2)^2 n^-2 (UU^2 + SS^2 - US^2 - SU^2),
+#   <A_r, B_r> = 2 pi^2 (<g+~, h+~> <g-~, h-~> + <g+~, h-~> <g-~, h+~>)
+#              = 2 pi^2 n^-2 (a d + b c),
 #
-# with UU = n <u_x, u_y> - sum(u_x) sum(u_y) and likewise for the other three
-# pairs.  Every one of those is an integer: with L, E, G the numbers of
-# observations below, level with (r included) and above observation r, and
-# N(a, b) the joint counts (a, b in {<, =}) of x-order against y-order,
+# where n <g~, h~> = P(sigma, tau) = n N(sigma x, tau y) - count_sigma(x)
+# count_tau(y) is an integer, and a = P(>, >), b = P(>, <), c = P(<, >),
+# d = P(<, <).  The totals I = 8 sum_r (a d + b c) are exact, the accumulated
+# statistics are s = (pi/2)^2 I / n^5, and the squared projection correlation
+# is I_xy / sqrt(I_xx I_yy): the pi and n factors cancel.
 #
-#   sum(s) = G - L,  sum(u) = n - E,
-#   <u_x, u_y> = n - E_x - E_y + N(=,=),
-#   <u_x, s_y> = G_y - L_y - E_x + 2 N(=,<) + N(=,=),
-#   <s_x, u_y> = G_x - L_x - E_y + 2 N(<,=) + N(=,=),
-#   <s_x, s_y> = G_x - L_x - 2 L_y - E_y + 4 N(<,<) + 2 N(=,<) + 2 N(<,=) + N(=,=).
+# With L, G the numbers of observations below and above observation r, and
+# N(., .) the joint counts of x order against y order: as g+ = 1 - 1[x <= x_r],
+# a centered count of g+ is that of 1[x <= x_r] with its sign flipped, which
+# a d and b c do not see.  So the code counts "below" and "at most" only:
 #
-# The totals I = sum_r (UU^2 + SS^2 - US^2 - SU^2) are exact, and the squared
-# projection correlation is I_xy / sqrt(I_xx I_yy): the pi/2 and n factors
-# cancel.
+#   d = n N(<, <) - L_x L_y,          -b = n N(<=, <) - (n - G_x) L_y,
+#   -c = n N(<, <=) - L_x (n - G_y),   a = n N(<=, <=) - (n - G_x) (n - G_y).
+#
+# A sample with itself never lies above and below at once: a = G (n - G),
+# d = L (n - L) and b = c = -L G, so its slice term is
+# 8 L G ((n - L) (n - G) + L G).  In the sign vector s = g+ - g- and
+# u = g+ + g- of each sample, the centered dot products are UU = a + b + c + d,
+# SS = a - b - c + d, US = a - b + c - d and SU = a + b - c - d, and
+# 8 (a d + b c) = UU^2 + SS^2 - US^2 - SU^2: the form the tie-free closed form
+# (_tie_free_totals) works in.
 # ---------------------------------------------------------------------------
 
-# Each squared term is at most n^4 and a per-slice term at most 2 n^4 in size,
-# so the totals over r reach 2 n^5: int64 holds them up to n = 5404, and per-
-# slice terms up to n = 46340 (see _exact_totals for the range in between).
+# A centered count is at most n^2 / 4 in size, so 8 (a d + b c) and SS^2 are
+# at most n^4 per slice, and the totals over r at most n^5.  With a factor 2 to
+# spare, int64 holds the totals up to n = 5404 and per-slice terms up to
+# n = 46340 (see _exact_totals for the range in between).
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 # elements per temporary of a column block (about 0.5 MB)
@@ -260,11 +274,13 @@ def _exact_totals(terms):
 def _tie_free_totals(n):
     """The parts of the totals that are constants of n when nothing is tied.
 
-    With no tie every E is 1 and observation r of a sample, at place L in its
-    order, has d = G - L = n - 1 - 2 L, so UU = n - 1, US = d_y and SU = d_x;
-    with sum d^2 = n (n^2 - 1) / 3 and sum d^4 = n (n^2 - 1) (3 n^2 - 7) / 15,
-    returns ``(cross, self)``: sum_r (UU^2 - US^2 - SU^2) of any tie-free pair,
-    and I of a tie-free sample with itself, where SS = n (n - 1) - d^2.
+    A corollary of 8 (a d + b c) = UU^2 + SS^2 - US^2 - SU^2 (see above): with
+    no tie, observation r of a sample v, at place L in its order, has
+    d_v = G - L = n - 1 - 2 L, and a + b + c + d = n - 1, a - b + c - d = d_y
+    and a + b - c - d = d_x.  With sum_r d_v^2 = n (n^2 - 1) / 3 and
+    sum_r d_v^4 = n (n^2 - 1) (3 n^2 - 7) / 15, returns ``(cross, self)``:
+    sum_r ((n - 1)^2 - d_y^2 - d_x^2) of any tie-free pair, and I of a
+    tie-free sample v with itself, where SS = a - b - c + d = n (n - 1) - d_v^2.
     """
     d2 = n * (n * n - 1) // 3
     d4 = n * (n * n - 1) * (3 * n * n - 7) // 15
@@ -273,13 +289,9 @@ def _tie_free_totals(n):
 
 
 def _self_terms(n, below, above):
-    """Per-slice terms UU^2 + SS^2 - 2 US^2 of a sample with itself."""
-    equal = n - below - above
-    signs = above - below  # sum(s) = G - L
-    uu = (n - equal) * equal
-    ss = n * (n - equal) - signs * signs
-    us = signs * equal
-    return uu * uu + ss * ss - 2 * us * us
+    """Per-slice terms 8 L G ((n - L) (n - G) + L G) of a sample with itself."""
+    lg = below * above
+    return 8 * lg * ((n - below) * (n - above) + lg)
 
 
 def _block_self_totals(n, below, above, tied):
@@ -315,34 +327,32 @@ def univariate_sums(x, y):
     """Exact slice totals I_xy, I_xx, I_yy of every column of ``x`` against ``y``.
 
     ``x`` is a validated (n, p) float array and ``y`` a length-n float vector.
-    I = sum_r (UU^2 + SS^2 - US^2 - SU^2) for the pair; the accumulated
-    statistics are s = (pi/2)^2 I / n^5.  Returns ``(xy, xx, yy)``: two
-    length-p integer arrays (int64, or Python ints past n = 5404) and a
-    Python int.
+    I = 8 sum_r (a d + b c) for the pair, from its centered quadrant counts;
+    the accumulated statistics are s = (pi/2)^2 I / n^5.  Returns
+    ``(xy, xx, yy)``: two length-p integer arrays (int64, or Python ints past
+    n = 5404) and a Python int.
 
     The rows are put in ascending y once; then a block of columns at a time
     is sorted, and its joint counts are read from bit sets of y positions
     (:func:`_joint_below`): O(n^2 p / 64) word operations in all, plus one
     sort per column.  When neither y nor any column of the block has a tie
-    (0.0 and -0.0 tie), the block takes the same formulas with the tie terms
+    (0.0 and -0.0 tie), the block takes the same identity with the tie terms
     collapsed: row r at place R in x order has d_x = n - 1 - 2 R,
-    d_y = n - 1 - 2 r and a = N(<x, <y), SS = n (d_x - 2 r + 4 a) - d_x d_y,
-    and I_xy is a constant of n (:func:`_tie_free_totals`) plus sum_r SS^2,
-    so a is the one joint count it needs.  The integers are the same either
+    d_y = n - 1 - 2 r and, with N = N(<x, <y), SS = n (d_x - 2 r + 4 N) -
+    d_x d_y, and I_xy is a constant of n (:func:`_tie_free_totals`) plus
+    sum_r SS^2, so N is the one joint count it needs.  The integers are the same either
     way.
     """
     n, p = x.shape
     _check_exact_range(n)
     # rows in ascending y from here on: row k's y tie group is the rows from
-    # y_below[k] to n - y_above[k] - 1
+    # y_below[k] to y_upto[k] - 1
     y_order, y_below, y_above, y_tied = _sorted_counts(y[None, :])
     yy = int(_block_self_totals(n, y_below, y_above, y_tied)[0])
     y_order, y_below, y_above = y_order[0], y_below[0], y_above[0]
-    y_equal = n - y_below - y_above
     y_signs = y_above - y_below
-    y_count = n - y_equal
-    tied = np.flatnonzero(y_equal > 1)
-    y_end = (n - y_above)[tied]
+    y_upto = n - y_above
+    tied = np.flatnonzero(y_upto - y_below > 1)
     tie_free_cross = _tie_free_totals(n)[0]
 
     xy = np.empty(p, dtype=_totals_dtype(n))
@@ -361,30 +371,22 @@ def univariate_sums(x, y):
             ss = n * (x_signs - 2 * steps + 4 * ll) - x_signs * y_signs
             xy[c] = _exact_totals(ss * ss) + tie_free_cross
             continue
+        # how many observations lie below x_r, then at most x_r: the first m
+        # rows of each (2m, n) array below are "<x", the last m "<=x"
         x_lower = np.take_along_axis(below, rank, axis=1)
-        x_upper = np.take_along_axis(above, rank, axis=1)
-        # N(<x, <y) and N(<=x, <y) of every row; N(., <=y) of rows in y ties
-        cuts = np.concatenate([x_lower, n - x_upper])
-        at_start, at_end = _joint_below(rank, [(cuts, y_below), (cuts[:, tied], y_end)])
-        b = len(rank)
-        ll = at_start[:b]
-        el = at_start[b:] - ll
-        le = np.zeros_like(ll)
-        ee = np.ones_like(ll)
-        le[:, tied] = at_end[:b] - ll[:, tied]
-        ee[:, tied] = at_end[b:] - at_end[:b] - el[:, tied]
-        x_equal = n - x_lower - x_upper
-        x_signs = x_upper - x_lower
-        x_count = n - x_equal
-        uv = x_count - y_equal + ee
-        ut = y_signs - x_equal + 2 * el + ee
-        sv = x_signs - y_equal + 2 * le + ee
-        st = x_signs - 2 * y_below - y_equal + 4 * ll + 2 * el + 2 * le + ee
-        uu = n * uv - x_count * y_count
-        ss = n * st - x_signs * y_signs
-        us = n * ut - x_count * y_signs
-        su = n * sv - x_signs * y_count
-        xy[c] = _exact_totals(uu * uu + ss * ss - us * us - su * su)
+        cuts = np.concatenate([x_lower, n - np.take_along_axis(above, rank, axis=1)])
+        # N(., <y) of every row; N(., <=y) of rows in y ties, which elsewhere
+        # is N(., <y) plus r itself when x is at most x_r
+        at_start, at_end = _joint_below(rank, [(cuts, y_below), (cuts[:, tied], y_upto[tied])])
+        m = len(rank)
+        at_most = at_start.copy()
+        at_most[m:] += 1
+        at_most[:, tied] = at_end
+        # the centered quadrant counts d and -b against y below, -c and a
+        # against y at most
+        lower = n * at_start - cuts * y_below
+        upper = n * at_most - cuts * y_upto
+        xy[c] = 8 * _exact_totals(lower[:m] * upper[m:] + lower[m:] * upper[:m])
     return xy, xx, yy
 
 
@@ -398,20 +400,6 @@ def _ratio(s_xy, s_xx, s_yy):
     ok = denom_sq > 0.0
     scores[ok] = np.minimum(s_xy[ok] / np.sqrt(denom_sq[ok]), 1.0)
     return scores
-
-
-def univariate_scores(x, y):
-    """Squared projection correlation of every column of ``x`` with ``y``.
-
-    ``x`` is a validated (n, p) float array and ``y`` a length-n float vector.
-    Each score is I_xy / sqrt(I_xx I_yy) from :func:`univariate_sums`, 0 when
-    a side is constant (0/0 = 0).  The exact ratio is at most 1 by
-    Cauchy-Schwarz and exactly 1 for a column with y's ranking (or its
-    reverse); the minimum with 1 stops the three int-to-float roundings from
-    lifting a value within an ulp or two of 1 above it.
-    """
-    xy, xx, yy = univariate_sums(x, y)
-    return _ratio(xy.astype(np.float64), xx.astype(np.float64), np.float64(yy))
 
 
 def _slice_sums(full, x, features):
@@ -467,19 +455,25 @@ def column_scores(x, y):
     """Squared projection correlation of every column of ``x`` with ``y``.
 
     ``x`` is a validated (n, p) array of univariate features and ``y`` a
-    validated (n, q) response.  A univariate response takes the exact sweep
-    of :func:`univariate_scores`; a multivariate one takes the slice loop,
-    with all p columns on the matrix axis and one matrix product per slice
-    and block of columns.  Each score depends on its own column only; on the
-    slice loop a one-column call may differ from it in the last bits, as a
-    matrix product and a matrix-vector product round differently.  Only the
-    exact sweep scores every pair of exactly tied columns equal; the slice
-    loop can leave them some ulps apart (n=5, p=2, q=2, seed 255263: 16 ulps).
+    validated (n, q) response.  A univariate response takes the exact sweep:
+    each score is I_xy / sqrt(I_xx I_yy) from :func:`univariate_sums`, 0 when
+    a side is constant (0/0 = 0).  The exact ratio is at most 1 by
+    Cauchy-Schwarz and exactly 1 for a column with y's ranking (or its
+    reverse); the minimum with 1 stops the three int-to-float roundings from
+    lifting a value within an ulp or two of 1 above it.
+
+    A multivariate response takes the slice loop, with all p columns on the
+    matrix axis and one matrix product per slice and block of columns.  Each
+    score depends on its own column only; on the slice loop a one-column call
+    may differ from it in the last bits, as a matrix product and a
+    matrix-vector product round differently.  Only the exact sweep scores
+    every pair of exactly tied columns equal; the slice loop can leave them
+    some ulps apart (n=5, p=2, q=2, seed 255263: 16 ulps).
     """
     if y.shape[1] == 1:
-        return univariate_scores(x, y[:, 0])
-    s_xy, s_xx, s_yy = _feature_stats(x, y)
-    return _ratio(s_xy, s_xx, s_yy)
+        xy, xx, yy = univariate_sums(x, y[:, 0])
+        return _ratio(xy.astype(np.float64), xx.astype(np.float64), np.float64(yy))
+    return _ratio(*_feature_stats(x, y))
 
 
 def pcov_stats(x, y):
@@ -524,8 +518,9 @@ def projection_correlation_sq(x, y):
     Returns ``s_xy / sqrt(s_xx * s_yy)``, with 0 when the denominator
     vanishes (the 0/0 = 0 convention for degenerate samples), and at most 1.
     The value is not clamped below zero: downstream statistics difference two
-    of these and clamping would bias signs.  A univariate pair is scored by
-    :func:`univariate_scores`, bitwise as in a batched call.  Equal
+    of these and clamping would bias signs.  A pair with a univariate side is
+    scored by :func:`column_scores`, with that side as the feature (the
+    statistic is symmetric), bitwise as in a batched call.  Equal
     multivariate inputs short-circuit to exactly 1.0, the correctly-rounded
     value of the exact ratio.
     """
@@ -533,8 +528,9 @@ def projection_correlation_sq(x, y):
     ym = as_sample_matrix(y, "y")
     if xm.shape[0] != ym.shape[0]:
         raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
-    if xm.shape[1] == 1 and ym.shape[1] == 1:
-        return float(univariate_scores(xm, ym[:, 0])[0])
+    if xm.shape[1] == 1 or ym.shape[1] == 1:
+        features, other = (xm, ym) if xm.shape[1] == 1 else (ym, xm)
+        return float(column_scores(features, other)[0])
     stats = pcov_stats(xm, ym)
     denom_sq = stats.s_xx * stats.s_yy
     if denom_sq <= 0.0:

@@ -182,7 +182,7 @@ def test_pcknockoff_selection_schema(design_csv, tmp_path):
         assert payload["fdp_hat"] < 0.5
 
 
-def test_pcknockoff_names_a_constant_survivor_by_its_header(tmp_path, capsys):
+def _constant_survivor_args(tmp_path):
     # features 5-7 carry the signal and survive; the one in the CSV column
     # x7 is constant on the rows of split 2
     x = generate_dataset(ModelSpec(id="1a", n=80, p=8), seed=0).x.copy()
@@ -193,7 +193,11 @@ def test_pcknockoff_names_a_constant_survivor_by_its_header(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     write_design_csv(path, x, y)
     args = ["pcknockoff", str(path), "--response-count", "1", "--n1", "30", "--d", "3"]
-    assert cli_main(args + ["--seed", "4", "--out", str(tmp_path / "out")]) == 2
+    return args + ["--seed", "4"]
+
+
+def test_pcknockoff_names_a_constant_survivor_by_its_header(tmp_path, capsys):
+    assert cli_main(_constant_survivor_args(tmp_path) + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: feature 'x7' has zero variance in split 2\n"
     assert not (tmp_path / "out" / "selection.json").exists()
 
@@ -318,6 +322,15 @@ def test_rejected_simulate_leaves_no_output_directory(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "unknown experiment kind 'bogus'" in capsys.readouterr().err
     assert not out.exists()
+    # screen and pcknockoff create theirs only once the run has succeeded
+    missing = str(tmp_path / "missing.csv")
+    for args in (
+        ["screen", missing, "--response-count", "1"],
+        ["pcknockoff", missing, "--response-count", "1"],
+        _constant_survivor_args(tmp_path),
+    ):
+        assert cli_main(args + ["--out", str(out)]) == 2, args
+        assert not out.exists(), args
 
 
 # ---------------------------------------------------------------------------

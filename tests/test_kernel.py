@@ -19,7 +19,6 @@ from pcscreen.kernel import (
     column_scores,
     pcov_stats,
     projection_correlation_sq,
-    univariate_scores,
     univariate_sums,
 )
 from pcscreen.screening import rank_features
@@ -199,7 +198,7 @@ def test_batched_kernel_on_tied_samples(n, p, seed):
     rng = np.random.default_rng(seed)
     x = np.column_stack([rng.integers(0, 4, size=(n, p)), np.full(n, 2)]).astype(float)
     y = rng.integers(0, 3, size=(n, 1)).astype(float)
-    scores = univariate_scores(x, y[:, 0])
+    scores = column_scores(x, y)
     ranking = rank_features(x, y)
     ranked = np.empty(p + 1)
     ranked[ranking.feature] = ranking.omega_hat
@@ -213,7 +212,7 @@ def test_batched_kernel_on_tied_samples(n, p, seed):
     # rounding never lifts a score above 1
     for response in (y[:, 0], y[:, 0] + rng.uniform(-0.4, 0.4, n)):
         copies = np.column_stack([response, -response, np.exp(response), np.round(response)])
-        got = univariate_scores(copies, response)
+        got = column_scores(copies, response[:, None])
         exact = 1.0 if np.unique(response).size > 2 else 0.0
         assert got[:3].tolist() == [exact] * 3
         assert got[3] <= 1.0
@@ -286,6 +285,30 @@ def test_exact_sums_match_the_sign_vector_loop(monkeypatch, n, block_elements):
     x, y = _tied_sample(n)
     xy, xx, yy = univariate_sums(x, y)
     assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == exact_univariate_totals(x, y)
+
+
+@st.composite
+def _small_alphabet_sample(draw):
+    # five values, two of them the tied 0.0 and -0.0: nearly every sample has
+    # ties in x and y, and n up to 70 crosses the 64-row word
+    n = draw(st.integers(min_value=2, max_value=70))
+    p = draw(st.integers(min_value=1, max_value=4))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    cells = draw(st.lists(values, min_size=n * (p + 1), max_size=n * (p + 1)))
+    grid = np.array(cells).reshape(n, p + 1)
+    return grid[:, :p], grid[:, p]
+
+
+@given(sample=_small_alphabet_sample())
+@settings(max_examples=60)
+def test_small_alphabet_sums_match_the_sign_vector_loop(sample):
+    x, y = sample
+    expected = exact_univariate_totals(x, y)
+    for block_elements in (kernel._BLOCK_ELEMENTS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_BLOCK_ELEMENTS", block_elements)
+            xy, xx, yy = univariate_sums(x, y)
+        assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == expected
 
 
 def _tie_free_self_total(n):
@@ -404,7 +427,7 @@ def test_exact_sums_past_the_int64_total_range(n):
     assert yy == expected
     assert [int(v) for v in xx] == [expected, expected]
     assert [int(v) for v in xy] == [expected, expected]
-    assert univariate_scores(np.column_stack([y, -y]), y).tolist() == [1.0, 1.0]
+    assert column_scores(np.column_stack([y, -y]), y[:, None]).tolist() == [1.0, 1.0]
 
 
 def test_exact_sums_refuse_samples_past_the_int64_term_range():
