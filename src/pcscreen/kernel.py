@@ -95,6 +95,24 @@ def as_sample_matrix(data, name="sample"):
     return np.ascontiguousarray(arr)
 
 
+def as_row_index(rows, n):
+    """Validate and return a 1-D integer index of at least 2 of n rows.
+
+    Values must lie in 0..n-1: a negative index is refused, not wrapped
+    around.  Repeated rows are allowed; the sample then holds duplicates.
+    """
+    idx = np.asarray(rows)
+    if idx.ndim != 1:
+        raise DimensionMismatch(f"rows must be 1-dimensional, got ndim={idx.ndim}")
+    if idx.size < 2:
+        raise DimensionMismatch(f"rows needs at least 2 observations, got {idx.size}")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"rows must hold integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"rows must lie in 0..{n - 1}, got {idx.min()}..{idx.max()}")
+    return idx.astype(np.intp, copy=False)
+
+
 @dataclass(frozen=True)
 class PcStats:
     """The three accumulated slice sums, already scaled by n^-3."""
@@ -323,10 +341,14 @@ def _self_totals(x):
     return totals
 
 
-def univariate_sums(x, y):
+def univariate_sums(x, y, rows=None):
     """Exact slice totals I_xy, I_xx, I_yy of every column of ``x`` against ``y``.
 
-    ``x`` is a validated (n, p) float array and ``y`` a length-n float vector.
+    ``x`` is a validated (N, p) float array and ``y`` a length-N float vector.
+    ``rows``, an index from :func:`as_row_index`, selects the sample: the n
+    rows ``x[rows]`` against ``y[rows]`` (all N rows without it).  x is not
+    copied: each block of columns is gathered once, through the index
+    composed with the y order.
     I = 8 sum_r (a d + b c) for the pair, from its centered quadrant counts;
     the accumulated statistics are s = (pi/2)^2 I / n^5.  Returns
     ``(xy, xx, yy)``: two length-p integer arrays (int64, or Python ints past
@@ -339,18 +361,22 @@ def univariate_sums(x, y):
     (0.0 and -0.0 tie), the block takes the same identity with the tie terms
     collapsed: row r at place R in x order has d_x = n - 1 - 2 R,
     d_y = n - 1 - 2 r and, with N = N(<x, <y), SS = n (d_x - 2 r + 4 N) -
-    d_x d_y, and I_xy is a constant of n (:func:`_tie_free_totals`) plus
-    sum_r SS^2, so N is the one joint count it needs.  The integers are the same either
-    way.
+    d_x d_y = intercept_r - slope_r R + 4 n N, with intercept_r =
+    (1 + 2 r) (n - 1) - 2 n r and slope_r = 2 (1 + 2 r); I_xy is a constant
+    of n (:func:`_tie_free_totals`) plus sum_r SS^2, so N is the one joint
+    count it needs, and SS is formed in place on it.  The integers are the
+    same either way.
     """
-    n, p = x.shape
+    if rows is not None:
+        y = y[rows]
+    n, p = len(y), x.shape[1]
     _check_exact_range(n)
     # rows in ascending y from here on: row k's y tie group is the rows from
     # y_below[k] to y_upto[k] - 1
     y_order, y_below, y_above, y_tied = _sorted_counts(y[None, :])
     yy = int(_block_self_totals(n, y_below, y_above, y_tied)[0])
     y_order, y_below, y_above = y_order[0], y_below[0], y_above[0]
-    y_signs = y_above - y_below
+    x_rows = y_order if rows is None else rows[y_order]
     y_upto = n - y_above
     tied = np.flatnonzero(y_upto - y_below > 1)
     tie_free_cross = _tie_free_totals(n)[0]
@@ -359,17 +385,22 @@ def univariate_sums(x, y):
     xx = np.empty_like(xy)
     block = max(1, _BLOCK_ELEMENTS // n)
     steps = np.arange(n)[None, :]
+    slope = 2 * (1 + 2 * steps)
+    intercept = (1 + 2 * steps) * (n - 1) - 2 * n * steps
     for c0 in range(0, p, block):
         c = slice(c0, c0 + block)
-        order, below, above, x_tied = _sorted_counts(np.ascontiguousarray(x[y_order, c].T))
+        order, below, above, x_tied = _sorted_counts(np.ascontiguousarray(x[x_rows, c].T))
         xx[c] = _block_self_totals(n, below, above, x_tied)
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, steps, axis=1)
+        del order
         if not (y_tied[0] or x_tied.any()):
-            (ll,) = _joint_below(rank, [(rank, steps[0])])
-            x_signs = n - 1 - 2 * rank
-            ss = n * (x_signs - 2 * steps + 4 * ll) - x_signs * y_signs
-            xy[c] = _exact_totals(ss * ss) + tie_free_cross
+            (ss,) = _joint_below(rank, [(rank, steps[0])])
+            ss *= 4 * n
+            ss -= np.multiply(rank, slope, out=rank)
+            ss += intercept
+            ss *= ss
+            xy[c] = _exact_totals(ss) + tie_free_cross
             continue
         # how many observations lie below x_r, then at most x_r: the first m
         # rows of each (2m, n) array below are "<x", the last m "<=x"
@@ -451,7 +482,7 @@ def _feature_stats(x, full):
     return xy / cube, _self_totals(x) * (_HALF_PI * _HALF_PI / float(n) ** 5), yy / cube
 
 
-def column_scores(x, y):
+def column_scores(x, y, rows=None):
     """Squared projection correlation of every column of ``x`` with ``y``.
 
     ``x`` is a validated (n, p) array of univariate features and ``y`` a
@@ -469,10 +500,19 @@ def column_scores(x, y):
     matrix-vector product round differently.  Only the exact sweep scores
     every pair of exactly tied columns equal; the slice loop can leave them
     some ulps apart (n=5, p=2, q=2, seed 255263: 16 ulps).
+
+    ``rows``, a row index checked by :func:`as_row_index`, scores the sample
+    ``x[rows]`` against ``y[rows]`` with the same bits.  The exact sweep
+    reads x in place through it, without a copy; the slice loop takes
+    ``x[rows]`` up front.
     """
+    if rows is not None:
+        rows = as_row_index(rows, x.shape[0])
     if y.shape[1] == 1:
-        xy, xx, yy = univariate_sums(x, y[:, 0])
+        xy, xx, yy = univariate_sums(x, y[:, 0], rows)
         return _ratio(xy.astype(np.float64), xx.astype(np.float64), np.float64(yy))
+    if rows is not None:
+        x, y = x[rows], y[rows]
     return _ratio(*_feature_stats(x, y))
 
 

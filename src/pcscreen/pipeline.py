@@ -133,7 +133,7 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction="sdp", seed=0):
     timings["split"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    ranking1 = rank_features(xm[split.split1], ym[split.split1])
+    ranking1 = rank_features(xm, ym, rows=split.split1)
     a_hat_1 = select_top_d(ranking1, d)
     timings["screen"] = time.perf_counter() - start
 

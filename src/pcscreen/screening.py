@@ -56,18 +56,22 @@ def _ranking_from_scores(scores, n_used):
     return FeatureRanking(feature=order, omega_hat=scores[order], n_used=int(n_used))
 
 
-def rank_features(x, y):
+def rank_features(x, y, rows=None):
     """Rank every column of ``x`` by squared projection correlation with ``y``.
 
     All columns are scored in one :func:`~pcscreen.kernel.column_scores`
     call: a univariate response by the exact-integer sweep, a multivariate
-    one by the slice loop with the columns on the matrix axis.
+    one by the slice loop with the columns on the matrix axis.  ``rows``, a
+    1-D integer index into the observations, ranks ``x[rows]`` against
+    ``y[rows]`` with the same bits and ``n_used = len(rows)``; with a
+    univariate response x is read in place, not copied.
     """
     xm = as_sample_matrix(x, "x")
     ym = as_sample_matrix(y, "y")
     if xm.shape[0] != ym.shape[0]:
         raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
-    return _ranking_from_scores(column_scores(xm, ym), xm.shape[0])
+    scores = column_scores(xm, ym, rows)
+    return _ranking_from_scores(scores, xm.shape[0] if rows is None else len(rows))
 
 
 def pearson_sis_rank(x, y):

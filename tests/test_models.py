@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,8 @@ from pcscreen.models import (
     ar_covariance,
     generate_dataset,
 )
+
+from .memory import traced_peak
 
 BIVARIATE = ("3a", "3b")
 
@@ -229,13 +230,7 @@ def test_gaussian_ar_matches_the_column_recursion():
 def test_generation_peak_memory_stays_near_one_design(mid, bound):
     # numpy reports its buffers to tracemalloc; the covariates are drawn and
     # correlated in place, so the peak is x itself (4c: plus its t_2 part)
-    spec = ModelSpec(id=mid, n=200, p=2000)
-    tracemalloc.start()
-    try:
-        ds = generate_dataset(spec, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ds, peak = traced_peak(generate_dataset, ModelSpec(id=mid, n=200, p=2000), seed=1)
     assert peak < bound * ds.x.nbytes
 
 

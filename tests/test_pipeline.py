@@ -28,6 +28,9 @@ from pcscreen.pipeline import (
     selection_from_core,
     split_sample,
 )
+from pcscreen.screening import rank_features
+
+from .memory import traced_peak
 
 
 def _strong_linear(n=200, p=20, seed=0):
@@ -98,6 +101,30 @@ def test_report_bookkeeping_fields():
     assert core.clip_magnitude >= 0.0
     assert set(rpt.timings) == {"split", "screen", "knockoff", "wstat", "select"}
     assert all(v >= 0.0 for v in rpt.timings.values())
+
+
+def test_screening_sees_split_one_exactly():
+    # screening reads split 1 through its row index; the ranking must be the
+    # one of the copied split
+    for ds in (_strong_linear(seed=4), generate_dataset(ModelSpec(id="3a", n=200, p=20), 4)):
+        core = pc_knockoff_core(ds.x, ds.y, n1=80, d=10, seed=9)
+        rows = core.split.split1
+        want = rank_features(ds.x[rows], ds.y[rows])
+        npt.assert_array_equal(core.ranking1.feature, want.feature)
+        assert core.ranking1.omega_hat.tobytes() == want.omega_hat.tobytes()
+        assert core.ranking1.n_used == 80
+
+
+def test_core_peak_memory_stays_below_a_copy_of_split_one():
+    # At n1 = 200, p = 5000 a copy of split 1 is 8 MB, and the kernel works in
+    # blocks of about 0.5 MB per temporary
+    n, p, n1 = 400, 5000, 200
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((n, p))
+    y = x[:, :3].sum(axis=1) + rng.standard_normal(n)
+    core, peak = traced_peak(pc_knockoff_core, x, y, n1=n1, d=10, seed=0)
+    assert len(core.survivors) == 10
+    assert peak < n1 * p * 8
 
 
 def test_core_plus_selection_equals_one_shot_run():

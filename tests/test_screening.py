@@ -117,6 +117,53 @@ def test_rank_features_row_mismatch():
         rank_features(rng.standard_normal((10, 2)), rng.standard_normal((11, 1)))
 
 
+def _row_index_cases():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((40, 12))
+    tied_x = np.round(x)
+    constant = x.copy()
+    constant[:, 4] = 2.5
+    return {
+        "tie_free": (x, x[:, :2].sum(axis=1)),
+        "poisson_y": (x, rng.poisson(np.exp(x[:, 0])).astype(float)),
+        "tied_x": (tied_x, x[:, 1] + x[:, 2]),
+        "constant_column": (constant, x[:, 0] - x[:, 3]),
+        "slice_loop": (tied_x[:, :5], rng.standard_normal((40, 2))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_row_index_cases()))
+def test_rows_rank_the_indexed_sample_bitwise(case):
+    x, y = _row_index_cases()[case]
+    rng = np.random.default_rng(4)
+    # a subset in random order, then one with repeated rows
+    for rows in (rng.permutation(40)[:25], rng.integers(0, 40, size=30)):
+        got = rank_features(x, y, rows=rows)
+        want = rank_features(x[rows], y[rows])
+        npt.assert_array_equal(got.feature, want.feature)
+        assert got.omega_hat.tobytes() == want.omega_hat.tobytes()
+        assert got.n_used == want.n_used == len(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([0, -1, 2], ValueError),
+        ([0, 1, 40], ValueError),
+        ([[0, 1], [2, 3]], DimensionMismatch),
+        ([0.0, 1.0, 2.0], ValueError),
+        ([3], DimensionMismatch),
+        ([True] * 40, ValueError),
+    ],
+)
+def test_rows_are_checked(rows, error):
+    x, y = _row_index_cases()["tie_free"]
+    with pytest.raises(error):
+        rank_features(x, y, rows=np.array(rows))
+    with pytest.raises(error):
+        rank_features(x, y[:, None].repeat(2, axis=1), rows=np.array(rows))
+
+
 def test_entries_view_pairs_feature_with_score():
     ranking = _ranking([0.1, 0.7, 0.4])
     assert ranking.entries == [(1, 0.7), (2, 0.4), (0, 0.1)]
