@@ -35,6 +35,7 @@ from .harness import (
     write_records_jsonl,
     write_summary_csv,
 )
+from .models import _canonical_id
 from .pipeline import pc_knockoff
 from .screening import rank_features, signal_gap_diagnostic
 
@@ -292,7 +293,7 @@ def _cmd_reproduce(args):
     table = int(args.table)
     models = _TABLE_MODELS[table]
     if args.models is not None:
-        chosen = _listed(args.models, str)
+        chosen = tuple(_canonical_id(m) for m in _listed(args.models, str))
         bad = [m for m in chosen if m not in models]
         if bad:
             raise ValueError(f"models {bad} are not part of table {table}")

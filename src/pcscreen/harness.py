@@ -25,10 +25,13 @@ QUANTILE_METHODS = ("pc_screen", "pearson_sis")
 class ExperimentConfig:
     """Everything one replicated experiment needs, seeds included.
 
-    Replication r uses seed ``base_seed + r``; ``threads`` is the size of the
-    process pool that runs replications, one each, so results are
-    independent of the pool size.  They can depend on the BLAS thread count
-    of the processes, which no setting here fixes.
+    Replication r of every model uses seed ``base_seed + r``.  ``threads``
+    is the size of the one process pool that runs all (model, seed)
+    replications of a run, one each, whatever the number of models; results
+    are independent of the pool size.  They can depend on the BLAS thread
+    count of the processes, which no setting here fixes.  Model ids are
+    stored in canonical form (``"1A"`` becomes ``"1a"``); a repeated model
+    or alpha is refused.
     """
 
     models: tuple[str, ...]
@@ -49,6 +52,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.models:
             raise ValueError("at least one model id is required")
+        models = tuple(_canonical_id(mid) for mid in self.models)
+        if len(set(models)) != len(models):
+            raise ValueError(f"repeated model id in {models}")
+        object.__setattr__(self, "models", models)
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         levels = tuple(float(q) for q in self.quantile_levels)
@@ -58,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("quantile levels must be strictly increasing")
         if any(not 0.0 < a <= 1.0 for a in self.alphas):
             raise ValueError(f"alpha levels must lie in (0, 1], got {self.alphas}")
+        if len({float(a) for a in self.alphas}) != len(self.alphas):
+            raise ValueError(f"repeated alpha level in {self.alphas}")
         unknown = set(self.methods) - set(QUANTILE_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; known: {QUANTILE_METHODS}")
@@ -146,90 +157,106 @@ def nearest_rank_quantile(values, level):
     return ordered[max(0, min(idx, len(ordered) - 1))]
 
 
-def _overflow_tallies(data):
-    """The generator's overflow counts, as record keys."""
-    return {"clamp_events": data.clamp_events, "extreme_responses": data.extreme_responses}
-
-
-def _quantile_replication(args):
-    spec, seed, methods = args
-    try:
-        data = generate_dataset(spec, seed)
-        out = {}
-        for method in methods:
-            if method == "pc_screen":
-                ranking = rank_features(data.x, data.y)
-            else:
-                ranking = pearson_sis_rank(data.x, data.y)
-            out[method] = int(minimum_model_size(ranking, data.true_active))
-        return out, _overflow_tallies(data)
-    except (PcScreenError, ValueError) as exc:
-        exc.args = (f"replication seed {seed} ({spec.id}): {exc}",)
-        raise
-
-
-def _fdr_replication(args):
-    spec, seed, alphas, n1, d, construction = args
-    try:
-        data = generate_dataset(spec, seed)
-        core = pc_knockoff_core(
-            data.x, data.y, n1=n1, d=d, construction=construction, seed=seed
+def _quantile_records(data, spec, seed, config):
+    """One replication's minimum model size under each ranking method."""
+    records = []
+    for method in config.methods:
+        if method == "pc_screen":
+            ranking = rank_features(data.x, data.y)
+        elif spec.id in ("3a", "3b"):
+            continue  # Pearson ranking cannot score a bivariate response
+        else:
+            ranking = pearson_sis_rank(data.x, data.y)
+        records.append(
+            {
+                "record": "quantile",
+                "method": method,
+                "mms": int(minimum_model_size(ranking, data.true_active)),
+                "n": config.n,
+                "p": config.p,
+            }
         )
-        active = set(data.true_active)
-        screened_all = active.issubset(core.survivors)
-        records = []
-        for alpha in alphas:
-            report = selection_from_core(core, alpha)
-            selected = sorted(report.selection.selected)
-            sure = active.issubset(selected)
-            if not selected:
-                event = "e1"
-            elif sure:
-                event = "e2"
-            else:
-                event = "e3"
-            t_alpha = report.selection.t_alpha
-            records.append(
-                {
-                    "record": "fdr",
-                    "model": spec.id,
-                    "seed": int(seed),
-                    "alpha": float(alpha),
-                    "n_selected": len(selected),
-                    "selected": selected,
-                    "t_alpha": None if math.isinf(t_alpha) else float(t_alpha),
-                    "fdp_hat": float(report.selection.fdp_hat),
-                    "empirical_fdp": empirical_fdp(selected, active),
-                    "sure_screening": sure,
-                    "event": event,
-                    "screened_all": screened_all,
-                    "fallback": core.fallback_flag,
-                    "jitter": core.jitter_applied,
-                    "clip": core.clip_magnitude,
-                    **_overflow_tallies(data),
-                }
-            )
-        return records
+    return records
+
+
+def _fdr_records(data, spec, seed, config):
+    """One replication's knockoff selection at each alpha."""
+    core = pc_knockoff_core(
+        data.x, data.y, n1=config.n1, d=config.d, construction=config.construction, seed=seed
+    )
+    active = set(data.true_active)
+    replication = {
+        "record": "fdr",
+        "screened_all": active.issubset(core.survivors),
+        "fallback": core.fallback_flag,
+        "jitter": core.jitter_applied,
+        "clip": core.clip_magnitude,
+    }
+    records = []
+    for alpha in config.alphas:
+        selection = selection_from_core(core, float(alpha)).selection
+        selected = sorted(selection.selected)
+        sure = active.issubset(selected)
+        records.append(
+            {
+                **replication,
+                "alpha": float(alpha),
+                "n_selected": len(selected),
+                "selected": selected,
+                "t_alpha": None if math.isinf(selection.t_alpha) else float(selection.t_alpha),
+                "fdp_hat": float(selection.fdp_hat),
+                "empirical_fdp": empirical_fdp(selected, active),
+                "sure_screening": sure,
+                "event": "e1" if not selected else "e2" if sure else "e3",
+            }
+        )
+    return records
+
+
+def _replicate(args):
+    """``build``'s records of one (model, seed) replication, each with the
+    model, the seed and the generator's overflow tallies; a failure is
+    prefixed with the seed and the model."""
+    build, spec, seed, config = args
+    try:
+        data = generate_dataset(spec, seed)
+        replication = {
+            "model": spec.id,
+            "seed": int(seed),
+            "clamp_events": data.clamp_events,
+            "extreme_responses": data.extreme_responses,
+        }
+        return [{**replication, **record} for record in build(data, spec, seed, config)]
     except (PcScreenError, ValueError) as exc:
         exc.args = (f"replication seed {seed} ({spec.id}): {exc}",)
         raise
 
 
-def _map_replications(worker, argses, threads):
-    if threads and int(threads) > 1:
+def _run_replications(build, config):
+    """``build``'s records of every (model, seed) pair of a run, in (model,
+    seed) order, from one pool of ``config.threads`` processes."""
+    argses = [
+        (build, ModelSpec(mid, config.n, config.p, config.rho, config.s), config.base_seed + r, config)
+        for mid in config.models
+        for r in range(config.replications)
+    ]
+    if config.threads > 1:
         # imported here: a serial run never pays for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(worker, argses))
-    return [worker(a) for a in argses]
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            results = list(pool.map(_replicate, argses))
+    else:
+        results = [_replicate(args) for args in argses]
+    return [record for result in results for record in result]
 
 
-def _model_specs(config):
-    return [
-        ModelSpec(id=mid, n=config.n, p=config.p, rho=config.rho, s=config.s)
-        for mid in config.models
-    ]
+def _grouped(records, keys):
+    """(key values, records) pairs, in the order of each group's first record."""
+    groups = {}
+    for rec in records:
+        groups.setdefault(tuple(rec[key] for key in keys), []).append(rec)
+    return groups.items()
 
 
 def run_quantile_experiment(config):
@@ -239,87 +266,36 @@ def run_quantile_experiment(config):
     response models it cannot score.
     """
     levels = tuple(float(q) for q in config.quantile_levels)
-    rows = []
-    records = []
-    for spec in _model_specs(config):
-        methods = tuple(
-            m
-            for m in config.methods
-            if not (m == "pearson_sis" and spec.id in ("3a", "3b"))
+    records = _run_replications(_quantile_records, config)
+    rows = tuple(
+        QuantileRow(
+            model=model,
+            method=method,
+            replications=len(group),
+            quantiles=tuple(nearest_rank_quantile([r["mms"] for r in group], q) for q in levels),
         )
-        argses = [(spec, config.base_seed + r, methods) for r in range(config.replications)]
-        results = _map_replications(_quantile_replication, argses, config.threads)
-        for r, (mms, tallies) in enumerate(results):
-            for method in methods:
-                records.append(
-                    {
-                        "record": "quantile",
-                        "model": spec.id,
-                        "method": method,
-                        "seed": int(config.base_seed + r),
-                        "mms": mms[method],
-                        "n": config.n,
-                        "p": config.p,
-                        **tallies,
-                    }
-                )
-        for method in methods:
-            sizes = [mms[method] for mms, _ in results]
-            rows.append(
-                QuantileRow(
-                    model=spec.id,
-                    method=method,
-                    replications=config.replications,
-                    quantiles=tuple(nearest_rank_quantile(sizes, q) for q in levels),
-                )
-            )
-    table = QuantileTable(levels=levels, rows=tuple(rows), base_seed=config.base_seed)
-    return table, records
+        for (model, method), group in _grouped(records, ("model", "method"))
+    )
+    return QuantileTable(levels=levels, rows=rows, base_seed=config.base_seed), records
 
 
-def _run_fdr_records(config):
-    records = []
-    for spec in _model_specs(config):
-        if spec.id[0] != "4":
-            raise ValueError(
-                f"FDR experiments are defined for the 4x model family, got {spec.id}"
-            )
-        argses = [
-            (
-                spec,
-                config.base_seed + r,
-                tuple(float(a) for a in config.alphas),
-                config.n1,
-                config.d,
-                config.construction,
-            )
-            for r in range(config.replications)
-        ]
-        for result in _map_replications(_fdr_replication, argses, config.threads):
-            records.extend(result)
-    return records
-
-
-def _group_fdr(records, config):
-    grouped = {}
-    for rec in records:
-        grouped.setdefault((rec["model"], rec["alpha"]), []).append(rec)
+def _fdr_groups(config):
+    """The FDR records of a 4x-family run, grouped by (model, alpha), and the
+    records; the family is checked before any replication runs."""
     for mid in config.models:
-        for alpha in config.alphas:
-            key = (_canonical_id(mid), float(alpha))
-            yield key[0], key[1], grouped[key]
+        if mid[0] != "4":
+            raise ValueError(f"FDR experiments are defined for the 4x model family, got {mid}")
+    records = _run_replications(_fdr_records, config)
+    return _grouped(records, ("model", "alpha")), records
 
 
 def run_fdr_experiment(config):
     """Knockoff-selection summary per (model, alpha) over replications."""
-    records = _run_fdr_records(config)
+    groups, records = _fdr_groups(config)
     s = ModelSpec(config.models[0], config.n, config.p, config.rho, config.s).active_count
     rows = []
-    for mid, alpha, group in _group_fdr(records, config):
+    for (mid, alpha), group in groups:
         reps = len(group)
-        freq = tuple(
-            sum(1 for rec in group if j in rec["selected"]) / reps for j in range(s)
-        )
         rows.append(
             FdrRow(
                 model=mid,
@@ -328,7 +304,9 @@ def run_fdr_experiment(config):
                 mean_selected=sum(rec["n_selected"] for rec in group) / reps,
                 sure_screening_freq=sum(rec["sure_screening"] for rec in group) / reps,
                 empirical_fdr=sum(rec["empirical_fdp"] for rec in group) / reps,
-                active_selection_freq=freq,
+                active_selection_freq=tuple(
+                    sum(1 for rec in group if j in rec["selected"]) / reps for j in range(s)
+                ),
             )
         )
     return FdrTable(rows=tuple(rows), base_seed=config.base_seed), records
@@ -336,23 +314,12 @@ def run_fdr_experiment(config):
 
 def run_phase_transition(config):
     """E1/E2/E3 outcome frequencies per (model, alpha) over replications."""
-    records = _run_fdr_records(config)
+    groups, records = _fdr_groups(config)
     rows = []
-    for mid, alpha, group in _group_fdr(records, config):
-        reps = len(group)
-        counts = {"e1": 0, "e2": 0, "e3": 0}
-        for rec in group:
-            counts[rec["event"]] += 1
-        rows.append(
-            PhaseRow(
-                model=mid,
-                alpha=alpha,
-                replications=reps,
-                e1_freq=counts["e1"] / reps,
-                e2_freq=counts["e2"] / reps,
-                e3_freq=counts["e3"] / reps,
-            )
-        )
+    for (mid, alpha), group in groups:
+        events = [rec["event"] for rec in group]
+        freqs = (events.count(event) / len(events) for event in ("e1", "e2", "e3"))
+        rows.append(PhaseRow(mid, alpha, len(events), *freqs))
     return PhaseTable(rows=tuple(rows), base_seed=config.base_seed), records
 
 
@@ -408,7 +375,7 @@ def read_design_csv(path, response_columns):
     errors carry 1-based row numbers (header is row 1) and column names.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with handle:

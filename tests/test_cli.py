@@ -429,6 +429,13 @@ def test_reproduce_ignores_alphas_for_quantile_tables(tmp_path, captured_runs):
     assert [config.alphas for _, config in captured_runs] == [(0.2,), (0.05, 0.5)]
 
 
+def test_reproduce_reads_model_ids_as_simulate_does(tmp_path, captured_runs):
+    argv = ["reproduce", "--table", "4", "--models", "4A,4.c", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    [(_, config)] = captured_runs
+    assert config.models == ("4a", "4c")
+
+
 def test_reproduce_rejects_models_outside_the_table(tmp_path, capsys):
     code = cli_main(
         ["reproduce", "--table", "1", "--models", "4a", "--out", str(tmp_path)]

@@ -99,6 +99,19 @@ def test_config_validation():
         _quantile_config(alphas=(1.2,))
     with pytest.raises(ValueError):
         _quantile_config(methods=("pc_screen", "lasso"))
+    with pytest.raises(ValueError):
+        _quantile_config(threads=0)
+
+
+def test_config_stores_canonical_model_ids_and_refuses_repeats():
+    assert _quantile_config(models=("1A", "4.c")).models == ("1a", "4c")
+    # a repeat would run every replication of that model or alpha twice
+    # and count both runs in one summary row
+    for models in (("1a", "1a"), ("1a", "1A")):
+        with pytest.raises(ValueError, match="repeated model id"):
+            _quantile_config(models=models)
+    with pytest.raises(ValueError, match="repeated alpha"):
+        _fdr_config(alphas=(0.2, 0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +126,49 @@ def test_quantile_experiment_is_deterministic():
     assert first_records == second_records
 
 
-def test_quantile_experiment_matches_process_pool():
-    serial, serial_records = run_quantile_experiment(_quantile_config())
-    pooled, pooled_records = run_quantile_experiment(_quantile_config(threads=2))
+@pytest.mark.parametrize(
+    ("run", "config"),
+    [
+        (run_quantile_experiment, _quantile_config()),
+        (run_quantile_experiment, _quantile_config(models=("1a", "1c", "3a"), replications=3)),
+        (run_fdr_experiment, _fdr_config(models=("4a", "4c"), replications=3)),
+    ],
+    ids=["quantile-1a", "quantile-1a-1c-3a", "fdr-4a-4c"],
+)
+def test_quantile_experiment_matches_process_pool(run, config):
+    serial, serial_records = run(config)
+    pooled, pooled_records = run(replace(config, threads=2))
     assert serial == pooled
     assert serial_records == pooled_records
+
+
+def test_a_pooled_run_starts_one_process_pool(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    config = _quantile_config(models=("1a", "1b", "3a"), replications=2, threads=2)
+    table, records = run_quantile_experiment(config)
+    assert len(pools) == 1
+    assert [row.model for row in table.rows] == ["1a", "1a", "1b", "1b", "3a"]
+    assert [(r["model"], r["seed"]) for r in records] == sorted(
+        (r["model"], r["seed"]) for r in records
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_replication_names_its_seed_and_model(threads):
+    # n1 = n leaves no second split, so the core refuses every replication;
+    # the error is the first one in (model, seed) order
+    config = _fdr_config(models=("4c", "4a"), n1=120, threads=threads)
+    with pytest.raises(ValueError, match=r"^replication seed 300 \(4c\): need 2d < n - n1"):
+        run_fdr_experiment(config)
 
 
 def test_quantile_rows_are_monotone_and_bounded():
@@ -164,9 +215,16 @@ def test_bivariate_models_skip_pearson_ranking():
 # ---------------------------------------------------------------------------
 
 
-def test_fdr_experiment_rejects_non_benchmark_models():
+def test_fdr_experiment_rejects_non_benchmark_models(monkeypatch):
     with pytest.raises(ValueError):
         run_fdr_experiment(_fdr_config(models=("1a",)))
+    # the family is checked before the first replication runs
+    calls = []
+    monkeypatch.setattr(harness, "pc_knockoff_core", lambda *a, **k: calls.append(a))
+    for run in (run_fdr_experiment, run_phase_transition):
+        with pytest.raises(ValueError, match="4x model family, got 1a"):
+            run(_fdr_config(models=("4a", "1a"), replications=3))
+    assert calls == []
 
 
 def test_fdr_rows_recomputable_from_records():
@@ -374,6 +432,17 @@ def test_design_response_selection_by_name(tmp_path):
     npt.assert_array_equal(parsed.y, [[2.0], [5.0]])
     assert parsed.x_names == ("a", "c")
     assert parsed.y_names == ("b",)
+
+
+def test_design_header_drops_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("a,b,c\n1,2,3\n4,5,6\n".encode("utf-8-sig"))
+    by_name = read_design_csv(path, ["a"])
+    assert (by_name.x_names, by_name.y_names) == (("b", "c"), ("a",))
+    npt.assert_array_equal(by_name.y, [[1.0], [4.0]])
+    by_count = read_design_csv(path, 2)
+    assert (by_count.x_names, by_count.y_names) == (("a",), ("b", "c"))
+    npt.assert_array_equal(by_count.x, [[1.0], [4.0]])
 
 
 def test_design_error_paths(tmp_path):
