@@ -30,8 +30,8 @@ class ExperimentConfig:
     replications of a run, one each, whatever the number of models; results
     are independent of the pool size.  They can depend on the BLAS thread
     count of the processes, which no setting here fixes.  Model ids are
-    stored in canonical form (``"1A"`` becomes ``"1a"``); a repeated model
-    or alpha is refused.
+    stored in canonical form (``"1A"`` becomes ``"1a"``); a repeated model,
+    alpha or method is refused.
     """
 
     models: tuple[str, ...]
@@ -72,6 +72,8 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(QUANTILE_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; known: {QUANTILE_METHODS}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"repeated method in {self.methods}")
 
 
 @dataclass(frozen=True)

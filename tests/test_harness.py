@@ -105,13 +105,15 @@ def test_config_validation():
 
 def test_config_stores_canonical_model_ids_and_refuses_repeats():
     assert _quantile_config(models=("1A", "4.c")).models == ("1a", "4c")
-    # a repeat would run every replication of that model or alpha twice
-    # and count both runs in one summary row
+    # a repeat would run every replication of that model, alpha or method
+    # twice and count both runs in one summary row
     for models in (("1a", "1a"), ("1a", "1A")):
         with pytest.raises(ValueError, match="repeated model id"):
             _quantile_config(models=models)
     with pytest.raises(ValueError, match="repeated alpha"):
         _fdr_config(alphas=(0.2, 0.2))
+    with pytest.raises(ValueError, match="repeated method"):
+        _quantile_config(methods=("pc_screen", "pc_screen"))
 
 
 # ---------------------------------------------------------------------------
