@@ -236,7 +236,8 @@ def _replicate(args):
 
 def _run_replications(build, config):
     """``build``'s records of every (model, seed) pair of a run, in (model,
-    seed) order, from one pool of ``config.threads`` processes."""
+    seed) order, from one pool of ``config.threads`` processes (at one
+    thread, from this process)."""
     argses = [
         (build, ModelSpec(mid, config.n, config.p, config.rho, config.s), config.base_seed + r, config)
         for mid in config.models
