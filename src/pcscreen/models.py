@@ -99,10 +99,48 @@ def ar_covariance(p, rho):
 
 @lru_cache(maxsize=8)
 def _sqrt_cov(p, rho):
-    """Symmetric PSD square root of ar_covariance(p, rho), cached per shape."""
-    values, vectors = np.linalg.eigh(ar_covariance(p, rho))
-    root = (vectors * np.sqrt(np.maximum(values, 0.0))[None, :]) @ vectors.T
-    return 0.5 * (root + root.T)
+    """Symmetric PD square root of ar_covariance(p, rho), cached per shape.
+
+    The matrix is the Kac-Murdock-Szego matrix, whose eigenpairs are known
+    in closed form (Kac, Murdock & Szego 1953, "On the eigenvalues of certain
+    Hermitian forms", J. Rational Mech. Anal. 2):
+
+    - theta_k, k = 1..p, is the one root in ((k-1) pi/p, k pi/p) of
+      f(theta) = sin((p+1) theta) - 2 rho sin(p theta) + rho^2 sin((p-1) theta),
+      found by 60 bisection steps; f has sign (-1)^(k-1) at the left end of
+      interval k (f is exactly 0 at theta = 0, so the sign is not read from f);
+    - lambda_k = (1 - rho^2) / (1 - 2 rho cos theta_k + rho^2);
+    - eigenvector k has components sin(j theta_k) - rho sin((j-1) theta_k),
+      j = 1..p, which equal r_k sin(j theta_k + phi_k) with
+      phi_k = atan2(rho sin theta_k, 1 - rho cos theta_k); the column is
+      normalized, so r_k drops out.
+
+    With W = V diag(lambda^(1/4)) the root is W W^T, a symmetric product, so
+    the result is exactly symmetric.  The array is cached and shared by every
+    caller in the process, so it is read-only.
+    """
+    rho = float(rho)
+    k = np.arange(p)
+    lo = k * (np.pi / p)
+    hi = lo + np.pi / p
+    left_sign = np.where(k % 2 == 0, 1.0, -1.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f = np.sin((p + 1) * mid) - 2.0 * rho * np.sin(p * mid) + rho * rho * np.sin((p - 1) * mid)
+        left = f * left_sign > 0.0
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    theta = 0.5 * (lo + hi)
+    cos = np.cos(theta)
+    values = (1.0 - rho * rho) / (1.0 - 2.0 * rho * cos + rho * rho)
+    w = np.multiply.outer(np.arange(1.0, p + 1.0), theta)
+    w += np.arctan2(rho * np.sin(theta), 1.0 - rho * cos)
+    np.sin(w, out=w)
+    w *= values**0.25 / np.sqrt(np.einsum("jk,jk->k", w, w))
+    root = w @ w.T
+    root.flags.writeable = False
+    return root
+
 
 def _gaussian_ar(rng, n, p, rho):
     """Exact N(0, ar_covariance) rows via the stationary AR recursion.

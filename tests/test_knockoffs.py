@@ -176,6 +176,24 @@ def test_infeasible_h_is_rejected():
         build_knockoff_model(cov, np.array([-0.5, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_joint_lambda_min_matches_the_assembled_g(seed):
+    # lambda_min(G) = min(lambda_min(2 sigma - D), min h); the two agreed to
+    # about 1e-16 on these draws
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 40))
+    cov = estimate_covariance(rng.standard_normal((3 * d, d)) @ rng.standard_normal((d, d)))
+    h = equicorrelated_h(cov) * rng.uniform(0.0, 1.0, d)
+    h[rng.integers(d)] = 0.0
+    model = build_knockoff_model(cov, h)
+    expected = np.linalg.eigvalsh(_assembled_g(cov.sigma, h))[0]
+    assert abs(model.g_lambda_min - expected) <= 1e-12
+    infeasible = equicorrelated_h(cov) + 0.5
+    assert np.linalg.eigvalsh(_assembled_g(cov.sigma, infeasible))[0] < -1e-3
+    with pytest.raises(InfeasibleH):
+        build_knockoff_model(cov, infeasible)
+
+
 def test_h_length_mismatch_is_rejected():
     with pytest.raises(DimensionMismatch):
         build_knockoff_model(_known_cov(np.eye(3)), np.ones(4))

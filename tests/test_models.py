@@ -21,6 +21,7 @@ from pcscreen.models import (
     MODEL_IDS,
     ModelSpec,
     _gaussian_ar,
+    _sqrt_cov,
     ar_covariance,
     generate_dataset,
 )
@@ -31,12 +32,14 @@ BIVARIATE = ("3a", "3b")
 
 # sha256 of x.tobytes() + y.tobytes() for ModelSpec(id, n=30, p=130) at seed 3
 # with one BLAS thread, recorded at commit 5e8120e, before the AR recursion ran
-# in place; p = 130 spans three blocks of it.
+# in place; p = 130 spans three blocks of it.  1c and 1d were re-recorded when
+# _sqrt_cov moved from eigh to the closed-form root, which changes their bits
+# by rounding.
 PINNED_DIGESTS = {
     "1a": "d00ef85cb3df20ac1a6732e3864cf5bc9aacee55c8626518059881b3641f1d9f",
     "1b": "42889bc876f043af020338e48cf92c9059fd50b68f52addbfcfe6ce982c4175e",
-    "1c": "5862e14d6b512ce753d90e4cb1a98d46368208f79372ff4de84272cdcda55981",
-    "1d": "acb3374cbdf086f2c1790bf08d6eb40581f4b59b8373b5ecf6a4cd417f68641a",
+    "1c": "464ef947b50204ab923e9b1c784e7f3ea34b55e4650ee7497eda3cbfc8d32052",
+    "1d": "d5418a74e753eaf2454f9ed8b7ac17f4e75d7abd4469d07b91cc593d79b275af",
     "1e": "c1d75248315d795326785595e9c51810d981ce8af1d8b54146300768a7eed870",
     "1f": "1e87d7ce21dbea92b652439b72c339c545d83331e6b5eab4417ac383a4288c6e",
     "2a": "6bcf2baa651f8a4a70ff76f5a82cf7da3c2e42d84d786b1259f89d579a12f813",
@@ -208,6 +211,29 @@ def test_ar_covariance_entries_are_powers_of_rho(p, rho):
 def test_ar_covariance_rejects_unit_rho():
     with pytest.raises(ValueError):
         ar_covariance(5, 1.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 10, 500])
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.1, 0.5, 0.9, 0.99])
+def test_closed_form_root_squares_to_the_covariance(p, rho):
+    sigma = ar_covariance(p, rho)
+    root = _sqrt_cov(p, rho)
+    assert np.array_equal(root, root.T)
+    assert np.linalg.eigvalsh(root)[0] > 0.0
+    # worst case measured over this grid: 5.0e-12, at p=500, rho=-0.9
+    assert np.abs(root @ root - sigma).max() <= 1e-11
+    values, vectors = np.linalg.eigh(sigma)
+    eigh_root = (vectors * np.sqrt(values)) @ vectors.T
+    # worst case measured over this grid: 6.5e-13, at p=500, rho=-0.9
+    assert np.abs(root - eigh_root).max() <= 1e-12
+
+
+def test_cached_root_is_read_only():
+    root = _sqrt_cov(4, 0.5)
+    with pytest.raises(ValueError):
+        root[0, 0] = 0.0
+    assert _sqrt_cov(4, 0.5) is root
+    assert root[0, 0] != 0.0
 
 
 def test_gaussian_ar_matches_the_column_recursion():
