@@ -210,9 +210,7 @@ def build_knockoff_model(cov, h, construction="equicorrelated"):
     h = np.maximum(h, 0.0)
     # G = [[sigma, sigma - D], [sigma - D, sigma]] with D = diag(h) is
     # orthogonally similar to diag(2 sigma - D, D), so its spectrum is theirs
-    two_sigma_minus_d = 2.0 * sigma
-    two_sigma_minus_d[np.diag_indices(d)] -= h
-    g_lambda_min = min(float(np.linalg.eigvalsh(two_sigma_minus_d)[0]), float(h.min()))
+    g_lambda_min = min(float(np.linalg.eigvalsh(2.0 * sigma - np.diag(h))[0]), float(h.min()))
     if g_lambda_min < -FEASIBILITY_TOL:
         raise InfeasibleH(f"joint covariance is not PSD: lambda_min = {g_lambda_min:.3e}")
     sigma_inv = np.linalg.inv(sigma)
