@@ -5,6 +5,7 @@ CSV writer, and numeric design-matrix CSV ingestion."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import astuple, dataclass
@@ -374,8 +375,16 @@ def read_design_csv(path, response_columns):
     """Parse a headed numeric CSV into (X, Y) by response names or count.
 
     ``response_columns`` is either a list of header names or an integer k
-    meaning the trailing k columns.  Cells must be finite decimal numbers;
-    errors carry 1-based row numbers (header is row 1) and column names.
+    meaning the trailing k columns.  The file is one comma-separated header
+    row, then one row per line of cells that are any spelling Python
+    ``float()`` accepts, each optionally ``"``-quoted.  A blank line, a row
+    of the wrong length and a cell that is not a finite number are errors
+    that carry the 1-based row number (the header is row 1) and the column
+    name.  The common case goes through numpy's C reader; a body that reader
+    refuses, or might read otherwise than ``float()``, is read again row by
+    row, which names the first fault in file order.  Both convert cells with
+    CPython's correctly rounded ``PyOS_string_to_double``, so the values do
+    not depend on the path.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -388,25 +397,71 @@ def read_design_csv(path, response_columns):
             raise ParseError(f"{path}: empty file (a header row is required)")
         header = [name.strip() for name in first]
         x_names, y_names = _split_header(path, header, response_columns)
-        # each row becomes floats as it is read, so the cells never all
-        # exist as strings at once; numpy parses a cell string exactly as
-        # float() does
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            try:
-                values = np.array(row, dtype=np.float64)
-            except ValueError:
-                values = None
-            if values is None or values.shape != (len(header),) or not np.all(np.isfinite(values)):
-                _raise_bad_row(path, header, i, row)
-            rows.append(values)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    data = np.stack(rows)
+        data = _read_body(handle, len(header))
+        if data is None:
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            data = _read_rows(path, header, reader)
     column = {name: j for j, name in enumerate(header)}
     x = data[:, [column[name] for name in x_names]]
     y = data[:, [column[name] for name in y_names]]
     return DesignData(x=x, y=y, x_names=tuple(x_names), y_names=tuple(y_names))
+
+
+# numpy's reader strips these around a number; float() does not strip them
+# from an ASCII string, and no cell that float() accepts holds one
+_FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"
+
+
+def _read_body(handle, width):
+    """The rest of ``handle`` as an (n, width) float64 array read by
+    ``np.loadtxt``, or None where the row-wise reader must decide: an empty
+    body or one that starts with a blank line (either would make numpy warn
+    that there is no data), a line holding a character of
+    ``_FLOAT_REFUSES``, a body numpy refuses, a shape other than one row of
+    ``width`` per line (numpy skips blank lines and joins quoted newlines)
+    or a value that is not finite."""
+    first = next(handle, None)
+    if first is None or first in ("\n", "\r\n", "\r"):
+        return None
+    count = 0
+
+    def lines():
+        nonlocal count
+        for line in itertools.chain((first,), handle):
+            if any(ch in line for ch in _FLOAT_REFUSES):
+                raise ValueError("a cell float() refuses")
+            count += 1
+            yield line
+
+    try:
+        data = np.loadtxt(
+            lines(), dtype=np.float64, delimiter=",", comments=None, quotechar='"', ndmin=2
+        )
+    except ValueError:
+        return None
+    if data.shape != (count, width) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _read_rows(path, header, reader):
+    """The body rows of ``reader`` as a float64 array, converted one row at
+    a time as csv yields them, so the cells never all exist as strings at
+    once; numpy parses a cell string exactly as float() does."""
+    rows = []
+    for i, row in enumerate(reader, start=2):
+        try:
+            values = np.array(row, dtype=np.float64)
+        except ValueError:
+            values = None
+        if values is None or values.shape != (len(header),) or not np.all(np.isfinite(values)):
+            _raise_bad_row(path, header, i, row)
+        rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.stack(rows)
 
 
 def _split_header(path, header, response_columns):

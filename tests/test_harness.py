@@ -4,6 +4,7 @@ audits, record persistence, and design CSV ingestion."""
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from pcscreen import harness
-from pcscreen.errors import MissingColumn, NonNumericCell, ParseError
+from pcscreen.errors import MissingColumn, NonNumericCell, ParseError, PcScreenError
 from pcscreen.harness import (
     ExperimentConfig,
     FdrTable,
@@ -419,6 +420,9 @@ def test_design_round_trip_is_bit_exact(tmp_path):
     y = rng.standard_normal((23, 2)) / 3.0
     path = tmp_path / "design.csv"
     write_design_csv(path, x, y)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        handle.readline()
+        assert harness._read_body(handle, 6) is not None  # the C reader takes it
     parsed = read_design_csv(path, 2)
     npt.assert_array_equal(parsed.x, x)
     npt.assert_array_equal(parsed.y, y)
@@ -471,7 +475,8 @@ def test_design_error_paths(tmp_path):
         read_design_csv(write("allresp.csv", "a,b\n1,2\n"), ["a", "b"])
     with pytest.raises(ParseError):
         read_design_csv(write("ragged.csv", "a,b\n1,2\n3\n"), 1)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="no data rows"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a body with no data
         read_design_csv(write("norows.csv", "a,b\n"), 1)
 
 
@@ -486,7 +491,28 @@ def test_design_non_numeric_cell_errors(tmp_path):
         assert "'b'" in str(err.value)
 
 
-def test_design_reports_the_first_fault_in_file_order(tmp_path):
+def _parsed_on_both_paths(path, response, monkeypatch):
+    """What read_design_csv makes of a file, checked equal to what it makes
+    of it with the body always read row by row: the arrays' bits and shapes,
+    or the error class and message."""
+
+    def outcome():
+        try:
+            parsed = read_design_csv(path, response)
+        except PcScreenError as exc:
+            return type(exc), str(exc)
+        return parsed.x.tobytes(), parsed.y.tobytes(), parsed.x.shape, parsed.y.shape
+
+    chosen = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_read_body", lambda handle, width: None)
+        row_wise = outcome()
+    assert chosen == row_wise, path.name
+    return chosen
+
+
+@pytest.mark.filterwarnings("error")
+def test_design_reports_the_first_fault_in_file_order(tmp_path, monkeypatch):
     cases = {
         # every row one cell too wide: the body parses as a rectangle
         "wide.csv": ("a,b\n1,2,3\n4,5,6\n", ParseError, "row 2 has 3 cells, expected 2"),
@@ -495,16 +521,35 @@ def test_design_reports_the_first_fault_in_file_order(tmp_path):
         ),
         "ragged_then_cell.csv": ("a,b\n1,x\n3\n", NonNumericCell, "row 2, column 'b'"),
         "two_cells.csv": ("a,b\n1,2\nnan,inf\n", NonNumericCell, "row 3, column 'a'"),
+        "crlf_cell.csv": ("a,b\r\n1,2\r\n3,x\r\n", NonNumericCell, "row 3, column 'b'"),
+        "cr_cell.csv": ("a,b\r1,2\r3,x\r", NonNumericCell, "row 3, column 'b'"),
+        # csv keeps the space, so the quote is part of the cell
+        "space_quote.csv": (
+            'a,b\n1, "1.5"\n', NonNumericCell, "row 2, column 'b': non-numeric cell ' \"1.5\"'"
+        ),
+        "quoted_newline.csv": (
+            'a,b\n1,2\n3,"1\n5"\n', NonNumericCell, "row 3, column 'b': non-numeric cell '1\\n5'"
+        ),
+        "overflow.csv": ("a,b\n1,2\n1e500,3\n", NonNumericCell, "row 3, column 'a'"),
+        # numpy strips an ASCII separator around a number; float() refuses it
+        "separator.csv": ("a,b\n1,\x1c2\n", NonNumericCell, "row 2, column 'b'"),
+        "blank_middle.csv": ("a,b\n1,2\n\n3,4\n", ParseError, "row 3 has 0 cells"),
+        "blank_end.csv": ("a,b\n1,2\n\n", ParseError, "row 3 has 0 cells"),
+        "blank_first.csv": ("a,b\n\n1,2\n", ParseError, "row 2 has 0 cells"),
+        "blank_only.csv": ("a,b\n\n", ParseError, "row 2 has 0 cells"),
+        "blank_crlf.csv": ("a,b\r\n1,2\r\n\r\n3,4\r\n", ParseError, "row 3 has 0 cells"),
+        "blank_cr.csv": ("a,b\r1,2\r\r3,4\r", ParseError, "row 3 has 0 cells"),
     }
     for name, (text, error, message) in cases.items():
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8"))
         with pytest.raises(error) as err:
             read_design_csv(path, 1)
         assert message in str(err.value), name
+        _parsed_on_both_paths(path, 1, monkeypatch)
 
 
-def test_design_cells_parse_as_python_floats(tmp_path):
+def test_design_cells_parse_as_python_floats(tmp_path, monkeypatch):
     cells = ["1_0", " 2 ", "+1e3", "-0.0", "1e-320", "٣", "0.1"]
     path = tmp_path / "cells.csv"
     text = "a,b\n" + "\n".join(f"{cell},{cell}" for cell in cells) + "\n"
@@ -513,3 +558,22 @@ def test_design_cells_parse_as_python_floats(tmp_path):
     expected = np.array([float(cell) for cell in cells])
     npt.assert_array_equal(parsed.x[:, 0].view(np.int64), expected.view(np.int64))
     npt.assert_array_equal(parsed.y[:, 0].view(np.int64), expected.view(np.int64))
+    # one file per (cell as written, what float() reads, line ending); numpy's
+    # reader refuses 1_0 and ٣, which then go through the row-wise path
+    written = [(cell, cell) for cell in cells] + [
+        ('"1.5"', "1.5"),
+        ('"1.5\n"', "1.5\n"),
+        ('"1"5', "15"),
+        ("\xa01", "\xa01"),
+        ("1\u2003", "1\u2003"),
+        ("5e-324", "5e-324"),
+        ("0.10000000000000000555", "0.10000000000000000555"),
+    ]
+    for i, (cell, value) in enumerate(written):
+        for k, ending in enumerate(("\n", "\r\n", "\r")):
+            path = tmp_path / f"cell{i}_{k}.csv"
+            path.write_bytes((ending.join(["a,b", f"{cell},{cell}", "1,2"]) + ending).encode())
+            x, y, x_shape, y_shape = _parsed_on_both_paths(path, 1, monkeypatch)
+            assert (x_shape, y_shape) == ((2, 1), (2, 1))
+            assert x == np.array([float(value), 1.0]).tobytes(), (cell, ending)
+            assert y == np.array([float(value), 2.0]).tobytes(), (cell, ending)
