@@ -1,8 +1,11 @@
-"""Golden digests of the design-CSV commands, and the script that records them.
+"""Golden digests of CLI commands, and the script that records them.
 
-Each case writes a seeded design CSV, runs ``pcscreen screen`` or
-``pcscreen pcknockoff`` on it through ``cli_main`` and hashes every file
-under ``--out``, the captured stdout and stderr and the exit code.  The
+Each case runs one command through ``cli_main``: ``pcscreen screen`` or
+``pcscreen pcknockoff`` on a seeded design CSV, or a small ``simulate`` or
+``reproduce`` run.  It hashes every file under ``--out``, the captured
+stdout and stderr and the exit code.  The fdr and phase records carry the
+knockoff diagnostics ``clip`` and ``jitter``, so a change to the h bits
+shows.  The
 commands run in a child process with BLAS pinned to one thread, because
 some products round differently when OpenBLAS splits them over threads.
 ``tests/test_golden.py`` compares the digests with ``tests/golden.json``.
@@ -55,6 +58,24 @@ COMMANDS = {
     ],
     "screen_blank_line": [
         "screen", "blank_line.csv", "--response-count", "1", "--out", "screen_blank_line",
+    ],
+    "simulate_quantile": [
+        "simulate", "--kind", "quantile", "--model", "1a,1c,3a", "--n", "100", "--p", "300",
+        "--reps", "3", "--seed", "21", "--out", "simulate_quantile",
+    ],
+    "simulate_fdr": [
+        "simulate", "--kind", "fdr", "--model", "4a", "--n", "400", "--p", "300", "--reps", "3",
+        "--n1", "100", "--d", "40", "--alphas", "0.1,0.2,0.3", "--construction", "sdp",
+        "--seed", "31", "--out", "simulate_fdr",
+    ],
+    "simulate_phase": [
+        "simulate", "--kind", "phase", "--model", "4b", "--n", "400", "--p", "300", "--reps", "3",
+        "--n1", "100", "--d", "40", "--alphas", "0.1,0.2,0.3", "--seed", "41",
+        "--out", "simulate_phase",
+    ],
+    "reproduce_table3": [
+        "reproduce", "--table", "3", "--n", "80", "--p", "200", "--reps", "3", "--seed", "51",
+        "--out", "reproduce_table3",
     ],
 }
 

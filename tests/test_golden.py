@@ -1,4 +1,4 @@
-"""Golden digests: the design-CSV commands write the recorded bytes.
+"""Golden digests: the CLI commands write the recorded bytes.
 
 The digests in ``tests/golden.json`` are specific to the environment
 recorded next to them (numpy, BLAS, thread setting); a mismatch under
