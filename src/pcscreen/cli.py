@@ -2,7 +2,9 @@
 pipeline, simulation experiments, and desk/paper-scale table presets.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable/invalid
-input or argument values), 3 internal error.
+input or argument values: every ``PcScreenError``, ``ValueError`` and
+``OSError``), 3 internal error (a knockoff solver failure, an infeasible h
+and any other exception).
 """
 
 from __future__ import annotations
@@ -12,18 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    DegenerateColumn,
-    DimensionMismatch,
-    InputTooLarge,
-    InvalidAlpha,
-    InvalidSplit,
-    MultivariateResponseUnsupported,
-    ParseError,
-    PcScreenError,
-    UnknownFeature,
-    UnknownModel,
-)
+from .errors import DegenerateColumn, InfeasibleH, ParseError, PcScreenError, SolverFailure
 from .harness import (
     DEFAULT_QUANTILE_LEVELS,
     QUANTILE_METHODS,
@@ -36,20 +27,8 @@ from .harness import (
     write_summary_csv,
 )
 from .models import _canonical_id
-from .pipeline import pc_knockoff
+from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff
 from .screening import rank_features, signal_gap_diagnostic
-
-_DATA_ERRORS = (
-    ParseError,
-    DegenerateColumn,
-    DimensionMismatch,
-    InputTooLarge,
-    InvalidAlpha,
-    InvalidSplit,
-    MultivariateResponseUnsupported,
-    UnknownFeature,
-    UnknownModel,
-)
 
 _TABLE_MODELS = {
     1: ("1a", "1b", "1c", "1d", "1e", "1f"),
@@ -65,7 +44,7 @@ _TABLE_ALPHAS = (0.10, 0.15, 0.20, 0.25, 0.30)
 _SETTINGS = dict(
     kind="quantile", model=None, n=None, p=None, reps=None, rho=0.5, s=None,
     alphas=(0.2,), levels=DEFAULT_QUANTILE_LEVELS, methods=QUANTILE_METHODS,
-    n1=None, d=None, construction="sdp", seed=0, threads=1, out=".",
+    n1=None, d=None, construction=DEFAULT_CONSTRUCTION, seed=0, threads=1, out=".",
 )
 
 _RUNNERS = {
@@ -138,8 +117,8 @@ def build_parser():
     knock.add_argument("--d", type=int, default=None, help="screening survivor count")
     knock.add_argument(
         "--construction",
-        choices=("sdp", "equicorrelated"),
-        default="sdp",
+        choices=CONSTRUCTIONS,
+        default=DEFAULT_CONSTRUCTION,
         help="knockoff h construction",
     )
     knock.set_defaults(func=_cmd_pcknockoff)
@@ -160,7 +139,7 @@ def build_parser():
     sim.add_argument("--methods", default=None, help="comma-separated ranking methods")
     sim.add_argument("--n1", type=int, default=None)
     sim.add_argument("--d", type=int, default=None)
-    sim.add_argument("--construction", choices=("sdp", "equicorrelated"), default=None)
+    sim.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
     sim.set_defaults(func=_cmd_simulate)
 
     repro = sub.add_parser(
@@ -347,8 +326,8 @@ def _run_experiment(settings, stem=None):
     runner = _RUNNERS.get(kind) if isinstance(kind, str) else None
     if runner is None:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    outdir = _output_dir(settings["out"])
     table, records = runner(config)
+    outdir = _output_dir(settings["out"])
     stem = stem or kind
     summary_path = outdir / f"{stem}_summary.csv"
     records_path = outdir / f"{stem}_records.jsonl"
@@ -376,15 +355,12 @@ def cli_main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PcScreenError as exc:
+    except (SolverFailure, InfeasibleH) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except (PcScreenError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import MissingColumn, NonNumericCell, ParseError, PcScreenError
 from .fdr import empirical_fdp
 from .models import ModelSpec, _canonical_id, generate_dataset
-from .pipeline import pc_knockoff_core, selection_from_core
+from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff_core, selection_from_core
 from .screening import minimum_model_size, pearson_sis_rank, rank_features
 
 DEFAULT_QUANTILE_LEVELS = (5.0, 25.0, 50.0, 75.0, 95.0)
@@ -46,7 +46,7 @@ class ExperimentConfig:
     alphas: tuple[float, ...] = (0.2,)
     n1: int | None = None
     d: int | None = None
-    construction: str = "sdp"
+    construction: str = DEFAULT_CONSTRUCTION
     base_seed: int = 0
     threads: int = 1
 
@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}; known: {QUANTILE_METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"repeated method in {self.methods}")
+        if self.construction not in CONSTRUCTIONS:
+            raise ValueError(f"unknown construction {self.construction!r}; known: {CONSTRUCTIONS}")
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,14 @@ def nearest_rank_quantile(values, level):
     return ordered[max(0, min(idx, len(ordered) - 1))]
 
 
-def _quantile_records(data, spec, seed, config):
+def _quantile_records(data, seed, config):
     """One replication's minimum model size under each ranking method."""
     records = []
     for method in config.methods:
         if method == "pc_screen":
             ranking = rank_features(data.x, data.y)
-        elif spec.id in ("3a", "3b"):
-            continue  # Pearson ranking cannot score a bivariate response
+        elif data.y.shape[1] > 1:
+            continue  # Pearson ranking cannot score a multivariate response
         else:
             ranking = pearson_sis_rank(data.x, data.y)
         records.append(
@@ -182,7 +184,7 @@ def _quantile_records(data, spec, seed, config):
     return records
 
 
-def _fdr_records(data, spec, seed, config):
+def _fdr_records(data, seed, config):
     """One replication's knockoff selection at each alpha."""
     core = pc_knockoff_core(
         data.x, data.y, n1=config.n1, d=config.d, construction=config.construction, seed=seed
@@ -229,7 +231,7 @@ def _replicate(args):
             "clamp_events": data.clamp_events,
             "extreme_responses": data.extreme_responses,
         }
-        return [{**replication, **record} for record in build(data, spec, seed, config)]
+        return [{**replication, **record} for record in build(data, seed, config)]
     except (PcScreenError, ValueError) as exc:
         exc.args = (f"replication seed {seed} ({spec.id}): {exc}",)
         raise
@@ -266,7 +268,7 @@ def _grouped(records, keys):
 def run_quantile_experiment(config):
     """Minimum-model-size quantiles per (model, method) over replications.
 
-    Pearson marginal ranking is skipped automatically for the bivariate-
+    Pearson marginal ranking is skipped automatically for the multivariate-
     response models it cannot score.
     """
     levels = tuple(float(q) for q in config.quantile_levels)
@@ -392,7 +394,10 @@ def read_design_csv(path, response_columns):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        first = next(reader, None)
+        try:
+            first = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row 1: {exc}") from exc
         if first is None:
             raise ParseError(f"{path}: empty file (a header row is required)")
         header = [name.strip() for name in first]
@@ -449,16 +454,20 @@ def _read_body(handle, width):
 def _read_rows(path, header, reader):
     """The body rows of ``reader`` as a float64 array, converted one row at
     a time as csv yields them, so the cells never all exist as strings at
-    once; numpy parses a cell string exactly as float() does."""
+    once; numpy parses a cell string exactly as float() does.  Row
+    ``len(rows) + 2`` is the one being read (the header is row 1)."""
     rows = []
-    for i, row in enumerate(reader, start=2):
-        try:
-            values = np.array(row, dtype=np.float64)
-        except ValueError:
-            values = None
-        if values is None or values.shape != (len(header),) or not np.all(np.isfinite(values)):
-            _raise_bad_row(path, header, i, row)
-        rows.append(values)
+    try:
+        for row in reader:
+            try:
+                values = np.array(row, dtype=np.float64)
+            except ValueError:
+                values = None
+            if values is None or values.shape != (len(header),) or not np.all(np.isfinite(values)):
+                _raise_bad_row(path, header, len(rows) + 2, row)
+            rows.append(values)
+    except csv.Error as exc:  # e.g. a quoted field past csv's field size limit
+        raise ParseError(f"{path}: row {len(rows) + 2}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.stack(rows)

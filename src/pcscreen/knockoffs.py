@@ -25,6 +25,7 @@ from .kernel import as_sample_matrix
 
 MIN_EIGENVALUE = 1e-8
 FEASIBILITY_TOL = 1e-8
+MAX_NEWTON_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,7 @@ class CovarianceEstimate:
 class KnockoffModel:
     """Everything needed to draw knockoffs: h, conditional factors, diagnostics."""
 
-    cov: CovarianceEstimate
     h: np.ndarray
-    construction: str
     cond_mean_factor: np.ndarray
     cond_cov_root: np.ndarray
     clip_magnitude: float
@@ -106,7 +105,38 @@ def equicorrelated_h(cov):
     return np.full(cov.sigma.shape[0], min(2.0 * lam_min, 1.0))
 
 
-def sdp_h(cov, tol=FEASIBILITY_TOL, max_iter=500):
+def _log_barrier(two_sigma, h):
+    """logdet(2 sigma - diag(h)) + sum log h_j + sum log(1 - h_j), or None
+    where h leaves the open box (0, 1)^d or 2 sigma - diag(h) is not
+    positive definite."""
+    if not (np.all(h > 0.0) and np.all(h < 1.0)):
+        return None
+    try:
+        factor = np.linalg.cholesky(two_sigma - np.diag(h))
+    except np.linalg.LinAlgError:
+        return None
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return logdet + float(np.sum(np.log(h))) + float(np.sum(np.log(1.0 - h)))
+
+
+def _line_search(two_sigma, h, barrier, step, decrement, mu):
+    """The first of h + t step, t = 1, 1/2, ... > 1e-14, that raises the
+    objective sum h_j + mu barrier by at least 0.25 t decrement, with its
+    barrier; None if no t does."""
+    value = float(np.sum(h)) + mu * barrier
+    t = 1.0
+    while t > 1e-14:
+        trial = h + t * step
+        trial_barrier = _log_barrier(two_sigma, trial)
+        if trial_barrier is not None and (
+            float(np.sum(trial)) + mu * trial_barrier > value + 0.25 * t * decrement
+        ):
+            return trial, trial_barrier
+        t *= 0.5
+    return None
+
+
+def sdp_h(cov):
     """Minimize sum |1 - h_j| subject to 0 <= h_j <= 1 and diag(h) <= 2 sigma.
 
     Log-barrier interior-point method: maximize
@@ -114,17 +144,16 @@ def sdp_h(cov, tol=FEASIBILITY_TOL, max_iter=500):
         sum h_j + mu [ logdet(2 sigma - diag(h)) + sum log h_j + sum log(1 - h_j) ]
 
     by damped Newton steps while shrinking mu toward 0, which follows the
-    central path to the optimum.  The final iterate is polished by snapping
-    h_j within 1e-6 of the box ends to exactly 0 or 1 when the result stays
-    feasible within ``tol``, and is compared against the equicorrelated
-    point, so the returned objective never exceeds the equicorrelated
-    objective.
-
-    ``max_iter`` bounds the total Newton iterations; exhausting it returns
-    the best feasible iterate so far rather than failing.
+    central path to the optimum.  One loop takes at most
+    ``MAX_NEWTON_STEPS`` steps; mu starts at 1 and shrinks fivefold when the
+    Newton decrement falls below 1e-12, when the line search finds no
+    ascent, or after 50 steps at one mu, and the loop ends once mu is at
+    most 1e-9.  Running out of steps returns the last iterate, which is
+    always feasible.  That iterate is polished by snapping h_j within 1e-6
+    of the box ends to exactly 0 or 1 when the result stays feasible within
+    ``FEASIBILITY_TOL``, and is compared against the equicorrelated point,
+    so the returned objective never exceeds the equicorrelated objective.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     sigma = cov.sigma
     d = sigma.shape[0]
     two_sigma = 2.0 * sigma
@@ -132,59 +161,36 @@ def sdp_h(cov, tol=FEASIBILITY_TOL, max_iter=500):
     if lam_min <= 0.0:
         raise SolverFailure("2*sigma is not positive definite; no feasible h exists")
 
-    def chol(hvec):
-        try:
-            return np.linalg.cholesky(two_sigma - np.diag(hvec))
-        except np.linalg.LinAlgError:
-            return None
-
-    def barrier_value(hvec, factor, mu):
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-        return float(np.sum(hvec)) + mu * (
-            logdet + float(np.sum(np.log(hvec))) + float(np.sum(np.log(1.0 - hvec)))
-        )
-
     # strictly interior start: uniform h = lambda_min keeps 2 sigma - diag(h)
     # at smallest eigenvalue >= lambda_min > 0
     h = np.full(d, min(lam_min, 1.0 - 1e-4))
-    factor = chol(h)
-    if factor is None:
+    barrier = _log_barrier(two_sigma, h)
+    if barrier is None:
         raise SolverFailure("could not find a strictly feasible starting point")
 
-    iterations = 0
-    mu = 1.0
-    while mu > 1e-9 and iterations < max_iter:
-        for _ in range(50):
-            if iterations >= max_iter:
+    mu, steps_at_mu = 1.0, 0
+    for _ in range(MAX_NEWTON_STEPS):
+        inv = np.linalg.inv(two_sigma - np.diag(h))
+        grad = 1.0 + mu * (-np.diag(inv) + 1.0 / h - 1.0 / (1.0 - h))
+        curv = mu * (inv * inv + np.diag(1.0 / h**2 + 1.0 / (1.0 - h) ** 2))
+        step = np.linalg.solve(curv, grad)
+        decrement = float(grad @ step)
+        steps_at_mu += 1
+        found = None
+        if decrement >= 1e-12:
+            found = _line_search(two_sigma, h, barrier, step, decrement, mu)
+        if found is not None:
+            h, barrier = found
+        if found is None or steps_at_mu == 50:
+            mu *= 0.2
+            steps_at_mu = 0
+            if mu <= 1e-9:
                 break
-            iterations += 1
-            inv = np.linalg.inv(two_sigma - np.diag(h))
-            grad = 1.0 + mu * (-np.diag(inv) + 1.0 / h - 1.0 / (1.0 - h))
-            curv = mu * (inv * inv + np.diag(1.0 / h**2 + 1.0 / (1.0 - h) ** 2))
-            step = np.linalg.solve(curv, grad)
-            decrement = float(grad @ step)
-            if decrement < 1e-12:
-                break
-            value = barrier_value(h, factor, mu)
-            t = 1.0
-            while t > 1e-14:
-                trial = h + t * step
-                if np.all(trial > 0.0) and np.all(trial < 1.0):
-                    trial_factor = chol(trial)
-                    if trial_factor is not None and barrier_value(
-                        trial, trial_factor, mu
-                    ) > value + 0.25 * t * decrement:
-                        h = trial
-                        factor = trial_factor
-                        break
-                t *= 0.5
-            else:
-                break
-        mu *= 0.2
 
-    # polish: exact box values are allowed when feasibility holds within tol
+    # polish: exact box values are allowed when feasibility holds within
+    # FEASIBILITY_TOL
     snapped = np.where(h > 1.0 - 1e-6, 1.0, np.where(h < 1e-6, 0.0, h))
-    if float(np.linalg.eigvalsh(two_sigma - np.diag(snapped))[0]) >= -tol:
+    if float(np.linalg.eigvalsh(two_sigma - np.diag(snapped))[0]) >= -FEASIBILITY_TOL:
         h = snapped
     h_eq = equicorrelated_h(cov)
     if float(np.sum(np.abs(1.0 - h))) <= float(np.sum(np.abs(1.0 - h_eq))):
@@ -192,7 +198,7 @@ def sdp_h(cov, tol=FEASIBILITY_TOL, max_iter=500):
     return h_eq
 
 
-def build_knockoff_model(cov, h, construction="equicorrelated"):
+def build_knockoff_model(cov, h):
     """Assemble conditional-sampling factors and verify the joint target is PSD.
 
     The conditional mean factor is computed as I - diag(h) sigma^-1 (equal to
@@ -222,9 +228,7 @@ def build_knockoff_model(cov, h, construction="equicorrelated"):
     clip = float(max(0.0, -eigenvalues[0]))
     root = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))[None, :]
     return KnockoffModel(
-        cov=cov,
         h=h,
-        construction=str(construction),
         cond_mean_factor=cond_mean_factor,
         cond_cov_root=root,
         clip_magnitude=clip,

@@ -25,6 +25,11 @@ from .screening import ActiveSetEstimate, FeatureRanking, rank_features, select_
 
 MAX_DEFAULT_SURVIVORS = 100
 
+# The ways to choose the knockoff diagonal h, and the one used when none is
+# named.  "sdp" falls back to "equicorrelated" when its solver fails.
+CONSTRUCTIONS = ("sdp", "equicorrelated")
+DEFAULT_CONSTRUCTION = "sdp"
+
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -104,7 +109,7 @@ def _derive_seeds(seed):
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 
-def pc_knockoff_core(x, y, n1=None, d=None, construction="sdp", seed=0):
+def pc_knockoff_core(x, y, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, seed=0):
     """Run the split / screen / knockoff / W stages once.
 
     The returned core is alpha-free: sweeping FDR levels only needs
@@ -123,7 +128,7 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction="sdp", seed=0):
         raise ValueError(f"d must be at least 1, got {d}")
     if not 2 * d < n - n1:
         raise ValueError(f"need 2d < n - n1, got d={d} with n2={n - n1}")
-    if construction not in ("sdp", "equicorrelated"):
+    if construction not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {construction!r}")
     split_seed, knock_seed = _derive_seeds(seed)
 
@@ -151,18 +156,15 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction="sdp", seed=0):
         feature = survivors[exc.column]
         raise DegenerateColumn(f"feature {feature} has zero variance in split 2", feature) from exc
     x2_std = standardize(x2, cov)
-    fallback = False
     construction_used = construction
     if construction == "sdp":
         try:
             h = sdp_h(cov)
         except SolverFailure:
-            h = equicorrelated_h(cov)
             construction_used = "equicorrelated"
-            fallback = True
-    else:
+    if construction_used == "equicorrelated":
         h = equicorrelated_h(cov)
-    model = build_knockoff_model(cov, h, construction=construction_used)
+    model = build_knockoff_model(cov, h)
     x_knock = sample_knockoffs(x2_std, model, knock_seed)
     timings["knockoff"] = time.perf_counter() - start
 
@@ -178,7 +180,7 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction="sdp", seed=0):
         survivors=survivors,
         w=w,
         construction_used=construction_used,
-        fallback_flag=fallback,
+        fallback_flag=construction_used != construction,
         jitter_applied=cov.jitter_applied,
         clip_magnitude=model.clip_magnitude,
         timings=timings,
@@ -193,7 +195,7 @@ def selection_from_core(core, alpha):
     return PcKnockoffReport(core=core, selection=selection, timings=timings)
 
 
-def pc_knockoff(x, y, alpha, n1=None, d=None, construction="sdp", seed=0):
+def pc_knockoff(x, y, alpha, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, seed=0):
     """Screen on split 1, build knockoffs and select on split 2.
 
     Deterministic given (inputs, seed): the base seed is expanded into

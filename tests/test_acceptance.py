@@ -231,7 +231,7 @@ def test_a07_null_statistics_have_symmetric_signs():
     cov = CovarianceEstimate(
         mu=np.zeros(d), sigma=sigma, scale=np.ones(d), jitter_applied=0.0
     )
-    model = build_knockoff_model(cov, sdp_h(cov), construction="sdp")
+    model = build_knockoff_model(cov, sdp_h(cov))
     chol = np.linalg.cholesky(sigma)
     pooled = []
     for rep in range(40):
@@ -260,7 +260,7 @@ def test_a08_knockoff_joint_moments():
     cov = estimate_covariance(ds.x)
     x_std = standardize(ds.x, cov)
     h = sdp_h(cov)
-    model = build_knockoff_model(cov, h, construction="sdp")
+    model = build_knockoff_model(cov, h)
     x_knock = sample_knockoffs(x_std, model, seed=123)
     emp = np.cov(np.hstack([x_std, x_knock]), rowvar=False)
     off = cov.sigma - np.diag(h)

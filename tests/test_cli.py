@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pcscreen
-from pcscreen import cli
+from pcscreen import cli, errors
 from pcscreen.cli import cli_main
 from pcscreen.harness import PhaseTable, write_design_csv
 from pcscreen.models import ModelSpec, generate_dataset
@@ -96,6 +96,26 @@ def test_invalid_survivor_count_is_a_data_error(design_csv, tmp_path, capsys):
     )
     assert code == 2
     assert "2d" in capsys.readouterr().err
+
+
+def _error_classes(cls=errors.PcScreenError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_family(design_csv, tmp_path, capsys, monkeypatch, error):
+    # a failed knockoff solve is the program's fault; every other package
+    # error is a fault of the input
+    def fail(*args, **kwargs):
+        raise error("synthetic", 0) if error is errors.DegenerateColumn else error("synthetic")
+
+    monkeypatch.setattr(cli, "rank_features", fail)
+    code = cli_main(["screen", str(design_csv), "--response-count", "1", "--out", str(tmp_path)])
+    internal = error in (errors.SolverFailure, errors.InfeasibleH)
+    assert code == (3 if internal else 2)
+    assert capsys.readouterr().err == ("internal error" if internal else "error") + ": synthetic\n"
 
 
 def test_unexpected_exception_is_an_internal_error(design_csv, tmp_path, capsys, monkeypatch):
@@ -317,11 +337,17 @@ def test_simulate_config_value_of_a_wrong_type_is_a_data_error(tmp_path, capsys,
 def test_rejected_simulate_leaves_no_output_directory(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["simulate", "--model", "1a", "--out", str(out)]) == 1
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"kind": "bogus", "model": "1a", "n": 40, "p": 10, "reps": 1}))
-    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "unknown experiment kind 'bogus'" in capsys.readouterr().err
-    assert not out.exists()
+    for settings, message in (
+        ({"kind": "bogus"}, "unknown experiment kind 'bogus'"),
+        ({"kind": "fdr", "model": "4a", "construction": "sdpp"}, "unknown construction 'sdpp'"),
+        # refused inside the first replication
+        ({"kind": "fdr", "model": "4a", "n1": 1}, "need 2 <= n1 <= n - 2"),
+    ):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"model": "1a", "n": 40, "p": 10, "reps": 1, **settings}))
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists(), settings
     # screen and pcknockoff create theirs only once the run has succeeded
     missing = str(tmp_path / "missing.csv")
     for args in (

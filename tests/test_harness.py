@@ -102,6 +102,8 @@ def test_config_validation():
         _quantile_config(methods=("pc_screen", "lasso"))
     with pytest.raises(ValueError):
         _quantile_config(threads=0)
+    with pytest.raises(ValueError, match="unknown construction 'sdpp'"):
+        _quantile_config(construction="sdpp")
 
 
 def test_config_stores_canonical_model_ids_and_refuses_repeats():
@@ -539,6 +541,13 @@ def test_design_reports_the_first_fault_in_file_order(tmp_path, monkeypatch):
         "blank_only.csv": ("a,b\n\n", ParseError, "row 2 has 0 cells"),
         "blank_crlf.csv": ("a,b\r\n1,2\r\n\r\n3,4\r\n", ParseError, "row 3 has 0 cells"),
         "blank_cr.csv": ("a,b\r1,2\r\r3,4\r", ParseError, "row 3 has 0 cells"),
+        # csv refuses a field past 131,072 characters; the error names the
+        # row the field starts in
+        "long_field.csv": (
+            'a,b\n1,2\n3,"' + "4" * 140_000 + '"\n5,6\n', ParseError,
+            "row 3: field larger than field limit",
+        ),
+        "long_header.csv": ('a,"b\n' + "5,6\n" * 40_000, ParseError, "row 1: field larger"),
     }
     for name, (text, error, message) in cases.items():
         path = tmp_path / name

@@ -131,11 +131,6 @@ def test_sdp_rejects_singular_sigma():
         sdp_h(_known_cov([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_sdp_rejects_non_positive_tol():
-    with pytest.raises(ValueError):
-        sdp_h(_known_cov(np.eye(2)), tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # model assembly
 # ---------------------------------------------------------------------------

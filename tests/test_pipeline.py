@@ -150,7 +150,7 @@ def test_full_survivor_set_matches_unscreened_knockoff_stage():
     x2 = ds.x[plan.split2]
     cov = estimate_covariance(x2)
     x2_std = standardize(x2, cov)
-    model = build_knockoff_model(cov, sdp_h(cov), construction="sdp")
+    model = build_knockoff_model(cov, sdp_h(cov))
     x_knock = sample_knockoffs(x2_std, model, knock_seed)
     w_manual = w_statistics(x2_std, x_knock, ds.y[plan.split2])
     npt.assert_array_equal(rpt.core.w.w_hat, w_manual.w_hat)
