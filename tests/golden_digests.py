@@ -41,8 +41,12 @@ INPUTS = {
     "4a.csv": ("4a", 600, 100, 14),
 }
 
-# file name -> text, for the error path
-TEXT_INPUTS = {"blank_line.csv": "a,b,c\n1,2,3\n\n4,5,6\n"}
+# file name -> text: a CSV for the error path, and a simulate config that
+# sets only the required keys, so that its run takes every other default
+TEXT_INPUTS = {
+    "blank_line.csv": "a,b,c\n1,2,3\n\n4,5,6\n",
+    "defaults.json": '{"model": "1b", "n": 80, "p": 150, "reps": 3}\n',
+}
 
 # case name -> argv; every --out directory is named after its case
 COMMANDS = {
@@ -63,6 +67,12 @@ COMMANDS = {
         "simulate", "--kind", "quantile", "--model", "1a,1c,3a", "--n", "100", "--p", "300",
         "--reps", "3", "--seed", "21", "--out", "simulate_quantile",
     ],
+    "simulate_quantile_empty": [
+        # Pearson ranking cannot score 3a's bivariate response: a header-only summary
+        "simulate", "--kind", "quantile", "--model", "3a", "--methods", "pearson_sis",
+        "--n", "60", "--p", "50", "--reps", "2", "--out", "simulate_quantile_empty",
+    ],
+    "simulate_defaults": ["simulate", "--config", "defaults.json", "--out", "simulate_defaults"],
     "simulate_fdr": [
         "simulate", "--kind", "fdr", "--model", "4a", "--n", "400", "--p", "300", "--reps", "3",
         "--n1", "100", "--d", "40", "--alphas", "0.1,0.2,0.3", "--construction", "sdp",
