@@ -23,9 +23,7 @@ from .fdr import (
 from .harness import (
     DesignData,
     ExperimentConfig,
-    FdrTable,
-    PhaseTable,
-    QuantileTable,
+    SummaryTable,
     nearest_rank_quantile,
     read_design_csv,
     run_fdr_experiment,
@@ -79,7 +77,6 @@ __all__ = [
     "CovarianceEstimate",
     "DesignData",
     "ExperimentConfig",
-    "FdrTable",
     "FeatureRanking",
     "GeneratedDataset",
     "KnockoffModel",
@@ -89,10 +86,9 @@ __all__ = [
     "PcKnockoffReport",
     "PcScreenError",
     "PcStats",
-    "PhaseTable",
-    "QuantileTable",
     "SelectionResult",
     "SplitPlan",
+    "SummaryTable",
     "WVector",
     "angle_slice",
     "ar_covariance",

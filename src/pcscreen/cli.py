@@ -16,8 +16,6 @@ from pathlib import Path
 
 from .errors import DegenerateColumn, InfeasibleH, ParseError, PcScreenError, SolverFailure
 from .harness import (
-    DEFAULT_QUANTILE_LEVELS,
-    QUANTILE_METHODS,
     ExperimentConfig,
     read_design_csv,
     run_fdr_experiment,
@@ -37,15 +35,6 @@ _TABLE_MODELS = {
     4: ("4a", "4b", "4c", "4d", "4e"),
 }
 _TABLE_ALPHAS = (0.10, 0.15, 0.20, 0.25, 0.30)
-
-# The settings of one experiment and their defaults: the keys `simulate`
-# reads from --config and its flags, and the form `reproduce` expands its
-# table presets into.
-_SETTINGS = dict(
-    kind="quantile", model=None, n=None, p=None, reps=None, rho=0.5, s=None,
-    alphas=(0.2,), levels=DEFAULT_QUANTILE_LEVELS, methods=QUANTILE_METHODS,
-    n1=None, d=None, construction=DEFAULT_CONSTRUCTION, seed=0, threads=1, out=".",
-)
 
 _RUNNERS = {
     "quantile": run_quantile_experiment,
@@ -75,6 +64,35 @@ def _whole(value):
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
+
+
+def _optional_whole(value):
+    """``_whole(value)``, or None for None."""
+    return None if value is None else _whole(value)
+
+
+# The settings of one experiment: the keys `simulate` reads from --config
+# and its flags, and the form `reproduce` expands its table presets into.
+# Each maps to the ExperimentConfig field it sets and the conversion of its
+# value; a setting that is not given keeps the field's default.  Only s, n1
+# and d take null.  "kind" and "out" are not fields.
+_FIELDS = {
+    "model": ("models", lambda v: _listed(v, str)),
+    "n": ("n", _whole),
+    "p": ("p", _whole),
+    "reps": ("replications", _whole),
+    "rho": ("rho", float),
+    "s": ("s", _optional_whole),
+    "methods": ("methods", lambda v: _listed(v, str)),
+    "levels": ("quantile_levels", lambda v: _listed(v, float)),
+    "alphas": ("alphas", lambda v: _listed(v, float)),
+    "n1": ("n1", _optional_whole),
+    "d": ("d", _optional_whole),
+    "construction": ("construction", str),
+    "seed": ("base_seed", _whole),
+    "threads": ("threads", _whole),
+}
+_SETTINGS = ("kind", "out", *_FIELDS)
 
 
 def _given(args, keys):
@@ -291,10 +309,10 @@ def _cmd_reproduce(args):
 def _run_experiment(settings, stem=None):
     """Run the experiment that ``settings`` (keys of ``_SETTINGS``) describe
     and write its summary CSV and records as ``<stem>_*`` (stem: the kind)."""
-    settings = {**_SETTINGS, **settings}
-    if settings["model"] is None:
+    settings = {"kind": "quantile", "out": ".", **settings}
+    if settings.get("model") is None:
         raise _UsageError("--model is required (or a config file with 'model')")
-    if settings["n"] is None or settings["p"] is None or settings["reps"] is None:
+    if any(settings.get(key) is None for key in ("n", "p", "reps")):
         raise _UsageError("--n, --p and --reps are required (or config values)")
 
     def value(key, convert):
@@ -303,31 +321,16 @@ def _run_experiment(settings, stem=None):
         except (TypeError, ValueError) as exc:
             raise ParseError(f"setting {key!r} has an invalid value {settings[key]!r}") from exc
 
-    def optional(v):
-        return None if v is None else _whole(v)
-
     config = ExperimentConfig(
-        models=value("model", lambda v: _listed(v, str)),
-        n=value("n", _whole),
-        p=value("p", _whole),
-        replications=value("reps", _whole),
-        rho=value("rho", float),
-        s=value("s", optional),
-        methods=value("methods", lambda v: _listed(v, str)),
-        quantile_levels=value("levels", lambda v: _listed(v, float)),
-        alphas=value("alphas", lambda v: _listed(v, float)),
-        n1=value("n1", optional),
-        d=value("d", optional),
-        construction=str(settings["construction"]),
-        base_seed=value("seed", _whole),
-        threads=value("threads", _whole),
+        **{field: value(key, convert) for key, (field, convert) in _FIELDS.items() if key in settings}
     )
     kind = settings["kind"]
     runner = _RUNNERS.get(kind) if isinstance(kind, str) else None
     if runner is None:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    out = value("out", Path)
     table, records = runner(config)
-    outdir = _output_dir(settings["out"])
+    outdir = _output_dir(out)
     stem = stem or kind
     summary_path = outdir / f"{stem}_summary.csv"
     records_path = outdir / f"{stem}_records.jsonl"

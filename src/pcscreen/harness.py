@@ -8,7 +8,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .models import ModelSpec, _canonical_id, generate_dataset
 from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff_core, selection_from_core
 from .screening import minimum_model_size, pearson_sis_rank, rank_features
 
-DEFAULT_QUANTILE_LEVELS = (5.0, 25.0, 50.0, 75.0, 95.0)
 QUANTILE_METHODS = ("pc_screen", "pearson_sis")
 
 
@@ -31,8 +30,9 @@ class ExperimentConfig:
     replications of a run, one each, whatever the number of models; results
     are independent of the pool size.  They can depend on the BLAS thread
     count of the processes, which no setting here fixes.  Model ids are
-    stored in canonical form (``"1A"`` becomes ``"1a"``); a repeated model,
-    alpha or method is refused.
+    stored in canonical form (``"1A"`` becomes ``"1a"``) and quantile levels
+    as floats; an empty list, or a repeated model, alpha or method, is
+    refused.
     """
 
     models: tuple[str, ...]
@@ -42,7 +42,7 @@ class ExperimentConfig:
     rho: float = 0.5
     s: int | None = None
     methods: tuple[str, ...] = QUANTILE_METHODS
-    quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS
+    quantile_levels: tuple[float, ...] = (5.0, 25.0, 50.0, 75.0, 95.0)
     alphas: tuple[float, ...] = (0.2,)
     n1: int | None = None
     d: int | None = None
@@ -61,7 +61,11 @@ class ExperimentConfig:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
+        for name in ("methods", "quantile_levels", "alphas"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         levels = tuple(float(q) for q in self.quantile_levels)
+        object.__setattr__(self, "quantile_levels", levels)
         if any(not 0.0 < q < 100.0 for q in levels):
             raise ValueError(f"quantile levels must lie in (0, 100), got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -80,73 +84,12 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class QuantileRow:
-    model: str
-    method: str
-    replications: int
-    quantiles: tuple[float, ...]
+class SummaryTable:
+    """A replicated summary: its CSV header and one tuple per row, in the
+    order of ``columns``."""
 
-
-@dataclass(frozen=True)
-class QuantileTable:
-    """Minimum-model-size quantiles per (model, method)."""
-
-    levels: tuple[float, ...]
-    rows: tuple[QuantileRow, ...]
-    base_seed: int
-
-    @property
-    def columns(self):
-        return ("model", "method", "replications") + tuple(f"q{level:g}" for level in self.levels)
-
-
-@dataclass(frozen=True)
-class FdrRow:
-    model: str
-    alpha: float
-    replications: int
-    mean_selected: float
-    sure_screening_freq: float
-    empirical_fdr: float
-    active_selection_freq: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class FdrTable:
-    """Per-alpha selection size, per-active frequencies, sure-screening rate,
-    and empirical FDR."""
-
-    rows: tuple[FdrRow, ...]
-    base_seed: int
-
-    @property
-    def columns(self):
-        s = len(self.rows[0].active_selection_freq) if self.rows else 0
-        return (
-            "model", "alpha", "replications", "mean_selected", "sure_screening_freq",
-            "empirical_fdr",
-        ) + tuple(f"freq_X{j + 1}" for j in range(s))
-
-
-@dataclass(frozen=True)
-class PhaseRow:
-    model: str
-    alpha: float
-    replications: int
-    e1_freq: float
-    e2_freq: float
-    e3_freq: float
-
-
-@dataclass(frozen=True)
-class PhaseTable:
-    """Per-alpha frequencies of empty (E1), sure-screening (E2), and other
-    (E3) selection outcomes; each row's frequencies sum to 1."""
-
-    rows: tuple[PhaseRow, ...]
-    base_seed: int
-
-    columns = ("model", "alpha", "replications", "e1_freq", "e2_freq", "e3_freq")
+    columns: tuple[str, ...]
+    rows: tuple[tuple, ...]
 
 
 def nearest_rank_quantile(values, level):
@@ -257,12 +200,24 @@ def _run_replications(build, config):
     return [record for result in results for record in result]
 
 
-def _grouped(records, keys):
-    """(key values, records) pairs, in the order of each group's first record."""
+def _summarize(records, keys, columns):
+    """A SummaryTable of ``records`` grouped by ``keys``, one row per group in
+    the order of its first record: the key values, ``replications`` (the
+    group's size), then ``column(group)`` for each entry of ``columns``."""
     groups = {}
     for rec in records:
         groups.setdefault(tuple(rec[key] for key in keys), []).append(rec)
-    return groups.items()
+    rows = tuple(
+        (*key, len(group), *(column(group) for column in columns.values()))
+        for key, group in groups.items()
+    )
+    return SummaryTable(columns=(*keys, "replications", *columns), rows=rows)
+
+
+def _mean(value):
+    """A column: the mean of ``value(record)`` over a group, summed in record
+    order."""
+    return lambda group: sum(value(rec) for rec in group) / len(group)
 
 
 def run_quantile_experiment(config):
@@ -271,62 +226,52 @@ def run_quantile_experiment(config):
     Pearson marginal ranking is skipped automatically for the multivariate-
     response models it cannot score.
     """
-    levels = tuple(float(q) for q in config.quantile_levels)
-    records = _run_replications(_quantile_records, config)
-    rows = tuple(
-        QuantileRow(
-            model=model,
-            method=method,
-            replications=len(group),
-            quantiles=tuple(nearest_rank_quantile([r["mms"] for r in group], q) for q in levels),
+    columns = {
+        f"q{level:g}": lambda group, level=level: nearest_rank_quantile(
+            [rec["mms"] for rec in group], level
         )
-        for (model, method), group in _grouped(records, ("model", "method"))
-    )
-    return QuantileTable(levels=levels, rows=rows, base_seed=config.base_seed), records
+        for level in config.quantile_levels
+    }
+    if len(columns) != len(config.quantile_levels):
+        raise ValueError(f"quantile levels {config.quantile_levels} share a column name")
+    records = _run_replications(_quantile_records, config)
+    return _summarize(records, ("model", "method"), columns), records
 
 
-def _fdr_groups(config):
-    """The FDR records of a 4x-family run, grouped by (model, alpha), and the
-    records; the family is checked before any replication runs."""
+def _fdr_family_records(config):
+    """The FDR records of a 4x-family run; the family is checked before any
+    replication runs."""
     for mid in config.models:
         if mid[0] != "4":
             raise ValueError(f"FDR experiments are defined for the 4x model family, got {mid}")
-    records = _run_replications(_fdr_records, config)
-    return _grouped(records, ("model", "alpha")), records
+    return _run_replications(_fdr_records, config)
 
 
 def run_fdr_experiment(config):
-    """Knockoff-selection summary per (model, alpha) over replications."""
-    groups, records = _fdr_groups(config)
+    """Per-alpha selection size, sure-screening rate, empirical FDR and
+    per-active selection frequencies, per (model, alpha) over replications."""
+    records = _fdr_family_records(config)
     s = ModelSpec(config.models[0], config.n, config.p, config.rho, config.s).active_count
-    rows = []
-    for (mid, alpha), group in groups:
-        reps = len(group)
-        rows.append(
-            FdrRow(
-                model=mid,
-                alpha=alpha,
-                replications=reps,
-                mean_selected=sum(rec["n_selected"] for rec in group) / reps,
-                sure_screening_freq=sum(rec["sure_screening"] for rec in group) / reps,
-                empirical_fdr=sum(rec["empirical_fdp"] for rec in group) / reps,
-                active_selection_freq=tuple(
-                    sum(1 for rec in group if j in rec["selected"]) / reps for j in range(s)
-                ),
-            )
-        )
-    return FdrTable(rows=tuple(rows), base_seed=config.base_seed), records
+    columns = {
+        "mean_selected": _mean(lambda rec: rec["n_selected"]),
+        "sure_screening_freq": _mean(lambda rec: rec["sure_screening"]),
+        "empirical_fdr": _mean(lambda rec: rec["empirical_fdp"]),
+        **{f"freq_X{j + 1}": _mean(lambda rec, j=j: j in rec["selected"]) for j in range(s)},
+    }
+    return _summarize(records, ("model", "alpha"), columns), records
 
 
 def run_phase_transition(config):
-    """E1/E2/E3 outcome frequencies per (model, alpha) over replications."""
-    groups, records = _fdr_groups(config)
-    rows = []
-    for (mid, alpha), group in groups:
-        events = [rec["event"] for rec in group]
-        freqs = (events.count(event) / len(events) for event in ("e1", "e2", "e3"))
-        rows.append(PhaseRow(mid, alpha, len(events), *freqs))
-    return PhaseTable(rows=tuple(rows), base_seed=config.base_seed), records
+    """Frequencies of empty (E1), sure-screening (E2) and other (E3)
+    selection outcomes per (model, alpha) over replications; each row's
+    frequencies sum to 1."""
+    records = _fdr_family_records(config)
+    columns = {
+        "e1_freq": _mean(lambda rec: rec["event"] == "e1"),
+        "e2_freq": _mean(lambda rec: rec["event"] == "e2"),
+        "e3_freq": _mean(lambda rec: rec["event"] == "e3"),
+    }
+    return _summarize(records, ("model", "alpha"), columns), records
 
 
 def _record_sort_key(record):
@@ -351,16 +296,12 @@ def write_records_jsonl(records, path):
 
 
 def write_summary_csv(table, path):
-    """Write a summary table as CSV: its columns, then one line per row, with
-    tuple fields spread over their columns (floats print as ``repr``)."""
+    """Write a SummaryTable as CSV: its columns, then its rows (floats print
+    as ``repr``)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(table.columns)
-        for row in table.rows:
-            cells = []
-            for value in astuple(row):
-                cells.extend(value if isinstance(value, tuple) else (value,))
-            writer.writerow(cells)
+        writer.writerows(table.rows)
 
 
 @dataclass(frozen=True)

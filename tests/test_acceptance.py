@@ -49,7 +49,8 @@ def _desk_quantiles(model_id, methods):
     start = time.perf_counter()
     table, _ = run_quantile_experiment(config)
     elapsed = time.perf_counter() - start
-    medians = {row.method: row.quantiles[2] for row in table.rows}
+    rows = [dict(zip(table.columns, row)) for row in table.rows]
+    medians = {row["method"]: row["q50"] for row in rows}
     return medians, elapsed
 
 
@@ -202,9 +203,10 @@ def test_a05_nonlinear_model_median_model_size():
 
 def test_a06_fdr_control_and_sure_screening(fdr_benchmark):
     table, _, elapsed = fdr_benchmark
-    row = next(r for r in table.rows if r.alpha == 0.2)
-    fdr = row.empirical_fdr
-    sure = row.sure_screening_freq
+    rows = [dict(zip(table.columns, row)) for row in table.rows]
+    row = next(r for r in rows if r["alpha"] == 0.2)
+    fdr = row["empirical_fdr"]
+    sure = row["sure_screening_freq"]
     ok = fdr <= 0.25 and sure >= 0.85 and elapsed < 3600.0
     print(
         f"[A6] knockoff selection at alpha 0.2 over 100 replications: "

@@ -15,7 +15,7 @@ import pytest
 import pcscreen
 from pcscreen import cli, errors
 from pcscreen.cli import cli_main
-from pcscreen.harness import PhaseTable, write_design_csv
+from pcscreen.harness import SummaryTable, write_design_csv
 from pcscreen.models import ModelSpec, generate_dataset
 
 
@@ -322,16 +322,20 @@ def test_simulate_config_file_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("alphas", 0.2), ("n", "forty"), ("n", 40.5), ("reps", True), ("levels", ["high"]), ("d", [3])],
+    [
+        ("alphas", 0.2), ("n", "forty"), ("n", 40.5), ("reps", True), ("levels", ["high"]),
+        ("d", [3]), ("rho", None), ("out", None), ("out", 5),
+    ],
 )
-def test_simulate_config_value_of_a_wrong_type_is_a_data_error(tmp_path, capsys, key, value):
-    config = {"model": "1a", "n": 40, "p": 10, "reps": 1, key: value}
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+def test_simulate_config_value_of_a_wrong_type_is_a_data_error(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    config = {"model": "1a", "n": 40, "p": 10, "reps": 1, "out": "out", key: value}
+    Path("run.json").write_text(json.dumps(config))
+    assert cli_main(["simulate", "--config", "run.json"]) == 2
     assert f"setting '{key}' has an invalid value" in capsys.readouterr().err
-    assert not out.exists()
+    assert os.listdir() == ["run.json"]
 
 
 def test_rejected_simulate_leaves_no_output_directory(tmp_path, capsys):
@@ -340,6 +344,9 @@ def test_rejected_simulate_leaves_no_output_directory(tmp_path, capsys):
     for settings, message in (
         ({"kind": "bogus"}, "unknown experiment kind 'bogus'"),
         ({"kind": "fdr", "model": "4a", "construction": "sdpp"}, "unknown construction 'sdpp'"),
+        ({"kind": "fdr", "model": "4a", "alphas": ""}, "alphas must not be empty"),
+        ({"methods": []}, "methods must not be empty"),
+        ({"levels": ""}, "quantile_levels must not be empty"),
         # refused inside the first replication
         ({"kind": "fdr", "model": "4a", "n1": 1}, "need 2 <= n1 <= n - 2"),
     ):
@@ -401,7 +408,7 @@ def captured_runs(monkeypatch):
     for kind in ("quantile", "fdr", "phase"):
         def capture(config, kind=kind):
             runs.append((kind, config))
-            return PhaseTable(rows=(), base_seed=config.base_seed), []
+            return SummaryTable(columns=(), rows=()), []
 
         monkeypatch.setitem(cli._RUNNERS, kind, capture)
     return runs

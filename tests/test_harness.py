@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +15,7 @@ from pcscreen import harness
 from pcscreen.errors import MissingColumn, NonNumericCell, ParseError, PcScreenError
 from pcscreen.harness import (
     ExperimentConfig,
-    FdrTable,
+    SummaryTable,
     nearest_rank_quantile,
     read_design_csv,
     run_fdr_experiment,
@@ -27,6 +27,14 @@ from pcscreen.harness import (
 )
 from pcscreen.models import ModelSpec, generate_dataset
 from pcscreen.pipeline import pc_knockoff_core
+
+
+QUANTILE_COLUMNS = ("q5", "q25", "q50", "q75", "q95")
+
+
+def _rows(table):
+    """The table's rows as {column: value} dicts."""
+    return [dict(zip(table.columns, row)) for row in table.rows]
 
 
 def _quantile_config(**overrides):
@@ -104,6 +112,9 @@ def test_config_validation():
         _quantile_config(threads=0)
     with pytest.raises(ValueError, match="unknown construction 'sdpp'"):
         _quantile_config(construction="sdpp")
+    for name in ("methods", "quantile_levels", "alphas"):
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            _quantile_config(**{name: ()})
 
 
 def test_config_stores_canonical_model_ids_and_refuses_repeats():
@@ -161,7 +172,7 @@ def test_a_pooled_run_starts_one_process_pool(monkeypatch):
     config = _quantile_config(models=("1a", "1b", "3a"), replications=2, threads=2)
     table, records = run_quantile_experiment(config)
     assert len(pools) == 1
-    assert [row.model for row in table.rows] == ["1a", "1a", "1b", "1b", "3a"]
+    assert [row["model"] for row in _rows(table)] == ["1a", "1a", "1b", "1b", "3a"]
     assert [(r["model"], r["seed"]) for r in records] == sorted(
         (r["model"], r["seed"]) for r in records
     )
@@ -178,40 +189,50 @@ def test_a_failing_replication_names_its_seed_and_model(threads):
 
 def test_quantile_rows_are_monotone_and_bounded():
     table, records = run_quantile_experiment(_quantile_config(replications=8))
-    assert table.levels == (5.0, 25.0, 50.0, 75.0, 95.0)
-    for row in table.rows:
-        assert row.replications == 8
-        assert all(1 <= q <= 20 for q in row.quantiles)
-        assert all(a <= b for a, b in zip(row.quantiles, row.quantiles[1:]))
+    assert table.columns == ("model", "method", "replications", *QUANTILE_COLUMNS)
+    for row in _rows(table):
+        quantiles = [row[q] for q in QUANTILE_COLUMNS]
+        assert row["replications"] == 8
+        assert all(1 <= q <= 20 for q in quantiles)
+        assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))
     assert len(records) == 8 * len(table.rows)
+
+
+def test_quantile_levels_with_one_column_name_are_refused(monkeypatch):
+    # both levels print as q5; the check comes before any replication runs
+    calls = []
+    monkeypatch.setattr(harness, "generate_dataset", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="share a column name"):
+        run_quantile_experiment(_quantile_config(quantile_levels=(5.0, 5.0000001)))
+    assert calls == []
 
 
 def test_single_replication_quantiles_collapse():
     table, records = run_quantile_experiment(_quantile_config(replications=1))
-    for row in table.rows:
-        mms = [r["mms"] for r in records if r["method"] == row.method]
-        assert row.quantiles == tuple([mms[0]] * 5)
+    for row in _rows(table):
+        mms = [r["mms"] for r in records if r["method"] == row["method"]]
+        assert [row[q] for q in QUANTILE_COLUMNS] == [mms[0]] * 5
 
 
 def test_quantile_summary_recomputable_from_records():
     config = _quantile_config(replications=7, models=("1a", "1b"))
     table, records = run_quantile_experiment(config)
-    for row in table.rows:
+    for row in _rows(table):
         sizes = [
             r["mms"]
             for r in records
-            if r["model"] == row.model and r["method"] == row.method
+            if r["model"] == row["model"] and r["method"] == row["method"]
         ]
         assert len(sizes) == 7
-        expected = tuple(nearest_rank_quantile(sizes, q) for q in table.levels)
-        assert row.quantiles == expected
+        expected = [nearest_rank_quantile(sizes, q) for q in config.quantile_levels]
+        assert [row[q] for q in QUANTILE_COLUMNS] == expected
 
 
 def test_bivariate_models_skip_pearson_ranking():
     table, records = run_quantile_experiment(
         _quantile_config(models=("3a",), replications=2)
     )
-    assert [row.method for row in table.rows] == ["pc_screen"]
+    assert [row["method"] for row in _rows(table)] == ["pc_screen"]
     assert all(r["method"] == "pc_screen" for r in records)
 
 
@@ -234,19 +255,20 @@ def test_fdr_experiment_rejects_non_benchmark_models(monkeypatch):
 
 def test_fdr_rows_recomputable_from_records():
     table, records = run_fdr_experiment(_fdr_config())
-    assert [("4a", 0.2), ("4a", 0.5)] == [(r.model, r.alpha) for r in table.rows]
-    for row in table.rows:
+    rows = _rows(table)
+    assert [("4a", 0.2), ("4a", 0.5)] == [(r["model"], r["alpha"]) for r in rows]
+    assert table.columns[6:] == tuple(f"freq_X{j + 1}" for j in range(10))
+    for row in rows:
         group = [
-            r for r in records if r["model"] == row.model and r["alpha"] == row.alpha
+            r for r in records if r["model"] == row["model"] and r["alpha"] == row["alpha"]
         ]
         assert len(group) == 6
-        assert row.replications == 6
-        assert row.mean_selected == sum(r["n_selected"] for r in group) / 6
-        assert row.sure_screening_freq == sum(r["sure_screening"] for r in group) / 6
-        assert row.empirical_fdr == sum(r["empirical_fdp"] for r in group) / 6
-        assert len(row.active_selection_freq) == 10
-        for j, freq in enumerate(row.active_selection_freq):
-            assert freq == sum(1 for r in group if j in r["selected"]) / 6
+        assert row["replications"] == 6
+        assert row["mean_selected"] == sum(r["n_selected"] for r in group) / 6
+        assert row["sure_screening_freq"] == sum(r["sure_screening"] for r in group) / 6
+        assert row["empirical_fdr"] == sum(r["empirical_fdp"] for r in group) / 6
+        for j in range(10):
+            assert row[f"freq_X{j + 1}"] == sum(1 for r in group if j in r["selected"]) / 6
 
 
 def test_fdr_records_are_internally_consistent():
@@ -267,13 +289,13 @@ def test_fdr_records_are_internally_consistent():
 
 def test_phase_rows_partition_the_outcomes():
     table, records = run_phase_transition(_fdr_config())
-    for row in table.rows:
-        assert row.e1_freq + row.e2_freq + row.e3_freq == pytest.approx(1.0)
+    for row in _rows(table):
+        assert row["e1_freq"] + row["e2_freq"] + row["e3_freq"] == pytest.approx(1.0)
         group = [
-            r for r in records if r["model"] == row.model and r["alpha"] == row.alpha
+            r for r in records if r["model"] == row["model"] and r["alpha"] == row["alpha"]
         ]
-        assert row.e1_freq == sum(r["event"] == "e1" for r in group) / len(group)
-        assert row.e2_freq == sum(r["event"] == "e2" for r in group) / len(group)
+        assert row["e1_freq"] == sum(r["event"] == "e1" for r in group) / len(group)
+        assert row["e2_freq"] == sum(r["event"] == "e2" for r in group) / len(group)
 
 
 def test_phase_and_fdr_runs_share_identical_records():
@@ -291,9 +313,9 @@ def test_phase_extremes_on_an_easy_signal():
         alphas=(0.02, 0.9), n1=150, d=12, base_seed=2000,
     )
     table, _ = run_phase_transition(cfg)
-    by_alpha = {row.alpha: row for row in table.rows}
-    assert by_alpha[0.02].e1_freq >= 0.9
-    assert by_alpha[0.9].e2_freq >= 0.9
+    by_alpha = {row["alpha"]: row for row in _rows(table)}
+    assert by_alpha[0.02]["e1_freq"] >= 0.9
+    assert by_alpha[0.9]["e2_freq"] >= 0.9
 
 
 def test_records_carry_the_generator_overflow_tallies():
@@ -364,12 +386,8 @@ def test_empty_records_file(tmp_path):
 
 
 def _summary_line(row):
-    """A row's fields joined by commas: floats as repr, tuples spread."""
-    cells = []
-    for value in astuple(row):
-        for cell in value if isinstance(value, tuple) else (value,):
-            cells.append(repr(cell) if isinstance(cell, float) else str(cell))
-    return ",".join(cells)
+    """A row's values joined by commas, floats as repr."""
+    return ",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in row)
 
 
 def test_summary_csv_writer(tmp_path):
@@ -404,11 +422,9 @@ def test_summary_csv_writer(tmp_path):
     assert lines[0] == "model,alpha,replications,e1_freq,e2_freq,e3_freq"
     assert lines[1:] == [_summary_line(row) for row in phase_table.rows]
 
-    empty = tmp_path / "empty_fdr.csv"
-    write_summary_csv(FdrTable(rows=(), base_seed=0), empty)
-    assert empty.read_bytes() == (
-        b"model,alpha,replications,mean_selected,sure_screening_freq,empirical_fdr\r\n"
-    )
+    empty = tmp_path / "empty.csv"
+    write_summary_csv(SummaryTable(columns=fdr_table.columns, rows=()), empty)
+    assert empty.read_bytes() == (",".join(fdr_table.columns) + "\r\n").encode()
 
 
 # ---------------------------------------------------------------------------
