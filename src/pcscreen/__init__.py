@@ -27,7 +27,6 @@ from .harness import (
     nearest_rank_quantile,
     read_design_csv,
     run_fdr_experiment,
-    run_phase_transition,
     run_quantile_experiment,
     write_design_csv,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "rank_features",
     "read_design_csv",
     "run_fdr_experiment",
-    "run_phase_transition",
     "run_quantile_experiment",
     "sample_knockoffs",
     "sdp_h",

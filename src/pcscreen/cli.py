@@ -19,7 +19,6 @@ from .harness import (
     ExperimentConfig,
     read_design_csv,
     run_fdr_experiment,
-    run_phase_transition,
     run_quantile_experiment,
     write_records_jsonl,
     write_summary_csv,
@@ -34,12 +33,11 @@ _TABLE_MODELS = {
     3: ("3a", "3b"),
     4: ("4a", "4b", "4c", "4d", "4e"),
 }
-_TABLE_ALPHAS = (0.10, 0.15, 0.20, 0.25, 0.30)
+_TABLE_ALPHAS = (0.02, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
 _RUNNERS = {
     "quantile": run_quantile_experiment,
     "fdr": run_fdr_experiment,
-    "phase": run_phase_transition,
 }
 
 
@@ -145,7 +143,7 @@ def build_parser():
         "simulate", parents=[common], help="run a replicated simulation experiment"
     )
     sim.add_argument("--config", default=None, help="JSON file of flag defaults")
-    sim.add_argument("--kind", choices=("quantile", "fdr", "phase"), default=None)
+    sim.add_argument("--kind", choices=tuple(_RUNNERS), default=None)
     sim.add_argument("--model", default=None, help="comma-separated model ids")
     sim.add_argument("--n", type=int, default=None)
     sim.add_argument("--p", type=int, default=None)

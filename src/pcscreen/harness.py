@@ -1,6 +1,7 @@
-"""Replicated experiment runners (minimum-model-size quantiles, FDR tables,
-phase-transition sweeps), per-replication JSON-lines records, the summary
-CSV writer, and numeric design-matrix CSV ingestion."""
+"""Replicated experiment runners (minimum-model-size quantiles, and FDR
+tables whose empty/partial selection rates show the phase transition over
+alpha), per-replication JSON-lines records, the summary CSV writer, and
+numeric design-matrix CSV ingestion."""
 
 from __future__ import annotations
 
@@ -238,38 +239,23 @@ def run_quantile_experiment(config):
     return _summarize(records, ("model", "method"), columns), records
 
 
-def _fdr_family_records(config):
-    """The FDR records of a 4x-family run; the family is checked before any
-    replication runs."""
+def run_fdr_experiment(config):
+    """Per-alpha selection size, sure-screening rate, empirical FDR, the
+    rates of empty (e1) and partial (e3) selections and per-active selection
+    frequencies, per (model, alpha) over replications.  Every model must be
+    of the 4x family, which is checked before any replication runs."""
     for mid in config.models:
         if mid[0] != "4":
             raise ValueError(f"FDR experiments are defined for the 4x model family, got {mid}")
-    return _run_replications(_fdr_records, config)
-
-
-def run_fdr_experiment(config):
-    """Per-alpha selection size, sure-screening rate, empirical FDR and
-    per-active selection frequencies, per (model, alpha) over replications."""
-    records = _fdr_family_records(config)
+    records = _run_replications(_fdr_records, config)
     s = ModelSpec(config.models[0], config.n, config.p, config.rho, config.s).active_count
     columns = {
         "mean_selected": _mean(lambda rec: rec["n_selected"]),
         "sure_screening_freq": _mean(lambda rec: rec["sure_screening"]),
         "empirical_fdr": _mean(lambda rec: rec["empirical_fdp"]),
-        **{f"freq_X{j + 1}": _mean(lambda rec, j=j: j in rec["selected"]) for j in range(s)},
-    }
-    return _summarize(records, ("model", "alpha"), columns), records
-
-
-def run_phase_transition(config):
-    """Frequencies of empty (E1), sure-screening (E2) and other (E3)
-    selection outcomes per (model, alpha) over replications; each row's
-    frequencies sum to 1."""
-    records = _fdr_family_records(config)
-    columns = {
         "e1_freq": _mean(lambda rec: rec["event"] == "e1"),
-        "e2_freq": _mean(lambda rec: rec["event"] == "e2"),
         "e3_freq": _mean(lambda rec: rec["event"] == "e3"),
+        **{f"freq_X{j + 1}": _mean(lambda rec, j=j: j in rec["selected"]) for j in range(s)},
     }
     return _summarize(records, ("model", "alpha"), columns), records
 

@@ -3,9 +3,8 @@
 Each case runs one command through ``cli_main``: ``pcscreen screen`` or
 ``pcscreen pcknockoff`` on a seeded design CSV, or a small ``simulate`` or
 ``reproduce`` run.  It hashes every file under ``--out``, the captured
-stdout and stderr and the exit code.  The fdr and phase records carry the
-knockoff diagnostics ``clip`` and ``jitter``, so a change to the h bits
-shows.  The
+stdout and stderr and the exit code.  The fdr records carry the knockoff
+diagnostics ``clip`` and ``jitter``, so a change to the h bits shows.  The
 commands run in a child process with BLAS pinned to one thread, because
 some products round differently when OpenBLAS splits them over threads.
 ``tests/test_golden.py`` compares the digests with ``tests/golden.json``.
@@ -78,10 +77,11 @@ COMMANDS = {
         "--n1", "100", "--d", "40", "--alphas", "0.1,0.2,0.3", "--construction", "sdp",
         "--seed", "31", "--out", "simulate_fdr",
     ],
-    "simulate_phase": [
-        "simulate", "--kind", "phase", "--model", "4b", "--n", "400", "--p", "300", "--reps", "3",
+    "simulate_fdr_default": [
+        # the default knockoff construction
+        "simulate", "--kind", "fdr", "--model", "4b", "--n", "400", "--p", "300", "--reps", "3",
         "--n1", "100", "--d", "40", "--alphas", "0.1,0.2,0.3", "--seed", "41",
-        "--out", "simulate_phase",
+        "--out", "simulate_fdr_default",
     ],
     "reproduce_table3": [
         "reproduce", "--table", "3", "--n", "80", "--p", "200", "--reps", "3", "--seed", "51",

@@ -341,8 +341,13 @@ def test_simulate_config_value_of_a_wrong_type_is_a_data_error(
 def test_rejected_simulate_leaves_no_output_directory(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["simulate", "--model", "1a", "--out", str(out)]) == 1
+    # the phase transition is in the fdr summary; "phase" is no kind
+    argv = ["simulate", "--kind", "phase", "--model", "4a", "--n", "40", "--p", "10"]
+    assert cli_main(argv + ["--reps", "1", "--out", str(out)]) == 1
+    assert "invalid choice: 'phase'" in capsys.readouterr().err
     for settings, message in (
         ({"kind": "bogus"}, "unknown experiment kind 'bogus'"),
+        ({"kind": "phase", "model": "4a"}, "unknown experiment kind 'phase'"),
         ({"kind": "fdr", "model": "4a", "construction": "sdpp"}, "unknown construction 'sdpp'"),
         ({"kind": "fdr", "model": "4a", "alphas": ""}, "alphas must not be empty"),
         ({"methods": []}, "methods must not be empty"),
@@ -405,7 +410,7 @@ def test_reproduce_fdr_preset_with_overrides(tmp_path):
 def captured_runs(monkeypatch):
     """Replace the experiment runners by one that records (kind, config)."""
     runs = []
-    for kind in ("quantile", "fdr", "phase"):
+    for kind in ("quantile", "fdr"):
         def capture(config, kind=kind):
             runs.append((kind, config))
             return SummaryTable(columns=(), rows=()), []
@@ -419,7 +424,7 @@ _TABLE_MODELS = {
     3: ("3a", "3b"),
     4: ("4a", "4b", "4c", "4d", "4e"),
 }
-_TABLE_ALPHAS = (0.10, 0.15, 0.20, 0.25, 0.30)
+_TABLE_ALPHAS = (0.02, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
 
 @pytest.mark.parametrize(

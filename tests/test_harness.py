@@ -1,5 +1,6 @@
-"""Experiment-harness tests: quantile summaries, FDR/phase aggregation
-audits, record persistence, and design CSV ingestion."""
+"""Experiment-harness tests: quantile summaries, FDR aggregation audits
+(the phase-transition rates included), record persistence, and design CSV
+ingestion."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from pcscreen.harness import (
     nearest_rank_quantile,
     read_design_csv,
     run_fdr_experiment,
-    run_phase_transition,
     run_quantile_experiment,
     write_design_csv,
     write_records_jsonl,
@@ -237,7 +237,7 @@ def test_bivariate_models_skip_pearson_ranking():
 
 
 # ---------------------------------------------------------------------------
-# FDR and phase experiments
+# FDR experiments
 # ---------------------------------------------------------------------------
 
 
@@ -247,9 +247,8 @@ def test_fdr_experiment_rejects_non_benchmark_models(monkeypatch):
     # the family is checked before the first replication runs
     calls = []
     monkeypatch.setattr(harness, "pc_knockoff_core", lambda *a, **k: calls.append(a))
-    for run in (run_fdr_experiment, run_phase_transition):
-        with pytest.raises(ValueError, match="4x model family, got 1a"):
-            run(_fdr_config(models=("4a", "1a"), replications=3))
+    with pytest.raises(ValueError, match="4x model family, got 1a"):
+        run_fdr_experiment(_fdr_config(models=("4a", "1a"), replications=3))
     assert calls == []
 
 
@@ -257,7 +256,7 @@ def test_fdr_rows_recomputable_from_records():
     table, records = run_fdr_experiment(_fdr_config())
     rows = _rows(table)
     assert [("4a", 0.2), ("4a", 0.5)] == [(r["model"], r["alpha"]) for r in rows]
-    assert table.columns[6:] == tuple(f"freq_X{j + 1}" for j in range(10))
+    assert table.columns[8:] == tuple(f"freq_X{j + 1}" for j in range(10))
     for row in rows:
         group = [
             r for r in records if r["model"] == row["model"] and r["alpha"] == row["alpha"]
@@ -267,6 +266,8 @@ def test_fdr_rows_recomputable_from_records():
         assert row["mean_selected"] == sum(r["n_selected"] for r in group) / 6
         assert row["sure_screening_freq"] == sum(r["sure_screening"] for r in group) / 6
         assert row["empirical_fdr"] == sum(r["empirical_fdp"] for r in group) / 6
+        assert row["e1_freq"] == sum(r["event"] == "e1" for r in group) / 6
+        assert row["e3_freq"] == sum(r["event"] == "e3" for r in group) / 6
         for j in range(10):
             assert row[f"freq_X{j + 1}"] == sum(1 for r in group if j in r["selected"]) / 6
 
@@ -288,20 +289,10 @@ def test_fdr_records_are_internally_consistent():
 
 
 def test_phase_rows_partition_the_outcomes():
-    table, records = run_phase_transition(_fdr_config())
+    # empty (e1), all-active (sure screening) and partial (e3) selections
+    table, _ = run_fdr_experiment(_fdr_config())
     for row in _rows(table):
-        assert row["e1_freq"] + row["e2_freq"] + row["e3_freq"] == pytest.approx(1.0)
-        group = [
-            r for r in records if r["model"] == row["model"] and r["alpha"] == row["alpha"]
-        ]
-        assert row["e1_freq"] == sum(r["event"] == "e1" for r in group) / len(group)
-        assert row["e2_freq"] == sum(r["event"] == "e2" for r in group) / len(group)
-
-
-def test_phase_and_fdr_runs_share_identical_records():
-    _, fdr_records = run_fdr_experiment(_fdr_config())
-    _, phase_records = run_phase_transition(_fdr_config())
-    assert fdr_records == phase_records
+        assert row["e1_freq"] + row["sure_screening_freq"] + row["e3_freq"] == pytest.approx(1.0)
 
 
 def test_phase_extremes_on_an_easy_signal():
@@ -312,10 +303,10 @@ def test_phase_extremes_on_an_easy_signal():
         models=("4a",), n=600, p=30, replications=20,
         alphas=(0.02, 0.9), n1=150, d=12, base_seed=2000,
     )
-    table, _ = run_phase_transition(cfg)
+    table, _ = run_fdr_experiment(cfg)
     by_alpha = {row["alpha"]: row for row in _rows(table)}
     assert by_alpha[0.02]["e1_freq"] >= 0.9
-    assert by_alpha[0.9]["e2_freq"] >= 0.9
+    assert by_alpha[0.9]["sure_screening_freq"] >= 0.9
 
 
 def test_records_carry_the_generator_overflow_tallies():
@@ -338,7 +329,7 @@ def test_records_carry_the_generator_overflow_tallies():
     assert all(rec["clamp_events"] == rec["extreme_responses"] == 0 for rec in records)
 
 
-def test_fdr_and_phase_records_carry_the_knockoff_diagnostics(monkeypatch):
+def test_fdr_records_carry_the_knockoff_diagnostics(monkeypatch):
     # At 2d < n2 the sample correlation is nonsingular, so the real jitter is
     # 0; the core gets marker values to show which value each record carries.
     cores = []
@@ -350,13 +341,11 @@ def test_fdr_and_phase_records_carry_the_knockoff_diagnostics(monkeypatch):
 
     monkeypatch.setattr(harness, "pc_knockoff_core", marked_core)
     config = _fdr_config(replications=1)
-    for run in (run_fdr_experiment, run_phase_transition):
-        cores.clear()
-        _, records = run(config)
-        [core] = cores
-        assert len(records) == len(config.alphas)
-        for rec in records:
-            assert (rec["jitter"], rec["clip"]) == (core.jitter_applied, core.clip_magnitude)
+    _, records = run_fdr_experiment(config)
+    [core] = cores
+    assert len(records) == len(config.alphas)
+    for rec in records:
+        assert (rec["jitter"], rec["clip"]) == (core.jitter_applied, core.clip_magnitude)
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +393,18 @@ def test_summary_csv_writer(tmp_path):
     write_summary_csv(fdr_table, fpath)
     lines = fpath.read_text().splitlines()
     header = lines[0].split(",")
-    assert header[:6] == [
+    assert header[:8] == [
         "model",
         "alpha",
         "replications",
         "mean_selected",
         "sure_screening_freq",
         "empirical_fdr",
+        "e1_freq",
+        "e3_freq",
     ]
-    assert header[6:] == [f"freq_X{j}" for j in range(1, 11)]
+    assert header[8:] == [f"freq_X{j}" for j in range(1, 11)]
     assert lines[1:] == [_summary_line(row) for row in fdr_table.rows]
-
-    phase_table, _ = run_phase_transition(_fdr_config(replications=2))
-    ppath = tmp_path / "phase.csv"
-    write_summary_csv(phase_table, ppath)
-    lines = ppath.read_text().splitlines()
-    assert lines[0] == "model,alpha,replications,e1_freq,e2_freq,e3_freq"
-    assert lines[1:] == [_summary_line(row) for row in phase_table.rows]
 
     empty = tmp_path / "empty.csv"
     write_summary_csv(SummaryTable(columns=fdr_table.columns, rows=()), empty)
