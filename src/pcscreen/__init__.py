@@ -14,7 +14,6 @@ from .fdr import (
     SelectionResult,
     WVector,
     empirical_fdp,
-    estimate_active_count,
     estimate_fdp,
     knockoff_plus_threshold,
     phase_transition_probabilities,
@@ -59,7 +58,6 @@ from .pipeline import (
     split_sample,
 )
 from .screening import (
-    ActiveSetEstimate,
     FeatureRanking,
     minimum_model_size,
     pearson_sis_rank,
@@ -72,7 +70,6 @@ from .screening import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSetEstimate",
     "CovarianceEstimate",
     "DesignData",
     "ExperimentConfig",
@@ -97,7 +94,6 @@ __all__ = [
     "empirical_fdp",
     "equicorrelated_h",
     "errors",
-    "estimate_active_count",
     "estimate_covariance",
     "estimate_fdp",
     "generate_dataset",

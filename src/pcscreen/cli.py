@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import DegenerateColumn, InfeasibleH, ParseError, PcScreenError, SolverFailure
+from .fdr import check_alpha
 from .harness import (
     ExperimentConfig,
     read_design_csv,
@@ -217,6 +218,7 @@ def _cmd_screen(args):
 
 def _cmd_pcknockoff(args):
     response = _response_spec(args)
+    check_alpha(args.alpha)
     design = read_design_csv(args.data, response)
     try:
         report = pc_knockoff(

@@ -16,9 +16,6 @@ from .kernel import as_sample_matrix, column_scores
 # layer reports 0 calls.
 build_response_cache = None
 
-# alpha grid for the active-count rule of thumb: 0.01..0.30 in steps of 0.005
-DEFAULT_ACTIVE_COUNT_GRID = tuple(np.linspace(0.01, 0.30, 59).tolist())
-
 
 @dataclass(frozen=True)
 class WVector:
@@ -83,6 +80,14 @@ def estimate_fdp(w, t):
     return negatives / max(1, positives)
 
 
+def check_alpha(alpha):
+    """``alpha`` as a float, or :class:`InvalidAlpha` unless it lies in (0, 1]."""
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidAlpha(f"alpha must lie in (0, 1], got {alpha}")
+    return alpha
+
+
 def knockoff_plus_threshold(w, alpha):
     """Smallest candidate t with (1 + #{W <= -t}) / #{W >= t} <= alpha.
 
@@ -90,9 +95,7 @@ def knockoff_plus_threshold(w, alpha):
     threshold is +inf and nothing is selected.  Exact-zero statistics are
     never selected.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must lie in (0, 1], got {alpha}")
+    alpha = check_alpha(alpha)
     values = w.w_hat
     candidates = np.unique(np.abs(values))
     candidates = candidates[candidates > 0.0]
@@ -165,26 +168,3 @@ def phase_transition_probabilities(s, k_max):
         b[k] = a[k] * max(0.0, 1.0 - partial_a)
         partial_a += a[k]
     return a, b, min(1.0, float(b.sum()))
-
-
-def estimate_active_count(w_provider, alpha_grid=None):
-    """Rule-of-thumb active-set size from where selections become empty.
-
-    Scans the grid, finds the largest alpha whose selection is empty, and
-    returns floor(1/alpha); None when every grid point selects something.
-    """
-    if alpha_grid is None:
-        alpha_grid = DEFAULT_ACTIVE_COUNT_GRID
-    grid = [float(a) for a in alpha_grid]
-    if any(not 0.0 < a < 1.0 for a in grid):
-        raise ValueError("alpha grid values must lie in (0, 1)")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be strictly increasing")
-    last_empty = None
-    for alpha in grid:
-        result = w_provider(alpha)
-        if not result.selected:
-            last_empty = alpha
-    if last_empty is None:
-        return None
-    return int(math.floor(1.0 / last_empty))

@@ -74,7 +74,6 @@ def estimate_covariance(x):
     scale = np.sqrt(sumsq / (n - 1))
     z = centered / scale
     sigma = (z.T @ z) / (n - 1)
-    sigma = 0.5 * (sigma + sigma.T)
     np.fill_diagonal(sigma, 1.0)
     jitter = 0.0
     lam_min = float(np.linalg.eigvalsh(sigma)[0])

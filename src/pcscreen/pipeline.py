@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumn, InvalidSplit, SolverFailure
-from .fdr import SelectionResult, WVector, knockoff_plus_threshold, w_statistics
+from .fdr import SelectionResult, WVector, check_alpha, knockoff_plus_threshold, w_statistics
 from .kernel import as_sample_matrix
 from .knockoffs import (
     build_knockoff_model,
@@ -21,7 +21,7 @@ from .knockoffs import (
     sdp_h,
     standardize,
 )
-from .screening import ActiveSetEstimate, FeatureRanking, rank_features, select_top_d
+from .screening import FeatureRanking, rank_features, select_top_d
 
 MAX_DEFAULT_SURVIVORS = 100
 
@@ -53,15 +53,15 @@ class SplitPlan:
 class PcKnockoffCore:
     """Everything up to the W statistics; thresholding at any alpha reuses it.
 
-    ``a_hat_1`` lists screening survivors in rank order; ``survivors`` is the
-    same set sorted ascending, the order in which split-2 columns are consumed
-    (so ``w.feature`` and a selection's ``selected`` carry original feature
-    indices ascending).
+    ``a_hat_1`` is the screening selection, a tuple of the top d feature
+    indices in rank order; ``survivors`` is the same set sorted ascending,
+    the order in which split-2 columns are consumed (so ``w.feature`` and a
+    selection's ``selected`` carry original feature indices ascending).
     """
 
     split: SplitPlan
     ranking1: FeatureRanking
-    a_hat_1: ActiveSetEstimate
+    a_hat_1: tuple[int, ...]
     survivors: tuple[int, ...]
     w: WVector
     construction_used: str
@@ -145,7 +145,7 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, s
     # Consume survivors in ascending index order so that when screening keeps
     # every feature the knockoff step sees split 2 exactly as it would with no
     # screening at all.
-    survivors = tuple(sorted(a_hat_1.indices))
+    survivors = tuple(sorted(a_hat_1))
     x2 = xm[np.ix_(split.split2, survivors)]
     y2 = ym[split.split2]
 
@@ -201,7 +201,9 @@ def pc_knockoff(x, y, alpha, n1=None, d=None, construction=DEFAULT_CONSTRUCTION,
     Deterministic given (inputs, seed): the base seed is expanded into
     independent split and knockoff-noise streams.  A failed semidefinite
     search falls back to the equicorrelated construction with the core's
-    ``fallback_flag`` set.
+    ``fallback_flag`` set.  An alpha outside (0, 1] is refused before any
+    stage runs.
     """
+    check_alpha(alpha)
     core = pc_knockoff_core(x, y, n1=n1, d=d, construction=construction, seed=seed)
     return selection_from_core(core, alpha)

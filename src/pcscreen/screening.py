@@ -44,14 +44,6 @@ class FeatureRanking:
         return list(zip(self.feature.tolist(), self.omega_hat.tolist()))
 
 
-@dataclass(frozen=True)
-class ActiveSetEstimate:
-    """Selected feature indices (in rank order) plus the rule that produced them."""
-
-    indices: tuple[int, ...]
-    rule: str
-
-
 def _ranking_from_scores(scores, n_used):
     p = scores.size
     order = np.lexsort((np.arange(p), -scores))
@@ -101,27 +93,19 @@ def pearson_sis_rank(x, y):
 
 
 def select_by_threshold(ranking, delta):
-    """All features whose score reaches ``delta``."""
+    """Indices of all features whose score reaches ``delta``, in rank order."""
     delta = float(delta)
     if not np.isfinite(delta):
         raise ValueError(f"threshold must be finite, got {delta}")
-    keep = ranking.omega_hat >= delta
-    return ActiveSetEstimate(
-        indices=tuple(int(j) for j in ranking.feature[keep]),
-        rule=f"threshold({delta!r})",
-    )
+    return tuple(int(j) for j in ranking.feature[ranking.omega_hat >= delta])
 
 
 def select_top_d(ranking, d):
-    """The first min(d, p) ranking entries."""
+    """Indices of the first min(d, p) ranking entries, in rank order."""
     d = int(d)
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    keep = min(d, len(ranking))
-    return ActiveSetEstimate(
-        indices=tuple(int(j) for j in ranking.feature[:keep]),
-        rule=f"top_d({d})",
-    )
+    return tuple(int(j) for j in ranking.feature[:d])
 
 
 def minimum_model_size(ranking, true_active):

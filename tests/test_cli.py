@@ -69,6 +69,14 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pcknockoff_checks_alpha_before_reading_the_csv(tmp_path, capsys):
+    code = cli_main(
+        ["pcknockoff", str(tmp_path / "missing.csv"), "--response-count", "1", "--alpha", "1.5"]
+    )
+    assert code == 2
+    assert "error: alpha must lie in (0, 1], got 1.5" in capsys.readouterr().err
+
+
 def test_non_numeric_cell_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,apple\n")
@@ -483,7 +491,7 @@ def test_reproduce_rejects_models_outside_the_table(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up
+# start-up and the public surface
 # ---------------------------------------------------------------------------
 
 
@@ -500,3 +508,12 @@ def test_import_loads_neither_scipy_nor_a_process_pool():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_once_and_omit_the_removed_ones():
+    names = pcscreen.__all__
+    assert [name for name in names if not hasattr(pcscreen, name)] == []
+    assert len(names) == len(set(names))
+    removed = {"ActiveSetEstimate", "estimate_active_count", "DEFAULT_ACTIVE_COUNT_GRID"}
+    assert removed.isdisjoint(names)
+    assert not any(hasattr(pcscreen, name) for name in removed)

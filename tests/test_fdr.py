@@ -1,5 +1,5 @@
 """Selection-layer tests: W statistics, the knockoff+ threshold, FDP
-estimates, phase-transition probabilities, and the active-count heuristic."""
+estimates, and phase-transition probabilities."""
 
 from __future__ import annotations
 
@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 
 from pcscreen.errors import DimensionMismatch, InvalidAlpha
 from pcscreen.fdr import (
-    DEFAULT_ACTIVE_COUNT_GRID,
-    SelectionResult,
     WVector,
     empirical_fdp,
-    estimate_active_count,
     estimate_fdp,
     knockoff_plus_threshold,
     phase_transition_probabilities,
@@ -352,56 +349,3 @@ def test_phase_input_validation():
         phase_transition_probabilities(0, k_max=5)
     with pytest.raises(ValueError):
         phase_transition_probabilities(3, k_max=0)
-
-
-# ---------------------------------------------------------------------------
-# active-count heuristic
-# ---------------------------------------------------------------------------
-
-
-def _provider_empty_below(alpha_star):
-    def provider(alpha):
-        if alpha <= alpha_star + 1e-12:
-            return SelectionResult(
-                t_alpha=math.inf, selected=(), fdp_hat=0.0, alpha=alpha,
-                candidate_count=5,
-            )
-        return SelectionResult(
-            t_alpha=0.5, selected=(0, 1), fdp_hat=0.0, alpha=alpha,
-            candidate_count=5,
-        )
-
-    return provider
-
-
-def test_active_count_worked_example():
-    grid = tuple(np.arange(0.01, 0.301, 0.01))
-    assert estimate_active_count(_provider_empty_below(0.09), grid) == 11
-
-
-def test_active_count_never_empty_returns_none():
-    grid = (0.05, 0.1, 0.2)
-    assert estimate_active_count(_provider_empty_below(0.0), grid) is None
-
-
-def test_active_count_always_empty_uses_largest_grid_point():
-    assert estimate_active_count(_provider_empty_below(1.0), (0.1, 0.2, 0.30)) == 3
-
-
-def test_active_count_default_grid():
-    # Default sweep is 0.01..0.30 in steps of 0.005.
-    assert DEFAULT_ACTIVE_COUNT_GRID[0] == pytest.approx(0.01)
-    assert DEFAULT_ACTIVE_COUNT_GRID[-1] == pytest.approx(0.30)
-    steps = np.diff(DEFAULT_ACTIVE_COUNT_GRID)
-    npt.assert_allclose(steps, 0.005, atol=1e-12)
-    assert estimate_active_count(_provider_empty_below(0.09)) == 11
-
-
-def test_active_count_grid_validation():
-    provider = _provider_empty_below(0.05)
-    with pytest.raises(ValueError):
-        estimate_active_count(provider, (0.2, 0.1))
-    with pytest.raises(ValueError):
-        estimate_active_count(provider, (0.0, 0.1))
-    with pytest.raises(ValueError):
-        estimate_active_count(provider, (0.5, 1.0))

@@ -49,7 +49,7 @@ def test_ar_correlation_recovered_from_data():
     cov = estimate_covariance(data.x)
     npt.assert_allclose(cov.sigma, ar_covariance(5, 0.5), atol=0.08)
     npt.assert_array_equal(np.diag(cov.sigma), 1.0)
-    npt.assert_allclose(cov.sigma, cov.sigma.T, atol=1e-12)
+    assert np.array_equal(cov.sigma, cov.sigma.T)
 
 
 def test_standardize_centers_and_scales():

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pcscreen.errors import DegenerateColumn, InvalidSplit, SolverFailure
+from pcscreen.errors import DegenerateColumn, InvalidAlpha, InvalidSplit, SolverFailure
 from pcscreen.fdr import w_statistics
 from pcscreen.knockoffs import (
     build_knockoff_model,
@@ -92,7 +92,7 @@ def test_report_bookkeeping_fields():
     ds = _strong_linear()
     rpt = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=12, seed=3)
     core = rpt.core
-    assert core.survivors == tuple(sorted(core.a_hat_1.indices))
+    assert core.survivors == tuple(sorted(core.a_hat_1))
     assert len(core.survivors) == 12
     assert set(rpt.selection.selected) <= set(core.survivors)
     npt.assert_array_equal(core.w.feature, np.asarray(core.survivors))
@@ -186,6 +186,16 @@ def test_invalid_split_propagates():
     ds = _strong_linear(n=40, p=6)
     with pytest.raises(InvalidSplit):
         pc_knockoff(ds.x, ds.y, alpha=0.5, n1=1, d=2)
+
+
+def test_bad_alpha_is_refused_before_any_stage_runs(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("pc_knockoff_core ran before alpha was checked")
+
+    monkeypatch.setattr(pipeline, "pc_knockoff_core", never)
+    ds = _strong_linear(n=40, p=6)
+    with pytest.raises(InvalidAlpha, match=r"alpha must lie in \(0, 1\], got 1.5"):
+        pc_knockoff(ds.x, ds.y, alpha=1.5)
 
 
 def test_survivor_count_validation():

@@ -176,10 +176,9 @@ def test_entries_view_pairs_feature_with_score():
 
 def test_threshold_examples():
     ranking = _ranking([0.8, 0.5, 0.1])
-    assert select_by_threshold(ranking, -1.0).indices == (0, 1, 2)
-    assert select_by_threshold(ranking, 0.5).indices == (0, 1)
-    assert select_by_threshold(ranking, 2.0).indices == ()
-    assert select_by_threshold(ranking, 0.5).rule == "threshold(0.5)"
+    assert select_by_threshold(ranking, -1.0) == (0, 1, 2)
+    assert select_by_threshold(ranking, 0.5) == (0, 1)
+    assert select_by_threshold(ranking, 2.0) == ()
 
 
 def test_threshold_rejects_non_finite():
@@ -203,30 +202,30 @@ def test_threshold_rejects_non_finite():
 def test_threshold_is_monotone(scores, d1, d2):
     lo, hi = sorted((d1, d2))
     ranking = _ranking(scores)
-    wide = set(select_by_threshold(ranking, lo).indices)
-    narrow = set(select_by_threshold(ranking, hi).indices)
+    wide = set(select_by_threshold(ranking, lo))
+    narrow = set(select_by_threshold(ranking, hi))
     assert narrow <= wide
 
 
 def test_top_d_trivial_cases():
     ranking = _ranking([0.3, 0.9, 0.6])
-    assert select_top_d(ranking, 1).indices == (1,)
-    assert select_top_d(ranking, 3).indices == (1, 2, 0)
-    assert select_top_d(ranking, 50).indices == (1, 2, 0)
+    assert select_top_d(ranking, 1) == (1,)
+    assert select_top_d(ranking, 3) == (1, 2, 0)
+    assert select_top_d(ranking, 50) == (1, 2, 0)
 
 
 def test_top_d_is_nested():
     ranking = _ranking(np.random.default_rng(4).uniform(size=9))
     for d in range(1, 9):
-        smaller = select_top_d(ranking, d).indices
-        larger = select_top_d(ranking, d + 1).indices
+        smaller = select_top_d(ranking, d)
+        larger = select_top_d(ranking, d + 1)
         assert larger[:d] == smaller
 
 
 def test_tied_scores_prefer_lower_index():
     ranking = _ranking([0.5, 0.9, 0.5, 0.5])
     assert ranking.feature.tolist() == [1, 0, 2, 3]
-    assert select_top_d(ranking, 2).indices == (1, 0)
+    assert select_top_d(ranking, 2) == (1, 0)
 
 
 def test_top_d_rejects_non_positive():
