@@ -31,15 +31,19 @@ Both evaluation strategies follow from it, chosen by column counts:
   a d + b c in the centered counts a, b, c, d of the four above/below
   quadrants of x against y, integers (see the comment above
   :func:`_sorted_counts`).  :func:`univariate_sums` gets the joint counts
-  of a block of columns of X against one y at a time: with the observations
-  in y order, 64 to a machine word, a bit set of the first c observations in
-  each column's x order answers every count "how many of them lie below a y
-  position" with one masked popcount.  That is one sort and O(n^2 / 64)
-  word operations per column, in O(n) memory per column.  A block in which
-  neither y nor any column has a tie takes the same identity with the tie
-  terms collapsed: the self totals are one constant of n, and the cross
-  total needs one joint count, N(<x, <y), the concordance count behind
-  Kendall's tau.  The data decide, and the integers are the same either way;
+  of a block of columns of X against one y at a time, and every block makes
+  one counting pass, one count per row: with the observations in y order,
+  64 to a machine word, bit sets of each word's observations below each
+  place in x order say how many earlier observations lie below this one in
+  x order, with one masked popcount.  That is one sort and O(n^2 / 64) word
+  operations per column, in O(n) memory per column.  A tied block costs a
+  tie-free one plus an integer sort: with each y tie group put in x order
+  and x ties in y order, the four joint counts are that one count plus tie
+  terms.  A block in which neither y nor any column has a tie takes the
+  same identity with the tie terms collapsed: the self totals are one
+  constant of n, and the cross total needs only the count itself,
+  N(<x, <y), the concordance count behind Kendall's tau.  The data decide,
+  and the integers are the same either way;
 * the slice loop, for everything else: one pass over the slice indices r
   builds each centered slice B_r of the multivariate sample once (O(n^2)
   working memory).  B_r is symmetric with zero row and column sums, so the
@@ -195,8 +199,30 @@ def center_slice(slice_values):
 # 8 L G ((n - L) (n - G) + L G).  In the sign vector s = g+ - g- and
 # u = g+ + g- of each sample, the centered dot products are UU = a + b + c + d,
 # SS = a - b - c + d, US = a - b + c - d and SU = a + b - c - d, and
-# 8 (a d + b c) = UU^2 + SS^2 - US^2 - SU^2: the form the tie-free closed form
-# (_tie_free_totals) works in.
+# 8 (a d + b c) = UU^2 + SS^2 - US^2 - SU^2: the form the cross totals are
+# summed in.
+#
+# The four joint counts follow from one count per row once ties are put in
+# lexicographic order, as in Knight's (1966, JASA 61:436) tie-aware Kendall's
+# tau.  Take the rows in y order with each y tie group in x order, and give
+# each row its rank R in x order with x ties in row order.  Then
+# q = #{k < r : R_k < R_r} (_joint_below) counts the rows before r with
+# x <= x_r: the N(<=, <) rows with y < y_r, and the o_y = r - L_y rows
+# before r in its y tie group.  The T rows tied with r in both x and y are
+# consecutive in both orders; let r be at place f among them.  Of the
+# o_x = R - L_x rows before r in its x tie run, o_x - f have y < y_r; of the
+# o_y rows, o_y - f have x < x_r.  So
+#
+#   N(<, <) = q - o_x - o_y + f,    N(<=, <) = q - o_y,
+#   N(<, <=) = q - o_x,             N(<=, <=) = q + T - f,
+#
+# and S = L + (n - G), W = (n - G) - L of each sample,
+#
+#   SS = n (4 q + T - 2 o_x - 2 o_y) - S_x S_y,   UU = n T - W_x W_y,
+#   US = n (2 o_x + T - 2 f) - W_x S_y,        SU = n (2 o_y + T - 2 f) - S_x W_y.
+#
+# Where nothing ties, o_x = o_y = f = 0, T = W = 1 and only SS depends on q
+# (_tie_free_cross_totals).
 # ---------------------------------------------------------------------------
 
 # A centered count is at most n^2 / 4 in size, so 8 (a d + b c) and SS^2 are
@@ -224,45 +250,54 @@ def _sorted_counts(columns):
     edge = np.ones((p, n + 1), dtype=bool)  # edge[:, i]: a new value starts at i
     edge[:, 1:-1] = ordered[:, 1:] != ordered[:, :-1]
     tied = ~edge.all(axis=1)
-    steps = np.arange(n)
     if not tied.any():
+        steps = np.arange(n)
         return order, np.broadcast_to(steps, (p, n)), np.broadcast_to(steps[::-1], (p, n)), tied
-    below = np.maximum.accumulate(np.where(edge[:, :-1], steps, 0), axis=1)
-    above = np.maximum.accumulate(np.where(edge[:, :0:-1], steps, 0), axis=1)[:, ::-1]
-    return order, below, above, tied
+    return order, *_run_counts(edge), tied
 
 
-def _joint_below(rank, queries):
-    """How many of the first c observations in x order lie below a y position.
+def _run_counts(edge):
+    """How many places of each row lie before and after the run of each place.
 
-    ``rank`` is a (b, n) block of columns: each row's place in its column's
-    x order, the rows in ascending y.  Each query is a pair of a (kb, m)
-    array of counts c (column j of the block in rows j, b + j, ...) and m
-    ascending row positions; its answer is a (kb, m) array.
+    ``edge`` is (p, n + 1) boolean, edge[:, i] true where a run starts at
+    place i, and true at 0 and n.  Returns two (p, n) arrays: the start of
+    each place's run, and n minus its end.
+    """
+    steps = np.arange(edge.shape[1] - 1)
+    before = np.maximum.accumulate(edge[:, :-1] * steps, axis=1)
+    after = np.maximum.accumulate(edge[:, :0:-1] * steps, axis=1)[:, ::-1]
+    return before, after
+
+
+def _joint_below(rank):
+    """How many earlier rows have a lower rank, for every row of a block.
+
+    ``rank`` is a (b, n) block of columns, each a permutation of 0..n-1: each
+    row's place in its column's x order, the rows in y order.  Returns the
+    (b, n) int64 counts q[j, r] = #{k < r : rank[j, k] < rank[j, r]}.
 
     The rows are taken 64 at a time, one bit each in a 64-bit word.  Word
-    t[c] holds those of the first c observations in x order: one scatter
-    puts each observation's bit into the word its place opens, and a
-    cumulative OR over c fills in the rest.  A position in this word counts
-    the rows of earlier words (``carry``) plus the popcount of t[c] masked
-    below it.  One word's table is b (n + 1) words.
+    t[c] holds those of the word's rows whose rank is below c: one scatter
+    puts each row's bit into the word its rank + 1 opens, and a cumulative OR
+    over c fills in the rest.  Row r counts the rows of earlier words with a
+    lower rank (``carry``) plus the popcount of t[rank_r] masked below its
+    own bit.  One word's table is b (n + 1) words.
     """
     b, n = rank.shape
     bases = (np.arange(b) * (n + 1))[:, None]  # flat index of each column's table row
-    offsets = [np.tile(bases, (len(cuts) // b, 1)) for cuts, _ in queries]
-    carry = np.zeros((b, n + 1), dtype=np.int32)  # rows of earlier words among the first c
-    found = [np.empty(cuts.shape, dtype=np.int64) for cuts, _ in queries]
-    for start in range(0, n + 1, 64):  # position n is queried, in an empty word if 64 | n
-        rows = np.arange(start, min(start + 64, n))
+    carry = np.zeros((b, n + 1), dtype=np.int32)  # rows of earlier words with rank below c
+    found = np.empty((b, n), dtype=np.int64)
+    for start in range(0, n, 64):
+        stop = min(start + 64, n)
+        bits = _bits(np.arange(start, stop))
+        flat = bases + rank[:, start:stop]
         table = np.zeros((b, n + 1), dtype=np.uint64)
-        table.ravel()[bases + rank[:, rows] + 1] = _bits(rows)
+        table.ravel()[flat + 1] = bits
         np.bitwise_or.accumulate(table, axis=1, out=table)
-        for (cuts, positions), offset, out in zip(queries, offsets, found):
-            lo, hi = np.searchsorted(positions, [start, start + 64])
-            flat = offset + cuts[:, lo:hi]
-            below = table.ravel()[flat] & (_bits(positions[lo:hi]) - np.uint64(1))
-            out[:, lo:hi] = carry.ravel()[flat] + np.bitwise_count(below)
-        carry += np.bitwise_count(table)
+        below = table.ravel()[flat] & (bits - np.uint64(1))
+        found[:, start:stop] = carry.ravel()[flat] + np.bitwise_count(below)
+        if stop < n:
+            carry += np.bitwise_count(table)
     return found
 
 
@@ -341,6 +376,61 @@ def _self_totals(x):
     return totals
 
 
+def _tie_free_cross_totals(q, rank):
+    """I_xy of every row of a block in which nothing ties.
+
+    ``q`` is :func:`_joint_below` of ``rank``.  Row r at place R in x order
+    has S_x = 2 R + 1 and S_y = 2 r + 1, so SS = n (4 q + 1) - S_x S_y =
+    intercept_r - slope_r R + 4 n q with intercept_r = n - 1 - 2 r and
+    slope_r = 2 (1 + 2 r); I_xy is a constant of n (:func:`_tie_free_totals`)
+    plus sum_r SS^2.  SS is formed in place on q, and rank is overwritten.
+    """
+    n = rank.shape[1]
+    steps = np.arange(n)
+    q *= 4 * n
+    q -= np.multiply(rank, 2 * (1 + 2 * steps), out=rank)
+    q += n - 1 - 2 * steps
+    q *= q
+    return _exact_totals(q) + _tie_free_totals(n)[0]
+
+
+def _tied_cross_totals(q, rank, x_lower, x_upto, y_lower, y_upto):
+    """I_xy of every row of a block with a tie, by the counting note above.
+
+    ``q`` is :func:`_joint_below` of ``rank``: the rows in y order with each y
+    tie group in x order, the ranks with x ties in row order.  ``x_lower``
+    and ``x_upto`` are (b, n) arrays of how many rows lie below x_r and at
+    most x_r, or None when no column of the block has a tie; ``y_lower`` and
+    ``y_upto`` are those of y, by row.  SS is formed in place on q.
+    """
+    n = rank.shape[1]
+    steps = np.arange(n)
+    y_offset, y_sum, y_size = steps - y_lower, y_lower + y_upto, y_upto - y_lower
+    if x_lower is None:
+        x_offset, x_sum, x_size = 0, 2 * rank + 1, 1
+    else:
+        x_offset, x_sum, x_size = rank - x_lower, x_lower + x_upto, x_upto - x_lower
+    if x_lower is None or (y_size == 1).all():
+        run, skew = 1, 1  # T and T - 2 f
+    else:
+        # runs tied in x and y: rows of a y group with equal counts below in x
+        edge = np.ones((len(rank), n + 1), dtype=bool)
+        edge[:, 1:-1] = x_lower[:, 1:] != x_lower[:, :-1]
+        edge[:, :-1] |= y_offset == 0
+        before, after = _run_counts(edge)
+        run = n - after - before
+        skew = run - 2 * (steps - before)
+    q *= 4 * n
+    q += n * (run - 2 * (x_offset + y_offset)) - x_sum * y_sum
+    q *= q
+    su = n * (2 * y_offset + skew) - x_sum * y_size
+    q -= su * su
+    uu = n * run - x_size * y_size
+    us = n * (2 * x_offset + skew) - x_size * y_sum
+    q += uu * uu - us * us
+    return _exact_totals(q)
+
+
 def univariate_sums(x, y, rows=None):
     """Exact slice totals I_xy, I_xx, I_yy of every column of ``x`` against ``y``.
 
@@ -355,69 +445,59 @@ def univariate_sums(x, y, rows=None):
     n = 5404) and a Python int.
 
     The rows are put in ascending y once; then a block of columns at a time
-    is sorted, and its joint counts are read from bit sets of y positions
-    (:func:`_joint_below`): O(n^2 p / 64) word operations in all, plus one
-    sort per column.  When neither y nor any column of the block has a tie
-    (0.0 and -0.0 tie), the block takes the same identity with the tie terms
-    collapsed: row r at place R in x order has d_x = n - 1 - 2 R,
-    d_y = n - 1 - 2 r and, with N = N(<x, <y), SS = n (d_x - 2 r + 4 N) -
-    d_x d_y = intercept_r - slope_r R + 4 n N, with intercept_r =
-    (1 + 2 r) (n - 1) - 2 n r and slope_r = 2 (1 + 2 r); I_xy is a constant
-    of n (:func:`_tie_free_totals`) plus sum_r SS^2, so N is the one joint
-    count it needs, and SS is formed in place on it.  The integers are the
-    same either way.
+    is sorted, and every block makes one counting pass over its rows: for
+    each row, how many earlier rows lie below it in x order, read from bit
+    sets of y positions (:func:`_joint_below`).  That is O(n^2 p / 64) word
+    operations in all, plus one sort per column.  Ties (0.0 and -0.0 tie) add
+    one integer sort each for y and x: each y tie group is put in x order,
+    and x ties in row order, so that the four joint counts are that one count
+    plus tie terms (:func:`_tied_cross_totals`).  When neither y nor any column of the block
+    has a tie, the cross totals take the closed form of
+    :func:`_tie_free_cross_totals`.  The integers are the same either way.
     """
     if rows is not None:
         y = y[rows]
     n, p = len(y), x.shape[1]
     _check_exact_range(n)
-    # rows in ascending y from here on: row k's y tie group is the rows from
-    # y_below[k] to y_upto[k] - 1
     y_order, y_below, y_above, y_tied = _sorted_counts(y[None, :])
     yy = int(_block_self_totals(n, y_below, y_above, y_tied)[0])
-    y_order, y_below, y_above = y_order[0], y_below[0], y_above[0]
+    y_tied = bool(y_tied[0])
+    y_order, y_below, y_upto = y_order[0], y_below[0], n - y_above[0]
+    # rows in ascending y from here on
     x_rows = y_order if rows is None else rows[y_order]
-    y_upto = n - y_above
-    tied = np.flatnonzero(y_upto - y_below > 1)
-    tie_free_cross = _tie_free_totals(n)[0]
 
     xy = np.empty(p, dtype=_totals_dtype(n))
     xx = np.empty_like(xy)
     block = max(1, _BLOCK_ELEMENTS // n)
-    steps = np.arange(n)[None, :]
-    slope = 2 * (1 + 2 * steps)
-    intercept = (1 + 2 * steps) * (n - 1) - 2 * n * steps
+    steps = np.arange(n)
     for c0 in range(0, p, block):
         c = slice(c0, c0 + block)
         order, below, above, x_tied = _sorted_counts(np.ascontiguousarray(x[x_rows, c].T))
         xx[c] = _block_self_totals(n, below, above, x_tied)
+        x_tied = x_tied.any()
+        if x_tied:
+            # x ties in row order (below is constant on a tie run)
+            order += below * n
+            order.sort(axis=1)
+            order -= below * n
+        bases = (np.arange(len(order)) * n)[:, None]  # flat index of each column's row
         rank = np.empty_like(order)
-        np.put_along_axis(rank, order, steps, axis=1)
+        rank.ravel()[order + bases] = steps
         del order
-        if not (y_tied[0] or x_tied.any()):
-            (ss,) = _joint_below(rank, [(rank, steps[0])])
-            ss *= 4 * n
-            ss -= np.multiply(rank, slope, out=rank)
-            ss += intercept
-            ss *= ss
-            xy[c] = _exact_totals(ss) + tie_free_cross
-            continue
-        # how many observations lie below x_r, then at most x_r: the first m
-        # rows of each (2m, n) array below are "<x", the last m "<=x"
-        x_lower = np.take_along_axis(below, rank, axis=1)
-        cuts = np.concatenate([x_lower, n - np.take_along_axis(above, rank, axis=1)])
-        # N(., <y) of every row; N(., <=y) of rows in y ties, which elsewhere
-        # is N(., <y) plus r itself when x is at most x_r
-        at_start, at_end = _joint_below(rank, [(cuts, y_below), (cuts[:, tied], y_upto[tied])])
-        m = len(rank)
-        at_most = at_start.copy()
-        at_most[m:] += 1
-        at_most[:, tied] = at_end
-        # the centered quadrant counts d and -b against y below, -c and a
-        # against y at most
-        lower = n * at_start - cuts * y_below
-        upper = n * at_most - cuts * y_upto
-        xy[c] = 8 * _exact_totals(lower[:m] * upper[m:] + lower[m:] * upper[:m])
+        if y_tied:
+            # each y tie group in x order, in the places the group holds
+            rank += y_below * n
+            rank.sort(axis=1)
+            rank -= y_below * n
+        q = _joint_below(rank)
+        if not (x_tied or y_tied):
+            xy[c] = _tie_free_cross_totals(q, rank)
+        elif x_tied:
+            x_lower = below.ravel()[rank + bases]
+            x_upto = n - above.ravel()[rank + bases]
+            xy[c] = _tied_cross_totals(q, rank, x_lower, x_upto, y_below, y_upto)
+        else:
+            xy[c] = _tied_cross_totals(q, rank, None, None, y_below, y_upto)
     return xy, xx, yy
 
 

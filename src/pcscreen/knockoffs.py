@@ -167,9 +167,10 @@ def sdp_h(cov):
     if barrier is None:
         raise SolverFailure("could not find a strictly feasible starting point")
 
-    mu, steps_at_mu = 1.0, 0
+    mu, steps_at_mu, inv = 1.0, 0, None
     for _ in range(MAX_NEWTON_STEPS):
-        inv = np.linalg.inv(two_sigma - np.diag(h))
+        if inv is None:  # a cut of mu that took no step keeps h, and so its inverse
+            inv = np.linalg.inv(two_sigma - np.diag(h))
         grad = 1.0 + mu * (-np.diag(inv) + 1.0 / h - 1.0 / (1.0 - h))
         curv = mu * (inv * inv + np.diag(1.0 / h**2 + 1.0 / (1.0 - h) ** 2))
         step = np.linalg.solve(curv, grad)
@@ -180,6 +181,7 @@ def sdp_h(cov):
             found = _line_search(two_sigma, h, barrier, step, decrement, mu)
         if found is not None:
             h, barrier = found
+            inv = None
         if found is None or steps_at_mu == 50:
             mu *= 0.2
             steps_at_mu = 0

@@ -293,8 +293,9 @@ def test_exact_sums_match_the_sign_vector_loop(monkeypatch, n, block_elements):
 @st.composite
 def _small_alphabet_sample(draw):
     # five values, two of them the tied 0.0 and -0.0: nearly every sample has
-    # ties in x and y, and n up to 70 crosses the 64-row word
-    n = draw(st.integers(min_value=2, max_value=70))
+    # ties in x and y, and n up to 140 crosses two 64-row words, runs tied in
+    # both x and y included
+    n = draw(st.integers(min_value=2, max_value=140))
     p = draw(st.integers(min_value=1, max_value=4))
     values = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
     cells = draw(st.lists(values, min_size=n * (p + 1), max_size=n * (p + 1)))
@@ -312,6 +313,46 @@ def test_small_alphabet_sums_match_the_sign_vector_loop(sample):
             patch.setattr(kernel, "_BLOCK_ELEMENTS", block_elements)
             xy, xx, yy = univariate_sums(x, y)
         assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == expected
+
+
+def _count_response_sample(n):
+    # tie-free columns against a Poisson count response, as in models 1f and
+    # 4e: y ties in groups of a few to dozens of rows, and at this seed a y
+    # tie group straddles every 64-row word boundary below n
+    rng = np.random.default_rng(33000 + n)
+    x = rng.standard_normal((n, 5))
+    y = rng.poisson(np.exp(0.5 * x[:, 0])).astype(float)
+    return x, y
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+def test_count_response_sums_match_the_sign_vector_loop(monkeypatch, n):
+    # the shape of a screen of a count response: every block has y ties and
+    # no x tie
+    x, y = _count_response_sample(n)
+    ordered = np.sort(y)
+    assert all(ordered[k - 1] == ordered[k] for k in range(64, n, 64))
+    expected = exact_univariate_totals(x, y)
+    for block_elements in (kernel._BLOCK_ELEMENTS, 1, 3 * n):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_BLOCK_ELEMENTS", block_elements)
+            xy, xx, yy = univariate_sums(x, y)
+        assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == expected
+
+
+@pytest.mark.parametrize("case", ["tie_free", "count_response", "small_alphabet"])
+def test_repeated_rows_match_the_exact_totals(case):
+    # 140 draws of 50 rows: each row comes about three times, and in every
+    # column a run of rows tied in both x and y straddles place 64 or 128
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((50, 3))
+    if case == "small_alphabet":
+        x = rng.integers(0, 3, size=(50, 3)).astype(float)
+    y = rng.standard_normal(50) if case == "tie_free" else rng.poisson(2.0, size=50).astype(float)
+    rows = rng.integers(0, 50, size=140)
+    xy, xx, yy = univariate_sums(x, y, rows)
+    got = ([int(v) for v in xy], [int(v) for v in xx], int(yy))
+    assert got == exact_univariate_totals(x[rows], y[rows])
 
 
 def _tie_free_self_total(n):
@@ -344,40 +385,49 @@ def test_tie_free_sums_match_the_sign_vector_loop(monkeypatch, n, block_elements
     assert expected[1] == [_tie_free_self_total(n)] * 5 and expected[2] == _tie_free_self_total(n)
 
 
-def _query_rows(monkeypatch):
-    # the number of count rows of each _joint_below query, per call
-    calls = []
+def _block_passes(monkeypatch):
+    # one entry per column block: the rows of its one _joint_below pass, then
+    # the formula its cross totals took
+    blocks = []
     joint_below = kernel._joint_below
 
-    def spy(rank, queries):
-        calls.append([len(cuts) // len(rank) for cuts, _ in queries])
-        return joint_below(rank, queries)
+    def spy(rank):
+        blocks.append([len(rank)])
+        return joint_below(rank)
 
     monkeypatch.setattr(kernel, "_joint_below", spy)
-    return calls
+    for name, formula in (("_tie_free_cross_totals", "closed form"), ("_tied_cross_totals", "ties")):
+
+        def record(*args, totals=getattr(kernel, name), formula=formula):
+            blocks[-1].append(formula)
+            return totals(*args)
+
+        monkeypatch.setattr(kernel, name, record)
+    return blocks
 
 
 @pytest.mark.parametrize("n", [3, 64, 65])
 def test_one_tie_sends_its_block_to_the_general_formulas(monkeypatch, n):
     x, y = _tie_free_sample(n, p=6)
     monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 3 * n)  # blocks of columns 0-2 and 3-5
-    calls = _query_rows(monkeypatch)
+    blocks = _block_passes(monkeypatch)
     x_tie = x.copy()
     x_tie[1, 4] = x_tie[0, 4]
+    closed, ties = [3, "closed form"], [3, "ties"]
     cases = {
-        "tie-free": (x, y, [[1], [1]]),
+        "tie-free": (x, y, [closed, closed]),
         # column 4 ties rows 0 and 1: only the second block loses the closed form
-        "x tie": (x_tie, y, [[1], [2, 2]]),
+        "x tie": (x_tie, y, [closed, ties]),
         # a single tied pair in y sends every block to the general formulas
-        "y tie": (x, np.where(np.arange(n) == 1, y[0], y), [[2, 2], [2, 2]]),
+        "y tie": (x, np.where(np.arange(n) == 1, y[0], y), [ties, ties]),
     }
     signed_zero = x.copy()
     signed_zero[:2, 1] = [0.0, -0.0]  # equal as numbers, so a tie
-    cases["signed zero"] = (signed_zero, y, [[2, 2], [1]])
-    for name, (xs, ys, rows) in cases.items():
-        calls.clear()
+    cases["signed zero"] = (signed_zero, y, [ties, closed])
+    for name, (xs, ys, passes) in cases.items():
+        blocks.clear()
         xy, xx, yy = univariate_sums(xs, ys)
-        assert calls == rows, name
+        assert blocks == passes, name
         got = ([int(v) for v in xy], [int(v) for v in xx], int(yy))
         assert got == exact_univariate_totals(xs, ys), name
 
@@ -407,11 +457,11 @@ def test_closed_form_at_the_first_n_with_object_totals(monkeypatch):
     # general formulas for comparison
     n = 5405
     x, y = _tie_free_sample(n, p=3)
-    calls = _query_rows(monkeypatch)
+    blocks = _block_passes(monkeypatch)
     xy, xx, yy = univariate_sums(x, y)
-    assert calls == [[1]]
+    assert blocks == [[3, "closed form"]]
     general = univariate_sums(np.column_stack([x, np.ones(n)]), y)
-    assert calls[1] == [2, 2]
+    assert blocks[1] == [4, "ties"]
     assert xy.dtype == object and all(type(v) is int for v in xy)
     assert xy.tolist() == general[0][:3].tolist()
     assert xx.tolist() == [_tie_free_self_total(n)] * 3 == general[1][:3].tolist()
