@@ -14,7 +14,6 @@ from .fdr import (
     SelectionResult,
     WVector,
     empirical_fdp,
-    estimate_fdp,
     knockoff_plus_threshold,
     phase_transition_probabilities,
     w_statistics,
@@ -50,7 +49,6 @@ from .knockoffs import (
 from .models import MODEL_IDS, GeneratedDataset, ModelSpec, ar_covariance, generate_dataset
 from .pipeline import (
     PcKnockoffCore,
-    PcKnockoffReport,
     SplitPlan,
     pc_knockoff,
     pc_knockoff_core,
@@ -79,7 +77,6 @@ __all__ = [
     "MODEL_IDS",
     "ModelSpec",
     "PcKnockoffCore",
-    "PcKnockoffReport",
     "PcScreenError",
     "PcStats",
     "SelectionResult",
@@ -95,7 +92,6 @@ __all__ = [
     "equicorrelated_h",
     "errors",
     "estimate_covariance",
-    "estimate_fdp",
     "generate_dataset",
     "knockoff_plus_threshold",
     "minimum_model_size",

@@ -25,7 +25,7 @@ from .harness import (
     write_summary_csv,
 )
 from .models import _canonical_id
-from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff
+from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, _whole, pc_knockoff
 from .screening import rank_features, signal_gap_diagnostic
 
 _TABLE_MODELS = {
@@ -56,13 +56,6 @@ def _listed(value, convert):
     if isinstance(value, str):
         return tuple(convert(part.strip()) for part in value.split(",") if part.strip())
     return tuple(convert(v) for v in value)
-
-
-def _whole(value):
-    """``int(value)``, refusing a bool and a float with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
 
 
 def _optional_whole(value):
@@ -221,7 +214,7 @@ def _cmd_pcknockoff(args):
     check_alpha(args.alpha)
     design = read_design_csv(args.data, response)
     try:
-        report = pc_knockoff(
+        core, selection = pc_knockoff(
             design.x,
             design.y,
             alpha=args.alpha,
@@ -233,7 +226,6 @@ def _cmd_pcknockoff(args):
     except DegenerateColumn as exc:
         name = design.x_names[exc.column]
         raise DegenerateColumn(f"feature {name!r} has zero variance in split 2", name) from exc
-    core, selection = report.core, report.selection
     t_alpha = selection.t_alpha
     payload = {
         "alpha": selection.alpha,

@@ -1,5 +1,5 @@
-"""Knockoff W-statistics, the knockoff+ threshold, FDP estimates, and the
-stopping-probability sequence behind the selection phase transition."""
+"""Knockoff W-statistics, the knockoff+ threshold with its FDP estimate, and
+the stopping-probability sequence behind the selection phase transition."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidAlpha
-from .kernel import as_sample_matrix, column_scores
+from .kernel import _sample_pair, as_sample_matrix, column_scores
 
 # perfbench/tracing.py patches this name (its kernel.build_response_cache
 # layer) when a traced run starts; W statistics build no response cache, so that
@@ -35,8 +35,9 @@ class SelectionResult:
     """Outcome of thresholding a WVector at FDR level alpha.
 
     ``t_alpha`` is +inf (and ``selected`` empty) when no candidate threshold
-    is feasible.  ``candidate_count`` is the number of distinct nonzero |W|
-    values considered.
+    is feasible.  ``fdp_hat`` is #{W_j <= -t_alpha} / #{W_j >= t_alpha}
+    (below ``alpha``), or 0.0 when nothing is selected.  ``candidate_count``
+    is the number of distinct nonzero |W| values considered.
     """
 
     t_alpha: float
@@ -54,30 +55,16 @@ def w_statistics(x, x_knock, y):
     for a multivariate one.  Large positive values indicate activity, and
     null statistics have symmetric signs.
     """
-    xm = as_sample_matrix(x, "x")
+    xm, ym = _sample_pair(x, y)
     km = as_sample_matrix(x_knock, "x_knock")
-    ym = as_sample_matrix(y, "y")
     if xm.shape != km.shape:
         raise DimensionMismatch(f"x has shape {xm.shape} but x_knock has {km.shape}")
-    if ym.shape[0] != xm.shape[0]:
-        raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
     d = xm.shape[1]
     scores = column_scores(np.hstack([xm, km]), ym)
     w = scores[:d] - scores[d:]
     if np.any(np.abs(w) > 2.0):
         raise ValueError("W statistic outside [-2, 2]; kernel outputs are out of range")
     return WVector(feature=np.arange(d), w_hat=w, n_used=xm.shape[0])
-
-
-def estimate_fdp(w, t):
-    """#{W_j <= -t} / max(1, #{W_j >= t}), with 0/0 = 0."""
-    t = float(t)
-    if not t > 0:
-        raise ValueError(f"threshold must be positive, got {t}")
-    values = w.w_hat
-    negatives = int(np.count_nonzero(values <= -t))
-    positives = int(np.count_nonzero(values >= t))
-    return negatives / max(1, positives)
 
 
 def check_alpha(alpha):
@@ -100,6 +87,8 @@ def knockoff_plus_threshold(w, alpha):
     candidates = np.unique(np.abs(values))
     candidates = candidates[candidates > 0.0]
     t_alpha = math.inf
+    selected = ()
+    fdp_hat = 0.0
     for t in candidates:
         positives = int(np.count_nonzero(values >= t))
         if positives == 0:
@@ -107,13 +96,9 @@ def knockoff_plus_threshold(w, alpha):
         negatives = int(np.count_nonzero(values <= -t))
         if (1 + negatives) / positives <= alpha:
             t_alpha = float(t)
+            selected = tuple(int(j) for j in w.feature[values >= t_alpha])
+            fdp_hat = negatives / positives
             break
-    if math.isinf(t_alpha):
-        selected = ()
-        fdp_hat = 0.0
-    else:
-        selected = tuple(int(j) for j in w.feature[values >= t_alpha])
-        fdp_hat = estimate_fdp(w, t_alpha)
     return SelectionResult(
         t_alpha=t_alpha,
         selected=selected,

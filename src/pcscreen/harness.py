@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         for name in ("methods", "quantile_levels", "alphas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -143,7 +145,7 @@ def _fdr_records(data, seed, config):
     }
     records = []
     for alpha in config.alphas:
-        selection = selection_from_core(core, float(alpha)).selection
+        selection = selection_from_core(core, float(alpha))
         selected = sorted(selection.selected)
         sure = active.issubset(selected)
         records.append(

@@ -99,6 +99,16 @@ def as_sample_matrix(data, name="sample"):
     return np.ascontiguousarray(arr)
 
 
+def _sample_pair(x, y):
+    """``(as_sample_matrix(x, "x"), as_sample_matrix(y, "y"))``, refusing a
+    pair whose row counts differ."""
+    xm = as_sample_matrix(x, "x")
+    ym = as_sample_matrix(y, "y")
+    if xm.shape[0] != ym.shape[0]:
+        raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
+    return xm, ym
+
+
 def as_row_index(rows, n):
     """Validate and return a 1-D integer index of at least 2 of n rows.
 
@@ -608,11 +618,8 @@ def pcov_stats(x, y):
     -------
     PcStats with s_xy, s_xx, s_yy already scaled by n^-3.
     """
-    xm = as_sample_matrix(x, "x")
-    ym = as_sample_matrix(y, "y")
+    xm, ym = _sample_pair(x, y)
     n = xm.shape[0]
-    if ym.shape[0] != n:
-        raise DimensionMismatch(f"x has {n} observations but y has {ym.shape[0]}")
 
     if xm.shape[1] == 1 and ym.shape[1] == 1:
         xy, xx, yy = univariate_sums(xm, ym[:, 0])
@@ -644,10 +651,7 @@ def projection_correlation_sq(x, y):
     multivariate inputs short-circuit to exactly 1.0, the correctly-rounded
     value of the exact ratio.
     """
-    xm = as_sample_matrix(x, "x")
-    ym = as_sample_matrix(y, "y")
-    if xm.shape[0] != ym.shape[0]:
-        raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
+    xm, ym = _sample_pair(x, y)
     if xm.shape[1] == 1 or ym.shape[1] == 1:
         features, other = (xm, ym) if xm.shape[1] == 1 else (ym, xm)
         return float(column_scores(features, other)[0])

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumn, InvalidSplit, SolverFailure
-from .fdr import SelectionResult, WVector, check_alpha, knockoff_plus_threshold, w_statistics
-from .kernel import as_sample_matrix
+from .fdr import WVector, check_alpha, knockoff_plus_threshold, w_statistics
+from .kernel import _sample_pair
 from .knockoffs import (
     build_knockoff_model,
     equicorrelated_h,
@@ -71,18 +71,6 @@ class PcKnockoffCore:
     timings: dict[str, float]
 
 
-@dataclass(frozen=True)
-class PcKnockoffReport:
-    """Full pipeline output: the alpha-free core plus its selection at one alpha.
-
-    ``timings`` holds the core's stage timings plus ``"select"``.
-    """
-
-    core: PcKnockoffCore
-    selection: SelectionResult
-    timings: dict[str, float]
-
-
 def split_sample(n, n1, seed):
     """Seeded uniform split: first n1 positions of a random permutation."""
     n = int(n)
@@ -103,6 +91,13 @@ def default_survivor_count(n, n1):
     return min((n - n1) // 2 - 1, MAX_DEFAULT_SURVIVORS)
 
 
+def _whole(value, name="value"):
+    """``int(value)``, refusing a bool and a float with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _derive_seeds(seed):
     """Two decoupled child seeds (split, knockoff-noise) from one base seed."""
     children = np.random.SeedSequence(int(seed)).spawn(2)
@@ -115,15 +110,10 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, s
     The returned core is alpha-free: sweeping FDR levels only needs
     ``selection_from_core``, which reuses the W statistics.
     """
-    xm = as_sample_matrix(x, "x")
-    ym = as_sample_matrix(y, "y")
+    xm, ym = _sample_pair(x, y)
     n = xm.shape[0]
-    if n1 is None:
-        n1 = default_split_size(n)
-    n1 = int(n1)
-    if d is None:
-        d = default_survivor_count(n, n1)
-    d = int(d)
+    n1 = default_split_size(n) if n1 is None else _whole(n1, "n1")
+    d = default_survivor_count(n, n1) if d is None else _whole(d, "d")
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     if not 2 * d < n - n1:
@@ -189,15 +179,17 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, s
 
 def selection_from_core(core, alpha):
     """Threshold an existing core's W statistics at FDR level alpha."""
-    start = time.perf_counter()
-    selection = knockoff_plus_threshold(core.w, alpha)
-    timings = dict(core.timings, select=time.perf_counter() - start)
-    return PcKnockoffReport(core=core, selection=selection, timings=timings)
+    # perfbench/tracing.py patches this module's knockoff_plus_threshold and
+    # checks each selection against the survivors and fdp_hat <= alpha, so
+    # callers threshold here, not through fdr.
+    return knockoff_plus_threshold(core.w, alpha)
 
 
 def pc_knockoff(x, y, alpha, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, seed=0):
     """Screen on split 1, build knockoffs and select on split 2.
 
+    Returns ``(core, selection)``: the alpha-free :class:`PcKnockoffCore`
+    and its :class:`~pcscreen.fdr.SelectionResult` at ``alpha``.
     Deterministic given (inputs, seed): the base seed is expanded into
     independent split and knockoff-noise streams.  A failed semidefinite
     search falls back to the equicorrelated construction with the core's
@@ -206,4 +198,4 @@ def pc_knockoff(x, y, alpha, n1=None, d=None, construction=DEFAULT_CONSTRUCTION,
     """
     check_alpha(alpha)
     core = pc_knockoff_core(x, y, n1=n1, d=d, construction=construction, seed=seed)
-    return selection_from_core(core, alpha)
+    return core, selection_from_core(core, alpha)

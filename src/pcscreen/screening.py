@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MultivariateResponseUnsupported, UnknownFeature
-from .kernel import as_sample_matrix, column_scores
+from .errors import MultivariateResponseUnsupported, UnknownFeature
+from .kernel import _sample_pair, column_scores
 
 # perfbench/tracing.py patches this name (its kernel.build_response_cache
 # layer) when a traced run starts; screening builds no response cache, so that
@@ -60,10 +60,7 @@ def rank_features(x, y, rows=None):
     ``y[rows]`` with the same bits and ``n_used = len(rows)``; with a
     univariate response x is read in place, not copied.
     """
-    xm = as_sample_matrix(x, "x")
-    ym = as_sample_matrix(y, "y")
-    if xm.shape[0] != ym.shape[0]:
-        raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
+    xm, ym = _sample_pair(x, y)
     scores = column_scores(xm, ym, rows)
     return _ranking_from_scores(scores, xm.shape[0] if rows is None else len(rows))
 
@@ -74,14 +71,11 @@ def pearson_sis_rank(x, y):
     Degenerate (constant) columns get correlation 0.  Refuses multivariate
     responses, which this baseline does not define.
     """
-    xm = as_sample_matrix(x, "x")
-    ym = as_sample_matrix(y, "y")
+    xm, ym = _sample_pair(x, y)
     if ym.shape[1] != 1:
         raise MultivariateResponseUnsupported(
             f"Pearson baseline requires a univariate response, got q={ym.shape[1]}"
         )
-    if xm.shape[0] != ym.shape[0]:
-        raise DimensionMismatch(f"x has {xm.shape[0]} observations but y has {ym.shape[0]}")
     yc = ym[:, 0] - ym[:, 0].mean()
     xc = xm - xm.mean(axis=0)
     num = xc.T @ yc

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pcscreen
-from pcscreen import cli, errors
+from pcscreen import cli, errors, harness
 from pcscreen.cli import cli_main
 from pcscreen.harness import SummaryTable, write_design_csv
 from pcscreen.models import ModelSpec, generate_dataset
@@ -379,6 +379,18 @@ def test_rejected_simulate_leaves_no_output_directory(tmp_path, capsys):
         assert not out.exists(), args
 
 
+def test_simulate_refuses_a_negative_seed_before_any_replication(tmp_path, capsys, monkeypatch):
+    def never(args):
+        raise AssertionError("a replication ran before the seed was checked")
+
+    monkeypatch.setattr(harness, "_replicate", never)
+    out = tmp_path / "out"
+    argv = ["simulate", "--kind", "fdr", "--model", "4a", "--n", "40", "--p", "10"]
+    assert cli_main(argv + ["--reps", "1", "--seed", "-1", "--out", str(out)]) == 2
+    assert "base_seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reproduce subcommand
 # ---------------------------------------------------------------------------
@@ -514,6 +526,12 @@ def test_public_names_resolve_once_and_omit_the_removed_ones():
     names = pcscreen.__all__
     assert [name for name in names if not hasattr(pcscreen, name)] == []
     assert len(names) == len(set(names))
-    removed = {"ActiveSetEstimate", "estimate_active_count", "DEFAULT_ACTIVE_COUNT_GRID"}
+    removed = {
+        "ActiveSetEstimate",
+        "estimate_active_count",
+        "DEFAULT_ACTIVE_COUNT_GRID",
+        "PcKnockoffReport",
+        "estimate_fdp",
+    }
     assert removed.isdisjoint(names)
     assert not any(hasattr(pcscreen, name) for name in removed)

@@ -16,7 +16,6 @@ from pcscreen.errors import DimensionMismatch, InvalidAlpha
 from pcscreen.fdr import (
     WVector,
     empirical_fdp,
-    estimate_fdp,
     knockoff_plus_threshold,
     phase_transition_probabilities,
     w_statistics,
@@ -220,7 +219,7 @@ def test_threshold_matches_brute_force_enumeration(values, alpha):
     if math.isfinite(res.t_alpha):
         # Self-consistency: the +1 numerator makes the estimate strictly
         # conservative relative to the bound that defined feasibility.
-        assert estimate_fdp(_wvec(values), res.t_alpha) < alpha
+        assert res.fdp_hat < alpha
 
 
 @settings(max_examples=100)
@@ -250,25 +249,6 @@ def test_threshold_selected_are_values_at_or_above_t():
 # ---------------------------------------------------------------------------
 # FDP estimates
 # ---------------------------------------------------------------------------
-
-
-def test_estimate_fdp_worked_example():
-    assert estimate_fdp(_wvec([3.0, 2.0, 1.0, -1.0]), 1.0) == pytest.approx(1 / 3)
-
-
-def test_estimate_fdp_zero_over_zero_convention():
-    assert estimate_fdp(_wvec([0.5, -0.5]), 2.0) == 0.0
-
-
-def test_estimate_fdp_symmetric_pair():
-    assert estimate_fdp(_wvec([1.0, -1.0]), 1.0) == 1.0
-
-
-def test_estimate_fdp_requires_positive_t():
-    with pytest.raises(ValueError):
-        estimate_fdp(_wvec([0.5]), 0.0)
-    with pytest.raises(ValueError):
-        estimate_fdp(_wvec([0.5]), -1.0)
 
 
 def test_empirical_fdp_cases():

@@ -9,7 +9,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pcscreen.errors import DegenerateColumn, InvalidAlpha, InvalidSplit, SolverFailure
+from pcscreen.errors import (
+    DegenerateColumn,
+    DimensionMismatch,
+    InvalidAlpha,
+    InvalidSplit,
+    SolverFailure,
+)
 from pcscreen.fdr import w_statistics
 from pcscreen.knockoffs import (
     build_knockoff_model,
@@ -90,17 +96,16 @@ def test_default_sizes():
 
 def test_report_bookkeeping_fields():
     ds = _strong_linear()
-    rpt = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=12, seed=3)
-    core = rpt.core
+    core, selection = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=12, seed=3)
     assert core.survivors == tuple(sorted(core.a_hat_1))
     assert len(core.survivors) == 12
-    assert set(rpt.selection.selected) <= set(core.survivors)
+    assert set(selection.selected) <= set(core.survivors)
     npt.assert_array_equal(core.w.feature, np.asarray(core.survivors))
     assert core.construction_used == "sdp"
     assert core.fallback_flag is False
     assert core.clip_magnitude >= 0.0
-    assert set(rpt.timings) == {"split", "screen", "knockoff", "wstat", "select"}
-    assert all(v >= 0.0 for v in rpt.timings.values())
+    assert set(core.timings) == {"split", "screen", "knockoff", "wstat"}
+    assert all(v >= 0.0 for v in core.timings.values())
 
 
 def test_screening_sees_split_one_exactly():
@@ -131,29 +136,28 @@ def test_core_plus_selection_equals_one_shot_run():
     ds = _strong_linear(seed=2)
     core = pc_knockoff_core(ds.x, ds.y, n1=80, d=10, seed=5)
     for alpha in (0.1, 0.3, 0.5):
-        via_core = selection_from_core(core, alpha)
-        one_shot = pc_knockoff(ds.x, ds.y, alpha, n1=80, d=10, seed=5)
-        assert via_core.selection == one_shot.selection
-        npt.assert_array_equal(via_core.core.w.w_hat, one_shot.core.w.w_hat)
+        one_core, one_selection = pc_knockoff(ds.x, ds.y, alpha, n1=80, d=10, seed=5)
+        assert selection_from_core(core, alpha) == one_selection
+        npt.assert_array_equal(core.w.w_hat, one_core.w.w_hat)
 
 
 def test_full_survivor_set_matches_unscreened_knockoff_stage():
     # With d = p every feature survives, and the knockoff stage must see
     # split 2 exactly as it would with no screening step at all.
     ds = _strong_linear(n=150, p=8, seed=6)
-    rpt = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=50, d=8, seed=7)
-    assert rpt.core.survivors == tuple(range(8))
+    core, _ = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=50, d=8, seed=7)
+    assert core.survivors == tuple(range(8))
 
     split_seed, knock_seed = pipeline._derive_seeds(7)
     plan = split_sample(150, 50, split_seed)
-    npt.assert_array_equal(plan.perm, rpt.core.split.perm)
+    npt.assert_array_equal(plan.perm, core.split.perm)
     x2 = ds.x[plan.split2]
     cov = estimate_covariance(x2)
     x2_std = standardize(x2, cov)
     model = build_knockoff_model(cov, sdp_h(cov))
     x_knock = sample_knockoffs(x2_std, model, knock_seed)
     w_manual = w_statistics(x2_std, x_knock, ds.y[plan.split2])
-    npt.assert_array_equal(rpt.core.w.w_hat, w_manual.w_hat)
+    npt.assert_array_equal(core.w.w_hat, w_manual.w_hat)
 
 
 def test_pipeline_is_deterministic_across_thread_counts():
@@ -162,19 +166,19 @@ def test_pipeline_is_deterministic_across_thread_counts():
     ds = _strong_linear(seed=8)
     bivariate = np.column_stack([ds.y[:, 0], ds.x[:, 1] ** 2])
     for y in (ds.y, bivariate):
-        one = pc_knockoff(ds.x, y, alpha=0.3, n1=80, d=12, seed=1)
-        two = pc_knockoff(ds.x, y, alpha=0.3, n1=80, d=12, seed=1)
-        npt.assert_array_equal(one.core.ranking1.omega_hat, two.core.ranking1.omega_hat)
-        npt.assert_array_equal(one.core.w.w_hat, two.core.w.w_hat)
-        assert one.selection == two.selection
-        npt.assert_array_equal(one.core.split.perm, two.core.split.perm)
+        one, one_selection = pc_knockoff(ds.x, y, alpha=0.3, n1=80, d=12, seed=1)
+        two, two_selection = pc_knockoff(ds.x, y, alpha=0.3, n1=80, d=12, seed=1)
+        npt.assert_array_equal(one.ranking1.omega_hat, two.ranking1.omega_hat)
+        npt.assert_array_equal(one.w.w_hat, two.w.w_hat)
+        assert one_selection == two_selection
+        npt.assert_array_equal(one.split.perm, two.split.perm)
 
 
 def test_different_seeds_change_the_split():
     ds = _strong_linear(seed=9)
-    a = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=10, seed=0)
-    b = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=10, seed=1)
-    assert not np.array_equal(a.core.split.perm, b.core.split.perm)
+    a, _ = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=10, seed=0)
+    b, _ = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=10, seed=1)
+    assert not np.array_equal(a.split.perm, b.split.perm)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +200,25 @@ def test_bad_alpha_is_refused_before_any_stage_runs(monkeypatch):
     ds = _strong_linear(n=40, p=6)
     with pytest.raises(InvalidAlpha, match=r"alpha must lie in \(0, 1\], got 1.5"):
         pc_knockoff(ds.x, ds.y, alpha=1.5)
+
+
+@pytest.mark.parametrize("sizes, name", [({"n1": 50.7, "d": 10}, "n1"), ({"n1": 50, "d": 10.9}, "d")])
+def test_fractional_sizes_are_refused(sizes, name):
+    ds = _strong_linear(n=120, p=12)
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got "):
+        pc_knockoff_core(ds.x, ds.y, **sizes)
+    whole = pc_knockoff_core(ds.x, ds.y, n1=50.0, d=10.0)
+    assert whole.split.n1 == 50 and len(whole.survivors) == 10
+
+
+def test_row_mismatch_is_refused_before_the_split(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sample was split before its rows were checked")
+
+    monkeypatch.setattr(pipeline, "split_sample", never)
+    ds = _strong_linear(n=40, p=6)
+    with pytest.raises(DimensionMismatch, match="^x has 40 observations but y has 39$"):
+        pc_knockoff_core(ds.x, ds.y[:39], n1=10, d=3)
 
 
 def test_survivor_count_validation():
@@ -238,9 +261,9 @@ def test_alpha_below_one_over_d_never_selects():
     # The ratio (1 + neg) / pos is at least 1/d, so alpha = 0.02 with d = 40
     # is infeasible no matter what the data look like.
     ds = _strong_linear(n=120, p=60, seed=10)
-    rpt = pc_knockoff(ds.x, ds.y, alpha=0.02, n1=20, d=40, seed=0)
-    assert rpt.selection.t_alpha == math.inf
-    assert rpt.selection.selected == ()
+    _, selection = pc_knockoff(ds.x, ds.y, alpha=0.02, n1=20, d=40, seed=0)
+    assert selection.t_alpha == math.inf
+    assert selection.selected == ()
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +275,8 @@ def test_strong_signal_coverage_small_monte_carlo():
     covered = 0
     for rep in range(8):
         ds = generate_dataset(ModelSpec(id="1a", n=300, p=30), seed=500 + rep)
-        rpt = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=100, d=20, seed=rep)
-        if set(ds.true_active) <= set(rpt.selection.selected):
+        _, selection = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=100, d=20, seed=rep)
+        if set(ds.true_active) <= set(selection.selected):
             covered += 1
     assert covered >= 6
 
@@ -264,13 +287,13 @@ def test_sdp_failure_falls_back_to_equicorrelated(monkeypatch):
 
     monkeypatch.setattr(pipeline, "sdp_h", broken_sdp)
     ds = _strong_linear(n=150, p=10, seed=11)
-    rpt = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=50, d=8, seed=2)
-    assert rpt.core.construction_used == "equicorrelated"
-    assert rpt.core.fallback_flag is True
-    assert len(rpt.core.w.w_hat) == 8
+    core, _ = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=50, d=8, seed=2)
+    assert core.construction_used == "equicorrelated"
+    assert core.fallback_flag is True
+    assert len(core.w.w_hat) == 8
 
-    explicit = pc_knockoff(
+    explicit, _ = pc_knockoff(
         ds.x, ds.y, alpha=0.5, n1=50, d=8, seed=2, construction="equicorrelated"
     )
-    npt.assert_array_equal(rpt.core.w.w_hat, explicit.core.w.w_hat)
-    assert explicit.core.fallback_flag is False
+    npt.assert_array_equal(core.w.w_hat, explicit.w.w_hat)
+    assert explicit.fallback_flag is False
