@@ -44,7 +44,6 @@ from .knockoffs import (
     estimate_covariance,
     sample_knockoffs,
     sdp_h,
-    standardize,
 )
 from .models import MODEL_IDS, GeneratedDataset, ModelSpec, ar_covariance, generate_dataset
 from .pipeline import (
@@ -113,7 +112,6 @@ __all__ = [
     "selection_from_core",
     "signal_gap_diagnostic",
     "split_sample",
-    "standardize",
     "w_statistics",
     "write_design_csv",
 ]

@@ -24,8 +24,9 @@ from .harness import (
     write_records_jsonl,
     write_summary_csv,
 )
+from .kernel import _whole
 from .models import _canonical_id
-from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, _whole, pc_knockoff
+from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff
 from .screening import rank_features, signal_gap_diagnostic
 
 _TABLE_MODELS = {

@@ -23,7 +23,6 @@ class WVector:
 
     feature: np.ndarray
     w_hat: np.ndarray
-    n_used: int
 
     @property
     def entries(self):
@@ -36,15 +35,13 @@ class SelectionResult:
 
     ``t_alpha`` is +inf (and ``selected`` empty) when no candidate threshold
     is feasible.  ``fdp_hat`` is #{W_j <= -t_alpha} / #{W_j >= t_alpha}
-    (below ``alpha``), or 0.0 when nothing is selected.  ``candidate_count``
-    is the number of distinct nonzero |W| values considered.
+    (below ``alpha``), or 0.0 when nothing is selected.
     """
 
     t_alpha: float
     selected: tuple[int, ...]
     fdp_hat: float
     alpha: float
-    candidate_count: int
 
 
 def w_statistics(x, x_knock, y):
@@ -64,7 +61,7 @@ def w_statistics(x, x_knock, y):
     w = scores[:d] - scores[d:]
     if np.any(np.abs(w) > 2.0):
         raise ValueError("W statistic outside [-2, 2]; kernel outputs are out of range")
-    return WVector(feature=np.arange(d), w_hat=w, n_used=xm.shape[0])
+    return WVector(feature=np.arange(d), w_hat=w)
 
 
 def check_alpha(alpha):
@@ -99,13 +96,7 @@ def knockoff_plus_threshold(w, alpha):
             selected = tuple(int(j) for j in w.feature[values >= t_alpha])
             fdp_hat = negatives / positives
             break
-    return SelectionResult(
-        t_alpha=t_alpha,
-        selected=selected,
-        fdp_hat=fdp_hat,
-        alpha=alpha,
-        candidate_count=int(candidates.size),
-    )
+    return SelectionResult(t_alpha=t_alpha, selected=selected, fdp_hat=fdp_hat, alpha=alpha)
 
 
 def empirical_fdp(selected, true_active):

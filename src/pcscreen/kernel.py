@@ -127,6 +127,13 @@ def as_row_index(rows, n):
     return idx.astype(np.intp, copy=False)
 
 
+def _whole(value, name="value"):
+    """``int(value)``, refusing a bool and a float with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PcStats:
     """The three accumulated slice sums, already scaled by n^-3."""

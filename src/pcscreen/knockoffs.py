@@ -30,17 +30,18 @@ MAX_NEWTON_STEPS = 500
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Column means/scales used for standardization plus the correlation matrix.
+    """The correlation matrix of a standardized sample and its smallest eigenvalue.
 
     ``sigma`` is symmetric with unit diagonal and smallest eigenvalue at least
     1e-8 (jittered toward the identity when necessary; the blend used is
-    recorded in ``jitter_applied``).
+    recorded in ``jitter_applied``).  ``lambda_min`` is
+    ``np.linalg.eigvalsh(sigma)[0]``, computed once here so that the h
+    constructions need not decompose ``sigma`` again.
     """
 
-    mu: np.ndarray
     sigma: np.ndarray
-    scale: np.ndarray
     jitter_applied: float
+    lambda_min: float
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,9 @@ class KnockoffModel:
 def estimate_covariance(x):
     """Standardize columns to mean 0 / variance 1 and form the correlation matrix.
 
-    Jitters toward the identity (preserving the unit diagonal) when the
-    smallest eigenvalue falls below 1e-8.
+    Returns ``(z, cov)``: the standardized sample and its
+    :class:`CovarianceEstimate`.  Jitters toward the identity (preserving the
+    unit diagonal) when the smallest eigenvalue falls below 1e-8.
     """
     xm = as_sample_matrix(x, "x")
     n, d = xm.shape
@@ -85,23 +87,18 @@ def estimate_covariance(x):
         for _ in range(20):
             candidate = (sigma + eps * np.eye(d)) / (1.0 + eps)
             np.fill_diagonal(candidate, 1.0)
-            if float(np.linalg.eigvalsh(candidate)[0]) >= MIN_EIGENVALUE:
+            lam_min = float(np.linalg.eigvalsh(candidate)[0])
+            if lam_min >= MIN_EIGENVALUE:
                 break
             eps *= 1.1
         sigma = candidate
         jitter = eps
-    return CovarianceEstimate(mu=mu, sigma=sigma, scale=scale, jitter_applied=float(jitter))
-
-
-def standardize(x, cov):
-    """Apply the stored column standardization."""
-    return (as_sample_matrix(x, "x") - cov.mu) / cov.scale
+    return z, CovarianceEstimate(sigma=sigma, jitter_applied=float(jitter), lambda_min=lam_min)
 
 
 def equicorrelated_h(cov):
     """The equicorrelated diagonal: h_j = min(2 lambda_min(sigma), 1) for all j."""
-    lam_min = float(np.linalg.eigvalsh(cov.sigma)[0])
-    return np.full(cov.sigma.shape[0], min(2.0 * lam_min, 1.0))
+    return np.full(cov.sigma.shape[0], min(2.0 * cov.lambda_min, 1.0))
 
 
 def _log_barrier(two_sigma, h):
@@ -156,7 +153,7 @@ def sdp_h(cov):
     sigma = cov.sigma
     d = sigma.shape[0]
     two_sigma = 2.0 * sigma
-    lam_min = float(np.linalg.eigvalsh(sigma)[0])
+    lam_min = cov.lambda_min
     if lam_min <= 0.0:
         raise SolverFailure("2*sigma is not positive definite; no feasible h exists")
 

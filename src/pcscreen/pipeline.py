@@ -12,14 +12,13 @@ import numpy as np
 
 from .errors import DegenerateColumn, InvalidSplit, SolverFailure
 from .fdr import WVector, check_alpha, knockoff_plus_threshold, w_statistics
-from .kernel import _sample_pair
+from .kernel import _sample_pair, _whole
 from .knockoffs import (
     build_knockoff_model,
     equicorrelated_h,
     estimate_covariance,
     sample_knockoffs,
     sdp_h,
-    standardize,
 )
 from .screening import FeatureRanking, rank_features, select_top_d
 
@@ -36,9 +35,7 @@ class SplitPlan:
     """A seeded disjoint two-way split of observation indices 0..n-1."""
 
     n1: int
-    n2: int
     perm: np.ndarray
-    seed: int
 
     @property
     def split1(self):
@@ -53,15 +50,14 @@ class SplitPlan:
 class PcKnockoffCore:
     """Everything up to the W statistics; thresholding at any alpha reuses it.
 
-    ``a_hat_1`` is the screening selection, a tuple of the top d feature
-    indices in rank order; ``survivors`` is the same set sorted ascending,
-    the order in which split-2 columns are consumed (so ``w.feature`` and a
-    selection's ``selected`` carry original feature indices ascending).
+    ``survivors`` is the screening selection, the top d features of
+    ``ranking1``, sorted ascending: the order in which split-2 columns are
+    consumed (so ``w.feature`` and a selection's ``selected`` carry original
+    feature indices ascending).
     """
 
     split: SplitPlan
     ranking1: FeatureRanking
-    a_hat_1: tuple[int, ...]
     survivors: tuple[int, ...]
     w: WVector
     construction_used: str
@@ -73,12 +69,12 @@ class PcKnockoffCore:
 
 def split_sample(n, n1, seed):
     """Seeded uniform split: first n1 positions of a random permutation."""
-    n = int(n)
-    n1 = int(n1)
+    n = _whole(n, "n")
+    n1 = _whole(n1, "n1")
     if not 2 <= n1 <= n - 2:
         raise InvalidSplit(f"need 2 <= n1 <= n - 2, got n1={n1} with n={n}")
-    perm = np.random.default_rng(int(seed)).permutation(n)
-    return SplitPlan(n1=n1, n2=n - n1, perm=perm, seed=int(seed))
+    perm = np.random.default_rng(_whole(seed, "seed")).permutation(n)
+    return SplitPlan(n1=n1, perm=perm)
 
 
 def default_split_size(n):
@@ -91,16 +87,9 @@ def default_survivor_count(n, n1):
     return min((n - n1) // 2 - 1, MAX_DEFAULT_SURVIVORS)
 
 
-def _whole(value, name="value"):
-    """``int(value)``, refusing a bool and a float with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _derive_seeds(seed):
     """Two decoupled child seeds (split, knockoff-noise) from one base seed."""
-    children = np.random.SeedSequence(int(seed)).spawn(2)
+    children = np.random.SeedSequence(_whole(seed, "seed")).spawn(2)
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 
@@ -129,23 +118,21 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, s
 
     start = time.perf_counter()
     ranking1 = rank_features(xm, ym, rows=split.split1)
-    a_hat_1 = select_top_d(ranking1, d)
-    timings["screen"] = time.perf_counter() - start
-
     # Consume survivors in ascending index order so that when screening keeps
     # every feature the knockoff step sees split 2 exactly as it would with no
     # screening at all.
-    survivors = tuple(sorted(a_hat_1))
+    survivors = tuple(sorted(select_top_d(ranking1, d)))
+    timings["screen"] = time.perf_counter() - start
+
     x2 = xm[np.ix_(split.split2, survivors)]
     y2 = ym[split.split2]
 
     start = time.perf_counter()
     try:
-        cov = estimate_covariance(x2)
+        x2_std, cov = estimate_covariance(x2)
     except DegenerateColumn as exc:
         feature = survivors[exc.column]
         raise DegenerateColumn(f"feature {feature} has zero variance in split 2", feature) from exc
-    x2_std = standardize(x2, cov)
     construction_used = construction
     if construction == "sdp":
         try:
@@ -161,12 +148,11 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, s
     start = time.perf_counter()
     w_local = w_statistics(x2_std, x_knock, y2)
     timings["wstat"] = time.perf_counter() - start
-    w = WVector(feature=np.asarray(survivors), w_hat=w_local.w_hat, n_used=w_local.n_used)
+    w = WVector(feature=np.asarray(survivors), w_hat=w_local.w_hat)
 
     return PcKnockoffCore(
         split=split,
         ranking1=ranking1,
-        a_hat_1=a_hat_1,
         survivors=survivors,
         w=w,
         construction_used=construction_used,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MultivariateResponseUnsupported, UnknownFeature
-from .kernel import _sample_pair, column_scores
+from .kernel import _sample_pair, _whole, column_scores
 
 # perfbench/tracing.py patches this name (its kernel.build_response_cache
 # layer) when a traced run starts; screening builds no response cache, so that
@@ -96,7 +96,7 @@ def select_by_threshold(ranking, delta):
 
 def select_top_d(ranking, d):
     """Indices of the first min(d, p) ranking entries, in rank order."""
-    d = int(d)
+    d = _whole(d, "d")
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     return tuple(int(j) for j in ranking.feature[:d])

@@ -26,7 +26,6 @@ from pcscreen.knockoffs import (
     estimate_covariance,
     sample_knockoffs,
     sdp_h,
-    standardize,
 )
 from pcscreen.models import ModelSpec, ar_covariance, generate_dataset
 
@@ -231,7 +230,7 @@ def test_a07_null_statistics_have_symmetric_signs():
     d = 50
     sigma = ar_covariance(d, 0.5)
     cov = CovarianceEstimate(
-        mu=np.zeros(d), sigma=sigma, scale=np.ones(d), jitter_applied=0.0
+        sigma=sigma, jitter_applied=0.0, lambda_min=float(np.linalg.eigvalsh(sigma)[0])
     )
     model = build_knockoff_model(cov, sdp_h(cov))
     chol = np.linalg.cholesky(sigma)
@@ -259,8 +258,7 @@ def test_a07_null_statistics_have_symmetric_signs():
 def test_a08_knockoff_joint_moments():
     start = time.perf_counter()
     ds = generate_dataset(ModelSpec(id="1a", n=5000, p=5), seed=99)
-    cov = estimate_covariance(ds.x)
-    x_std = standardize(ds.x, cov)
+    x_std, cov = estimate_covariance(ds.x)
     h = sdp_h(cov)
     model = build_knockoff_model(cov, h)
     x_knock = sample_knockoffs(x_std, model, seed=123)
@@ -291,7 +289,7 @@ def test_a09_semidefinite_search_contract():
         d = int(rng.integers(2, 31))
         n = d + int(rng.integers(10, 60))
         raw = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
-        cov = estimate_covariance(raw)
+        _, cov = estimate_covariance(raw)
         h = sdp_h(cov)
         h_eq = equicorrelated_h(cov)
         worst_lambda = min(

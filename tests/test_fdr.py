@@ -31,11 +31,7 @@ from .reference import (
 
 
 def _wvec(values):
-    return WVector(
-        feature=np.arange(len(values)),
-        w_hat=np.asarray(values, dtype=np.float64),
-        n_used=50,
-    )
+    return WVector(feature=np.arange(len(values)), w_hat=np.asarray(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +45,6 @@ def test_w_statistics_degenerate_knockoffs_are_exact_zero():
     y = rng.standard_normal((30, 1))
     w = w_statistics(x, x.copy(), y)
     npt.assert_array_equal(w.w_hat, np.zeros(4))
-    assert w.n_used == 30
     npt.assert_array_equal(w.feature, np.arange(4))
 
 
@@ -152,7 +147,6 @@ def test_threshold_worked_example():
     assert res.selected == (0, 1)
     assert res.fdp_hat == 0.0
     assert res.alpha == 0.5
-    assert res.candidate_count == 3  # distinct nonzero magnitudes {1, 2, 3}
 
 
 def test_threshold_all_positive_loose_alpha_selects_everything():
@@ -167,24 +161,21 @@ def test_threshold_all_negative_is_infeasible():
     assert res.t_alpha == math.inf
     assert res.selected == ()
     assert res.fdp_hat == 0.0
-    assert res.candidate_count == 3
 
 
 def test_threshold_zeros_are_not_candidates_and_never_selected():
     # With 0 as a candidate, t=0 would be degenerate; the candidate set drops it.
     res = knockoff_plus_threshold(_wvec([0.0, 0.0, 0.5]), alpha=1.0)
-    assert res.candidate_count == 1
+    assert res.t_alpha == 0.5
     assert res.selected == (2,)
 
     all_zero = knockoff_plus_threshold(_wvec([0.0, 0.0]), alpha=1.0)
     assert all_zero.t_alpha == math.inf
     assert all_zero.selected == ()
-    assert all_zero.candidate_count == 0
 
 
 def test_threshold_duplicate_magnitudes_deduplicated():
     res = knockoff_plus_threshold(_wvec([0.5, 0.5, -0.5, 0.5]), alpha=1.0)
-    assert res.candidate_count == 1
     assert res.t_alpha == 0.5
     assert res.selected == (0, 1, 3)
     assert res.fdp_hat == pytest.approx(1 / 3)

@@ -15,16 +15,14 @@ from pcscreen.knockoffs import (
     estimate_covariance,
     sample_knockoffs,
     sdp_h,
-    standardize,
 )
 from pcscreen.models import ar_covariance, generate_dataset, ModelSpec
 
 
 def _known_cov(sigma):
     sigma = np.asarray(sigma, dtype=float)
-    d = sigma.shape[0]
     return CovarianceEstimate(
-        mu=np.zeros(d), sigma=sigma, scale=np.ones(d), jitter_applied=0.0
+        sigma=sigma, jitter_applied=0.0, lambda_min=float(np.linalg.eigvalsh(sigma)[0])
     )
 
 
@@ -39,24 +37,25 @@ def _assembled_g(sigma, h):
 
 
 def test_single_column_correlation_is_identity():
-    cov = estimate_covariance(np.random.default_rng(0).standard_normal((40, 1)))
+    _, cov = estimate_covariance(np.random.default_rng(0).standard_normal((40, 1)))
     npt.assert_array_equal(cov.sigma, [[1.0]])
     assert cov.jitter_applied == 0.0
 
 
 def test_ar_correlation_recovered_from_data():
     data = generate_dataset(ModelSpec(id="1a", n=2000, p=5), seed=1)
-    cov = estimate_covariance(data.x)
+    _, cov = estimate_covariance(data.x)
     npt.assert_allclose(cov.sigma, ar_covariance(5, 0.5), atol=0.08)
     npt.assert_array_equal(np.diag(cov.sigma), 1.0)
     assert np.array_equal(cov.sigma, cov.sigma.T)
+    assert cov.jitter_applied == 0.0
+    assert cov.lambda_min == float(np.linalg.eigvalsh(cov.sigma)[0])
 
 
 def test_standardize_centers_and_scales():
     rng = np.random.default_rng(2)
     x = 3.0 + 2.5 * rng.standard_normal((60, 3))
-    cov = estimate_covariance(x)
-    z = standardize(x, cov)
+    z, _ = estimate_covariance(x)
     npt.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
     npt.assert_allclose(z.var(axis=0, ddof=1), 1.0, rtol=1e-12)
 
@@ -65,9 +64,11 @@ def test_duplicated_column_forces_jitter():
     rng = np.random.default_rng(3)
     base = rng.standard_normal((50, 1))
     x = np.hstack([base, base, rng.standard_normal((50, 1))])
-    cov = estimate_covariance(x)
+    _, cov = estimate_covariance(x)
     assert cov.jitter_applied > 0.0
     assert np.linalg.eigvalsh(cov.sigma)[0] >= 1e-8 - 1e-15
+    # lambda_min is that of the accepted candidate, the sigma returned
+    assert cov.lambda_min == float(np.linalg.eigvalsh(cov.sigma)[0])
 
 
 def test_zero_variance_column_is_rejected():
@@ -177,7 +178,7 @@ def test_joint_lambda_min_matches_the_assembled_g(seed):
     # eigvalsh of the assembled G measured on these draws: 7.7e-16
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 40))
-    cov = estimate_covariance(rng.standard_normal((3 * d, d)) @ rng.standard_normal((d, d)))
+    _, cov = estimate_covariance(rng.standard_normal((3 * d, d)) @ rng.standard_normal((d, d)))
     h = equicorrelated_h(cov) * rng.uniform(0.0, 1.0, d)
     h[rng.integers(d)] = 0.0
     model = build_knockoff_model(cov, h)

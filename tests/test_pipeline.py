@@ -22,7 +22,6 @@ from pcscreen.knockoffs import (
     estimate_covariance,
     sample_knockoffs,
     sdp_h,
-    standardize,
 )
 from pcscreen.models import ModelSpec, generate_dataset
 from pcscreen import pipeline
@@ -51,7 +50,7 @@ def _strong_linear(n=200, p=20, seed=0):
 
 def test_split_covers_all_observations_exactly_once():
     plan = split_sample(37, 11, seed=4)
-    assert plan.n1 == 11 and plan.n2 == 26
+    assert plan.n1 == 11
     assert len(plan.split1) == 11 and len(plan.split2) == 26
     combined = np.concatenate([plan.split1, plan.split2])
     npt.assert_array_equal(np.sort(combined), np.arange(37))
@@ -70,6 +69,18 @@ def test_split_membership_is_uniform():
         0 in set(split_sample(10, 5, seed).split1.tolist()) for seed in range(10_000)
     )
     assert 0.48 <= hits / 10_000 <= 0.52
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((10.9, 4, 0), "n"), ((10, 4.7, 0), "n1"), ((10, 4, 0.5), "seed"), ((10, True, 0), "n1")],
+)
+def test_split_refuses_fractional_arguments(args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got "):
+        split_sample(*args)
+    whole = split_sample(10.0, 4.0, 3.0)
+    assert whole.n1 == 4
+    npt.assert_array_equal(whole.perm, split_sample(10, 4, 3).perm)
 
 
 @pytest.mark.parametrize("n1", [0, 1, 9, 10])
@@ -97,7 +108,7 @@ def test_default_sizes():
 def test_report_bookkeeping_fields():
     ds = _strong_linear()
     core, selection = pc_knockoff(ds.x, ds.y, alpha=0.5, n1=80, d=12, seed=3)
-    assert core.survivors == tuple(sorted(core.a_hat_1))
+    assert core.survivors == tuple(sorted(core.ranking1.feature[:12].tolist()))
     assert len(core.survivors) == 12
     assert set(selection.selected) <= set(core.survivors)
     npt.assert_array_equal(core.w.feature, np.asarray(core.survivors))
@@ -152,8 +163,7 @@ def test_full_survivor_set_matches_unscreened_knockoff_stage():
     plan = split_sample(150, 50, split_seed)
     npt.assert_array_equal(plan.perm, core.split.perm)
     x2 = ds.x[plan.split2]
-    cov = estimate_covariance(x2)
-    x2_std = standardize(x2, cov)
+    x2_std, cov = estimate_covariance(x2)
     model = build_knockoff_model(cov, sdp_h(cov))
     x_knock = sample_knockoffs(x2_std, model, knock_seed)
     w_manual = w_statistics(x2_std, x_knock, ds.y[plan.split2])
@@ -202,13 +212,21 @@ def test_bad_alpha_is_refused_before_any_stage_runs(monkeypatch):
         pc_knockoff(ds.x, ds.y, alpha=1.5)
 
 
-@pytest.mark.parametrize("sizes, name", [({"n1": 50.7, "d": 10}, "n1"), ({"n1": 50, "d": 10.9}, "d")])
+@pytest.mark.parametrize(
+    "sizes, name",
+    [
+        ({"n1": 50.7, "d": 10}, "n1"),
+        ({"n1": 50, "d": 10.9}, "d"),
+        ({"n1": 50, "d": 10, "seed": 1.5}, "seed"),
+    ],
+)
 def test_fractional_sizes_are_refused(sizes, name):
     ds = _strong_linear(n=120, p=12)
     with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got "):
         pc_knockoff_core(ds.x, ds.y, **sizes)
-    whole = pc_knockoff_core(ds.x, ds.y, n1=50.0, d=10.0)
+    whole = pc_knockoff_core(ds.x, ds.y, n1=50.0, d=10.0, seed=0.0)
     assert whole.split.n1 == 50 and len(whole.survivors) == 10
+    npt.assert_array_equal(whole.split.perm, pc_knockoff_core(ds.x, ds.y, n1=50, d=10).split.perm)
 
 
 def test_row_mismatch_is_refused_before_the_split(monkeypatch):
@@ -279,6 +297,34 @@ def test_strong_signal_coverage_small_monte_carlo():
         if set(ds.true_active) <= set(selection.selected):
             covered += 1
     assert covered >= 6
+
+
+def test_sdp_core_decomposes_sigma_once(monkeypatch):
+    # estimate_covariance hands its lambda_min to sdp_h and equicorrelated_h;
+    # the other two calls are sdp_h's polish check and build_knockoff_model's
+    # PSD check, on 2 sigma - diag(h)
+    ds = generate_dataset(ModelSpec(id="4a", n=600, p=1000), seed=0)
+    covs, arguments = [], []
+    estimate = pipeline.estimate_covariance
+    eigvalsh = np.linalg.eigvalsh
+
+    def kept_estimate(x):
+        z, cov = estimate(x)
+        covs.append(cov)
+        return z, cov
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        arguments.append(np.array(a, copy=True))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "estimate_covariance", kept_estimate)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    core = pc_knockoff_core(ds.x, ds.y, n1=150, d=50, construction="sdp", seed=0)
+    assert core.construction_used == "sdp"
+    (cov,) = covs
+    on_sigma = [a for a in arguments if a.shape == cov.sigma.shape and np.array_equal(a, cov.sigma)]
+    assert len(on_sigma) == 1
+    assert len(arguments) == 3
 
 
 def test_sdp_failure_falls_back_to_equicorrelated(monkeypatch):

@@ -228,6 +228,14 @@ def test_tied_scores_prefer_lower_index():
     assert select_top_d(ranking, 2) == (1, 0)
 
 
+@pytest.mark.parametrize("d", [2.7, True])
+def test_top_d_refuses_fractional_d(d):
+    ranking = _ranking([0.1, 0.3, 0.2])
+    with pytest.raises(ValueError, match=r"^d must be a whole number, got "):
+        select_top_d(ranking, d)
+    assert select_top_d(ranking, 2.0) == (1, 2)
+
+
 def test_top_d_rejects_non_positive():
     with pytest.raises(ValueError):
         select_top_d(_ranking([0.1]), 0)

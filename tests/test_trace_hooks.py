@@ -54,3 +54,30 @@ def test_one_fdr_replication_thresholds_through_pipeline_once_per_alpha(monkeypa
     _, records = run_fdr_experiment(config)
     assert calls == list(alphas)
     assert len(records) == len(alphas)
+
+
+def test_one_fdr_replication_calls_each_traced_knockoff_layer_once(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    knockoff_layers = (
+        "knockoffs.estimate_covariance",
+        "knockoffs.sdp_h",
+        "knockoffs.build_knockoff_model",
+        "knockoffs.sample_knockoffs",
+        "fdr.w_statistics",
+    )
+    patched = {name for name, module, _ in tracing.PATCH_POINTS if module == "pcscreen.pipeline"}
+    assert set(knockoff_layers) <= patched
+    config = ExperimentConfig(
+        models=("4a",), n=120, p=30, replications=1, alphas=(0.1, 0.2), n1=40, d=10,
+        construction="sdp", base_seed=300,
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_fdr_experiment(config)
+    finally:
+        tracer.uninstall()
+    totals = tracer.layer_totals()
+    calls = {name: totals[name]["calls"] for name in knockoff_layers}
+    assert calls == dict.fromkeys(knockoff_layers, 1)
+    assert tracer.take_problems() == []
