@@ -15,7 +15,6 @@ from .fdr import (
     WVector,
     empirical_fdp,
     knockoff_plus_threshold,
-    phase_transition_probabilities,
     w_statistics,
 )
 from .harness import (
@@ -30,7 +29,6 @@ from .harness import (
 )
 from .kernel import (
     PcStats,
-    angle_slice,
     as_sample_matrix,
     center_slice,
     pcov_stats,
@@ -45,7 +43,7 @@ from .knockoffs import (
     sample_knockoffs,
     sdp_h,
 )
-from .models import MODEL_IDS, GeneratedDataset, ModelSpec, ar_covariance, generate_dataset
+from .models import MODEL_IDS, GeneratedDataset, ModelSpec, generate_dataset
 from .pipeline import (
     PcKnockoffCore,
     SplitPlan,
@@ -59,7 +57,6 @@ from .screening import (
     minimum_model_size,
     pearson_sis_rank,
     rank_features,
-    select_by_threshold,
     select_top_d,
     signal_gap_diagnostic,
 )
@@ -82,8 +79,6 @@ __all__ = [
     "SplitPlan",
     "SummaryTable",
     "WVector",
-    "angle_slice",
-    "ar_covariance",
     "as_sample_matrix",
     "build_knockoff_model",
     "center_slice",
@@ -99,7 +94,6 @@ __all__ = [
     "pc_knockoff_core",
     "pcov_stats",
     "pearson_sis_rank",
-    "phase_transition_probabilities",
     "projection_correlation_sq",
     "rank_features",
     "read_design_csv",
@@ -107,7 +101,6 @@ __all__ = [
     "run_quantile_experiment",
     "sample_knockoffs",
     "sdp_h",
-    "select_by_threshold",
     "select_top_d",
     "selection_from_core",
     "signal_gap_diagnostic",

@@ -1,5 +1,7 @@
 """Knockoff W-statistics, the knockoff+ threshold with its FDP estimate, and
-the stopping-probability sequence behind the selection phase transition."""
+the empirical FDP of a selection.  The stopping law of the knockoff+ scan,
+which the selection phase transition is checked against, is a test oracle
+(``tests/reference.py``)."""
 
 from __future__ import annotations
 
@@ -106,41 +108,3 @@ def empirical_fdp(selected, true_active):
         return 0.0
     active = {int(j) for j in true_active}
     return len(chosen - active) / len(chosen)
-
-
-def phase_transition_probabilities(s, k_max):
-    """Stopping probabilities of the knockoff+ scan over null sign sequences.
-
-    a_k is the chance that k fair signs leave the selection ratio feasible for
-    some level below 1/s — a binomial tail: with m minus signs among k, the
-    event is m(s+1) < k, so
-
-        a_k = sum_{i=0..floor((k-1)/(s+1))} C(k, i) (1/2)^k,   a_0 = 0,
-
-    and b_k = a_k (1 - a_{k-1} - ... - a_0) chains them into per-k stopping
-    mass.  The remainder factor is clamped at zero (the raw partial sums of
-    a_k can exceed 1 for large k, e.g. s=10 beyond k=12, which would otherwise
-    drive b_k slightly negative); with the clamp every b_k >= 0 and the
-    partial sum of b stays at most 1.
-
-    Returns (a, b, partial_sum) with arrays indexed so that a[k], b[k]
-    correspond to sequence position k (entry 0 is 0).  Every a_k is the
-    correctly rounded value of the exact binomial tail: the tail count
-    T(k) = sum_{i<=(k-1)//(s+1)} C(k, i) is a Python int, and a_k = T(k) / 2^k
-    is one int-by-int true division.
-    """
-    s = int(s)
-    k_max = int(k_max)
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
-    a = np.zeros(k_max + 1)
-    for k in range(1, k_max + 1):
-        a[k] = sum(math.comb(k, i) for i in range((k - 1) // (s + 1) + 1)) / 2**k
-    b = np.zeros(k_max + 1)
-    partial_a = 0.0
-    for k in range(1, k_max + 1):
-        b[k] = a[k] * max(0.0, 1.0 - partial_a)
-        partial_a += a[k]
-    return a, b, min(1.0, float(b.sum()))

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingColumn, NonNumericCell, ParseError, PcScreenError
+from .errors import DimensionMismatch, MissingColumn, NonNumericCell, ParseError, PcScreenError
 from .fdr import empirical_fdp
+from .kernel import _whole
 from .models import ModelSpec, _canonical_id, generate_dataset
 from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff_core, selection_from_core
 from .screening import minimum_model_size, pearson_sis_rank, rank_features
@@ -32,8 +33,8 @@ class ExperimentConfig:
     are independent of the pool size.  They can depend on the BLAS thread
     count of the processes, which no setting here fixes.  Model ids are
     stored in canonical form (``"1A"`` becomes ``"1a"``) and quantile levels
-    as floats; an empty list, or a repeated model, alpha or method, is
-    refused.
+    as floats, sizes and seeds as ints (a fractional one is refused); an
+    empty list, or a repeated model, alpha or method, is refused.
     """
 
     models: tuple[str, ...]
@@ -58,6 +59,8 @@ class ExperimentConfig:
         if len(set(models)) != len(models):
             raise ValueError(f"repeated model id in {models}")
         object.__setattr__(self, "models", models)
+        for name in ("n", "p", "replications", "base_seed", "threads"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.replications < 1:
@@ -445,20 +448,32 @@ def _raise_bad_row(path, header, i, row):
 
 def write_design_csv(path, x, y, x_names=None, y_names=None):
     """Write (X, Y) as a headed CSV at 17 significant digits (round-trips
-    doubles exactly)."""
+    doubles exactly).
+
+    Raises DimensionMismatch, before the file is opened, when x and y differ
+    in rows or a name list differs in length from its matrix's columns.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if y.ndim == 1:
         y = y[:, None]
+    if x.shape[0] != y.shape[0]:
+        raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
     if x_names is None:
         x_names = [f"x{j + 1}" for j in range(x.shape[1])]
     if y_names is None:
         y_names = [f"y{j + 1}" for j in range(y.shape[1])]
+    x_names, y_names = list(x_names), list(y_names)
+    for side, names, matrix in (("x", x_names, x), ("y", y_names, y)):
+        if len(names) != matrix.shape[1]:
+            raise DimensionMismatch(
+                f"{side} has {matrix.shape[1]} columns but {len(names)} names"
+            )
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(x_names) + list(y_names))
+        writer.writerow(x_names + y_names)
         for i in range(x.shape[0]):
             writer.writerow(
                 ["%.17g" % v for v in x[i]] + ["%.17g" % v for v in y[i]]

@@ -141,21 +141,6 @@ class PcStats:
     s_xy: float
     s_xx: float
     s_yy: float
-    n: int
-
-
-def angle_slice(points, r):
-    """Angle matrix of all observation pairs as seen from observation ``r``.
-
-    Entry (k, l) is the angle at vertex x_r spanned by x_k - x_r and
-    x_l - x_r.  Entries in row/column r, and rows/columns of any observation
-    coinciding with x_r, are zero.
-    """
-    x = as_sample_matrix(points, "points")
-    n = x.shape[0]
-    if not 0 <= r < n:
-        raise IndexError(f"slice index {r} outside 0..{n - 1}")
-    return _angle_slice_raw(x, r)
 
 
 def _angle_slice_raw(x, r):
@@ -631,19 +616,17 @@ def pcov_stats(x, y):
     if xm.shape[1] == 1 and ym.shape[1] == 1:
         xy, xx, yy = univariate_sums(xm, ym[:, 0])
         scale = _HALF_PI * _HALF_PI / float(n) ** 5
-        return PcStats(
-            s_xy=float(xy[0]) * scale, s_xx=float(xx[0]) * scale, s_yy=float(yy) * scale, n=n
-        )
+        return PcStats(s_xy=float(xy[0]) * scale, s_xx=float(xx[0]) * scale, s_yy=float(yy) * scale)
     if xm.shape[1] == 1 or ym.shape[1] == 1:
         # the univariate side always takes the factor axis, so swapping x and
         # y swaps s_xx and s_yy and nothing else
         swap = ym.shape[1] == 1
         s_xy, s_uu, s_mm = _feature_stats(*((ym, xm) if swap else (xm, ym)))
         s_xx, s_yy = (s_mm, s_uu[0]) if swap else (s_uu[0], s_mm)
-        return PcStats(s_xy=float(s_xy[0]), s_xx=float(s_xx), s_yy=float(s_yy), n=n)
+        return PcStats(s_xy=float(s_xy[0]), s_xx=float(s_xx), s_yy=float(s_yy))
     xy, xx, yy = _slice_sums(ym, xm, features=False)
     cube = float(n) ** 3
-    return PcStats(s_xy=float(xy[0]) / cube, s_xx=xx / cube, s_yy=yy / cube, n=n)
+    return PcStats(s_xy=float(xy[0]) / cube, s_xx=xx / cube, s_yy=yy / cube)
 
 
 def projection_correlation_sq(x, y):

@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnknownModel
+from .kernel import _whole
 
 MODEL_IDS = (
     "1a", "1b", "1c", "1d", "1e", "1f",
@@ -45,7 +46,8 @@ class ModelSpec:
     """One simulation design: model id plus dimensions and AR parameter.
 
     ``s`` (active-feature count) defaults per family: 5 for the 1x models,
-    4 for 2x/3x (fixed by their functional forms), 10 for 4x.
+    4 for 2x/3x (fixed by their functional forms), 10 for 4x.  ``n``, ``p``
+    and ``s`` are stored as ints; a fractional value is refused.
     """
 
     id: str
@@ -56,6 +58,8 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "id", _canonical_id(self.id))
+        for name in ("n", "p") + (() if self.s is None else ("s",)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not abs(self.rho) < 1:
@@ -68,7 +72,7 @@ class ModelSpec:
 
     @property
     def active_count(self):
-        return _family_active_count(self.id) if self.s is None else int(self.s)
+        return _family_active_count(self.id) if self.s is None else self.s
 
 
 @dataclass(frozen=True)
@@ -78,28 +82,13 @@ class GeneratedDataset:
     x: np.ndarray
     y: np.ndarray
     true_active: tuple[int, ...]
-    seed: int
     clamp_events: int = 0
     extreme_responses: int = 0
 
 
-def ar_covariance(p, rho):
-    """Toeplitz correlation matrix with entries rho^|i-j|."""
-    rho = float(rho)
-    if not abs(rho) < 1:
-        raise ValueError(f"|rho| must be below 1, got {rho}")
-    p = int(p)
-    powers = rho ** np.arange(p)
-    # row i is the p-wide window at offset p - 1 - i of
-    # rho^(p-1), ..., rho, 1, rho, ..., rho^(p-1)
-    mirrored = np.concatenate((powers[::-1], powers[1:]))
-    windows = np.lib.stride_tricks.sliding_window_view(mirrored, p)
-    return windows[np.arange(p - 1, -1, -1)]
-
-
 @lru_cache(maxsize=8)
 def _sqrt_cov(p, rho):
-    """Symmetric PD square root of ar_covariance(p, rho), cached per shape.
+    """Symmetric PD square root of Sigma = [rho^|i-j|] (p x p), cached per shape.
 
     The matrix is the Kac-Murdock-Szego matrix, whose eigenpairs are known
     in closed form (Kac, Murdock & Szego 1953, "On the eigenvalues of certain
@@ -143,7 +132,7 @@ def _sqrt_cov(p, rho):
 
 
 def _gaussian_ar(rng, n, p, rho):
-    """Exact N(0, ar_covariance) rows via the stationary AR recursion.
+    """Exact N(0, Sigma) rows, Sigma = [rho^|i-j|], via the stationary AR recursion.
 
     Column j is rho * column (j - 1) + sqrt(1 - rho^2) * z_j, run in place on
     the C-ordered draw through a transposed buffer of _AR_BLOCK columns: every
@@ -198,7 +187,7 @@ def generate_dataset(spec, seed):
     """
     mid = spec.id
     n, p, rho, s = spec.n, spec.p, spec.rho, spec.active_count
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_whole(seed, "seed"))
     clamped = 0
 
     if mid in ("1c", "1d"):
@@ -273,7 +262,6 @@ def generate_dataset(spec, seed):
         x=x,
         y=y,
         true_active=tuple(range(s)),
-        seed=int(seed),
         clamp_events=clamped,
         extreme_responses=extreme,
     )

@@ -86,14 +86,6 @@ def pearson_sis_rank(x, y):
     return _ranking_from_scores(scores, xm.shape[0])
 
 
-def select_by_threshold(ranking, delta):
-    """Indices of all features whose score reaches ``delta``, in rank order."""
-    delta = float(delta)
-    if not np.isfinite(delta):
-        raise ValueError(f"threshold must be finite, got {delta}")
-    return tuple(int(j) for j in ranking.feature[ranking.omega_hat >= delta])
-
-
 def select_top_d(ranking, d):
     """Indices of the first min(d, p) ranking entries, in rank order."""
     d = _whole(d, "d")

@@ -1,8 +1,8 @@
 """Independent reference computations used as test oracles.
 
 Everything here is written straight from the definitions with plain Python
-scalars (``math.fsum`` accumulation, literal nested loops) or direct
-simulation, and shares no code with the package implementations it is used
+scalars (``math.fsum`` accumulation, literal nested loops), closed forms or
+direct simulation, and shares no code with the package implementations it is used
 to check beyond input validation and the result type.
 """
 
@@ -215,7 +215,7 @@ def naive_pcov_stats(x, y):
                 s_xx += a[r][k][l] * a[r][k][l]
                 s_yy += b[r][k][l] * b[r][k][l]
     n3 = float(n * n * n)
-    return PcStats(s_xy=s_xy / n3, s_xx=s_xx / n3, s_yy=s_yy / n3, n=n)
+    return PcStats(s_xy=s_xy / n3, s_xx=s_xx / n3, s_yy=s_yy / n3)
 
 
 def _naive_centered_slices(m):
@@ -253,3 +253,56 @@ def _naive_centered_slices(m):
             ]
         )
     return centered
+
+
+def ar_covariance(p, rho):
+    """Toeplitz correlation matrix with entries rho^|i-j|: the covariance
+    that the models' AR(rho) covariates and ``models._sqrt_cov`` stand for."""
+    rho = float(rho)
+    if not abs(rho) < 1:
+        raise ValueError(f"|rho| must be below 1, got {rho}")
+    p = int(p)
+    powers = rho ** np.arange(p)
+    # row i is the p-wide window at offset p - 1 - i of
+    # rho^(p-1), ..., rho, 1, rho, ..., rho^(p-1)
+    mirrored = np.concatenate((powers[::-1], powers[1:]))
+    windows = np.lib.stride_tricks.sliding_window_view(mirrored, p)
+    return windows[np.arange(p - 1, -1, -1)]
+
+
+def phase_transition_probabilities(s, k_max):
+    """Stopping probabilities of the knockoff+ scan over null sign sequences.
+
+    a_k is the chance that k fair signs leave the selection ratio feasible for
+    some level below 1/s — a binomial tail: with m minus signs among k, the
+    event is m(s+1) < k, so
+
+        a_k = sum_{i=0..floor((k-1)/(s+1))} C(k, i) (1/2)^k,   a_0 = 0,
+
+    and b_k = a_k (1 - a_{k-1} - ... - a_0) chains them into per-k stopping
+    mass.  The remainder factor is clamped at zero (the raw partial sums of
+    a_k can exceed 1 for large k, e.g. s=10 beyond k=12, which would otherwise
+    drive b_k slightly negative); with the clamp every b_k >= 0 and the
+    partial sum of b stays at most 1.
+
+    Returns (a, b, partial_sum) with arrays indexed so that a[k], b[k]
+    correspond to sequence position k (entry 0 is 0).  Every a_k is the
+    correctly rounded value of the exact binomial tail: the tail count
+    T(k) = sum_{i<=(k-1)//(s+1)} C(k, i) is a Python int, and a_k = T(k) / 2^k
+    is one int-by-int true division.
+    """
+    s = int(s)
+    k_max = int(k_max)
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    a = np.zeros(k_max + 1)
+    for k in range(1, k_max + 1):
+        a[k] = sum(math.comb(k, i) for i in range((k - 1) // (s + 1) + 1)) / 2**k
+    b = np.zeros(k_max + 1)
+    partial_a = 0.0
+    for k in range(1, k_max + 1):
+        b[k] = a[k] * max(0.0, 1.0 - partial_a)
+        partial_a += a[k]
+    return a, b, min(1.0, float(b.sum()))

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from pcscreen.fdr import phase_transition_probabilities, w_statistics
+from pcscreen.fdr import w_statistics
 from pcscreen.harness import ExperimentConfig, run_fdr_experiment, run_quantile_experiment, write_design_csv
 from pcscreen.kernel import pcov_stats, projection_correlation_sq
 from pcscreen.knockoffs import (
@@ -27,9 +27,15 @@ from pcscreen.knockoffs import (
     sample_knockoffs,
     sdp_h,
 )
-from pcscreen.models import ModelSpec, ar_covariance, generate_dataset
+from pcscreen.models import ModelSpec, generate_dataset
 
-from .reference import chain_stop_mass, coin_flip_feasibility, naive_pcov_stats
+from .reference import (
+    ar_covariance,
+    chain_stop_mass,
+    coin_flip_feasibility,
+    naive_pcov_stats,
+    phase_transition_probabilities,
+)
 
 
 def _verdict(ok):

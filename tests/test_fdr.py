@@ -17,7 +17,6 @@ from pcscreen.fdr import (
     WVector,
     empirical_fdp,
     knockoff_plus_threshold,
-    phase_transition_probabilities,
     w_statistics,
 )
 
@@ -26,6 +25,7 @@ from .reference import (
     chain_stop_mass,
     coin_flip_feasibility,
     naive_pcov_stats,
+    phase_transition_probabilities,
     scan_stop_frequencies,
 )
 

@@ -13,7 +13,13 @@ import numpy.testing as npt
 import pytest
 
 from pcscreen import harness
-from pcscreen.errors import MissingColumn, NonNumericCell, ParseError, PcScreenError
+from pcscreen.errors import (
+    DimensionMismatch,
+    MissingColumn,
+    NonNumericCell,
+    ParseError,
+    PcScreenError,
+)
 from pcscreen.harness import (
     ExperimentConfig,
     SummaryTable,
@@ -128,6 +134,39 @@ def test_config_stores_canonical_model_ids_and_refuses_repeats():
         _fdr_config(alphas=(0.2, 0.2))
     with pytest.raises(ValueError, match="repeated method"):
         _quantile_config(methods=("pc_screen", "pc_screen"))
+
+
+def test_sizes_and_seeds_refuse_fractions_and_take_whole_floats_as_ints():
+    spec = ModelSpec("1a", n=20, p=8)
+    for bad in (
+        lambda: generate_dataset(spec, 1.5),
+        lambda: ModelSpec("1a", n=20.5, p=8),
+        lambda: ModelSpec("1a", n=20, p=8.5),
+        lambda: ModelSpec("4a", n=20, p=12, s=2.5),
+        lambda: _quantile_config(n=60.5),
+        lambda: _quantile_config(p=20.5),
+        lambda: _quantile_config(replications=2.5),
+        lambda: _quantile_config(base_seed=0.5),
+        lambda: _quantile_config(threads=1.5),
+    ):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            bad()
+    whole = ModelSpec("4a", n=20.0, p=12.0, s=2.0)
+    assert (whole.n, whole.p, whole.s) == (20, 12, 2)
+    assert all(type(v) is int for v in (whole.n, whole.p, whole.s))
+    ints = generate_dataset(ModelSpec("4a", n=20, p=12, s=2), 7)
+    floats = generate_dataset(whole, 7.0)
+    npt.assert_array_equal(floats.x, ints.x)
+    npt.assert_array_equal(floats.y, ints.y)
+    config = _quantile_config(n=60.0, p=20.0, replications=2.0, base_seed=100.0, threads=1.0)
+    assert config == _quantile_config(replications=2)
+    assert all(
+        type(getattr(config, name)) is int
+        for name in ("n", "p", "replications", "base_seed", "threads")
+    )
+    records = run_quantile_experiment(config)[1]
+    assert records == run_quantile_experiment(_quantile_config(replications=2))[1]
+    assert [r["seed"] for r in records] == [100, 100, 101, 101]
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +469,25 @@ def test_design_round_trip_is_bit_exact(tmp_path):
     npt.assert_array_equal(parsed.y, y)
     assert parsed.x_names == ("x1", "x2", "x3", "x4")
     assert parsed.y_names == ("y1", "y2")
+
+
+def test_design_writer_refuses_mismatched_inputs_before_opening_the_file(tmp_path):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 3))
+    path = tmp_path / "design.csv"
+    for y, names, match in (
+        (rng.standard_normal(6), {}, "x has 4 rows but y has 6"),
+        (rng.standard_normal(3), {}, "x has 4 rows but y has 3"),
+        (rng.standard_normal(4), {"x_names": ["a"]}, "x has 3 columns but 1 names"),
+        (rng.standard_normal(4), {"y_names": ["u", "v"]}, "y has 1 columns but 2 names"),
+    ):
+        with pytest.raises(DimensionMismatch, match=match):
+            write_design_csv(path, x, y, **names)
+        assert not path.exists()
+    write_design_csv(path, x, x[:, 0], x_names=("a", "b", "c"), y_names=["r"])
+    parsed = read_design_csv(path, 1)
+    assert parsed.x_names == ("a", "b", "c") and parsed.y_names == ("r",)
+    npt.assert_array_equal(parsed.x, x)
 
 
 def test_design_response_selection_by_name(tmp_path):

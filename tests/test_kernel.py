@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from pcscreen import kernel
 from pcscreen.errors import DimensionMismatch, InputTooLarge
 from pcscreen.kernel import (
-    angle_slice,
     center_slice,
     column_scores,
     pcov_stats,
@@ -41,7 +40,7 @@ def _points(seed, n, m):
 
 
 def test_collinear_opposite_directions_span_pi():
-    angles = angle_slice(np.array([[0.0], [1.0], [2.0]]), r=1)
+    angles = kernel._angle_slice_raw(np.array([[0.0], [1.0], [2.0]]), r=1)
     assert angles[0, 2] == math.pi
     assert angles[2, 0] == math.pi
     assert angles[0, 0] == 0.0
@@ -49,7 +48,7 @@ def test_collinear_opposite_directions_span_pi():
 
 
 def test_vertex_row_and_column_are_zero():
-    angles = angle_slice(_points(0, 8, 3), r=5)
+    angles = kernel._angle_slice_raw(_points(0, 8, 3), r=5)
     npt.assert_array_equal(angles[5, :], 0.0)
     npt.assert_array_equal(angles[:, 5], 0.0)
 
@@ -57,7 +56,7 @@ def test_vertex_row_and_column_are_zero():
 def test_duplicate_of_vertex_zeroes_its_row_and_column():
     pts = _points(1, 6, 2)
     pts[3] = pts[1]
-    angles = angle_slice(pts, r=1)
+    angles = kernel._angle_slice_raw(pts, r=1)
     npt.assert_array_equal(angles[3, :], 0.0)
     npt.assert_array_equal(angles[:, 3], 0.0)
 
@@ -66,17 +65,10 @@ def test_duplicate_of_vertex_zeroes_its_row_and_column():
 def test_angles_match_extended_precision_reference(seed):
     pts = _points(seed, 6, 3)
     for r in range(6):
-        angles = angle_slice(pts, r)
+        angles = kernel._angle_slice_raw(pts, r)
         npt.assert_allclose(angles, angle_matrix_fsum(pts, r), atol=1e-12)
         assert np.all(angles >= 0.0) and np.all(angles <= math.pi)
         npt.assert_array_equal(angles, angles.T)
-
-
-def test_angle_slice_rejects_out_of_range_vertex():
-    with pytest.raises(IndexError):
-        angle_slice(_points(2, 5, 2), r=5)
-    with pytest.raises(IndexError):
-        angle_slice(_points(2, 5, 2), r=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +94,7 @@ def test_centered_slice_row_and_column_sums_vanish():
     pts = _points(3, 12, 2)
     tol = 1e-9 * 12 * math.pi
     for r in range(12):
-        centered = center_slice(angle_slice(pts, r))
+        centered = center_slice(kernel._angle_slice_raw(pts, r))
         assert np.abs(centered.sum(axis=0)).max() < tol
         assert np.abs(centered.sum(axis=1)).max() < tol
 

@@ -16,7 +16,9 @@ from pcscreen.knockoffs import (
     sample_knockoffs,
     sdp_h,
 )
-from pcscreen.models import ar_covariance, generate_dataset, ModelSpec
+from pcscreen.models import generate_dataset, ModelSpec
+
+from .reference import ar_covariance
 
 
 def _known_cov(sigma):

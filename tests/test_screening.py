@@ -23,7 +23,6 @@ from pcscreen.screening import (
     minimum_model_size,
     pearson_sis_rank,
     rank_features,
-    select_by_threshold,
     select_top_d,
     signal_gap_diagnostic,
 )
@@ -172,39 +171,6 @@ def test_entries_view_pairs_feature_with_score():
 # ---------------------------------------------------------------------------
 # active-set rules
 # ---------------------------------------------------------------------------
-
-
-def test_threshold_examples():
-    ranking = _ranking([0.8, 0.5, 0.1])
-    assert select_by_threshold(ranking, -1.0) == (0, 1, 2)
-    assert select_by_threshold(ranking, 0.5) == (0, 1)
-    assert select_by_threshold(ranking, 2.0) == ()
-
-
-def test_threshold_rejects_non_finite():
-    ranking = _ranking([0.8, 0.5])
-    with pytest.raises(ValueError):
-        select_by_threshold(ranking, float("nan"))
-    with pytest.raises(ValueError):
-        select_by_threshold(ranking, float("inf"))
-
-
-@given(
-    scores=st.lists(
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        min_size=1,
-        max_size=12,
-    ),
-    d1=st.floats(min_value=-0.5, max_value=1.5),
-    d2=st.floats(min_value=-0.5, max_value=1.5),
-)
-@settings(max_examples=60)
-def test_threshold_is_monotone(scores, d1, d2):
-    lo, hi = sorted((d1, d2))
-    ranking = _ranking(scores)
-    wide = set(select_by_threshold(ranking, lo))
-    narrow = set(select_by_threshold(ranking, hi))
-    assert narrow <= wide
 
 
 def test_top_d_trivial_cases():

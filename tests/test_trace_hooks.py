@@ -1,7 +1,8 @@
-"""Guards for the benchmark's trace hooks: perfbench/tracing.py patches
-functions by (module, attribute) name, so a rename in the package would
-silently drop a traced layer.  The tracing module is loaded by path and
-never modified."""
+"""Guards for the benchmark's hooks into the package: perfbench/tracing.py
+patches functions by (module, attribute) name, so a rename in the package
+would silently drop a traced layer, and perfbench/workloads.py imports public
+names and looks up entry points at call time, so removing one would break
+the benchmark.  Both modules are loaded by path and never modified."""
 
 from __future__ import annotations
 
@@ -10,22 +11,37 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from pcscreen import pipeline
+from pcscreen import cli, harness, models, pipeline, screening
 from pcscreen.harness import ExperimentConfig, run_fdr_experiment
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing(monkeypatch):
+def _load(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_benchmark_workloads_import_and_resolve_their_entry_points(monkeypatch):
+    workloads = _load(monkeypatch, "workloads")
+    imported = ("FeatureRanking", "minimum_model_size", "pearson_sis_rank", "rank_features")
+    assert all(getattr(workloads, name) is getattr(screening, name) for name in imported)
+    assert workloads.ModelSpec is models.ModelSpec
+    assert workloads.generate_dataset is models.generate_dataset
+    looked_up = {
+        harness: ("write_design_csv", "ExperimentConfig", "run_quantile_experiment", "run_fdr_experiment"),
+        cli: ("cli_main",),
+    }
+    assert [
+        name for module, names in looked_up.items() for name in names if not hasattr(module, name)
+    ] == []
+
+
 def test_every_patch_point_resolves(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     missing = [
         (module_name, attr)
         for _, module_name, attr in tracing.PATCH_POINTS
@@ -35,7 +51,7 @@ def test_every_patch_point_resolves(monkeypatch):
 
 
 def test_one_fdr_replication_thresholds_through_pipeline_once_per_alpha(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     assert ("fdr.knockoff_plus_threshold", "pcscreen.pipeline", "knockoff_plus_threshold") in (
         tracing.PATCH_POINTS
     )
@@ -57,7 +73,7 @@ def test_one_fdr_replication_thresholds_through_pipeline_once_per_alpha(monkeypa
 
 
 def test_one_fdr_replication_calls_each_traced_knockoff_layer_once(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     knockoff_layers = (
         "knockoffs.estimate_covariance",
         "knockoffs.sdp_h",
