@@ -32,9 +32,11 @@ class ExperimentConfig:
     replications of a run, one each, whatever the number of models; results
     are independent of the pool size.  They can depend on the BLAS thread
     count of the processes, which no setting here fixes.  Model ids are
-    stored in canonical form (``"1A"`` becomes ``"1a"``) and quantile levels
-    as floats, sizes and seeds as ints (a fractional one is refused); an
-    empty list, or a repeated model, alpha or method, is refused.
+    stored in canonical form (``"1A"`` becomes ``"1a"``), quantile levels and
+    ``rho`` as floats, sizes and seeds (``s``, ``n1`` and ``d`` included,
+    when given) as ints (a fractional one is refused); an empty list, a
+    repeated model, alpha or method, ``d < 1`` and ``|rho| >= 1`` are
+    refused.
     """
 
     models: tuple[str, ...]
@@ -61,6 +63,14 @@ class ExperimentConfig:
         object.__setattr__(self, "models", models)
         for name in ("n", "p", "replications", "base_seed", "threads"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
+        for name in ("s", "n1", "d"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _whole(getattr(self, name), name))
+        if self.d is not None and self.d < 1:
+            raise ValueError(f"d must be at least 1, got {self.d}")
+        object.__setattr__(self, "rho", float(self.rho))
+        if not abs(self.rho) < 1:
+            raise ValueError(f"|rho| must be below 1, got {self.rho}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.replications < 1:

@@ -26,6 +26,8 @@ _EXP_CLAMP = 700.0
 _POISSON_RATE_LIMIT = 9e18
 _EXTREME_RESPONSE = 1e12
 _AR_BLOCK = 64
+# the prefix-sum AR path scales by at most 2^_AR_SCALE_BITS, far from overflow
+_AR_SCALE_BITS = 900
 
 
 def _canonical_id(model_id):
@@ -134,11 +136,38 @@ def _sqrt_cov(p, rho):
 def _gaussian_ar(rng, n, p, rho):
     """Exact N(0, Sigma) rows, Sigma = [rho^|i-j|], via the stationary AR recursion.
 
-    Column j is rho * column (j - 1) + sqrt(1 - rho^2) * z_j, run in place on
-    the C-ordered draw through a transposed buffer of _AR_BLOCK columns: every
-    step reads and writes contiguous memory and no second (n, p) array is made.
+    Column j is s_j = rho * s_(j-1) + c z_j with c = sqrt(1 - rho^2), run in
+    place on the C-ordered draw; no second (n, p) array is made.  Both paths
+    below give the bits of that literal recursion, zero signs included.
+
+    rho = 2^-k with 1 <= k <= 64 (0.5, 0.25, ...) takes a prefix sum: within
+    a slab of L = _AR_SCALE_BITS // k columns after column j0, the scaled
+    t_m = 2^(k m) s_(j0+m) obey t_m = t_(m-1) + 2^(k m) c z_(j0+m), which one
+    np.add.accumulate per slab runs along the rows.  It is exact because
+    multiplying by a power of two commutes with rounding while no value
+    overflows (k m <= _AR_SCALE_BITS) or leaves the normal range (rho * s
+    stays normal for every |s| >= 2^-958), and because IEEE addition is
+    commutative.  A negative rho would scale by -2^(k m), and negation does
+    not commute with an exact cancellation (x + (-x) is +0, never -0), so
+    every other rho (negative, 0, 0.3, ...) steps column by column through a
+    transposed buffer of _AR_BLOCK columns, reading and writing contiguous
+    memory.
     """
     x = rng.standard_normal((n, p))
+    mantissa, exponent = math.frexp(rho)
+    k = 1 - exponent
+    if mantissa == 0.5 and k <= 64:
+        width = _AR_SCALE_BITS // k
+        m = np.arange(p - 1) % width + 1  # column j's place in its slab
+        x[:, 1:] *= np.ldexp(math.sqrt(1.0 - rho * rho), k * m)
+        carry = x[:, 0]
+        for start in range(1, p, width):
+            slab = x[:, start : start + width]
+            slab[:, 0] += carry
+            np.add.accumulate(slab, axis=1, out=slab)
+            carry = slab[:, -1] * math.ldexp(1.0, -k * width)
+        x[:, 1:] *= np.ldexp(1.0, -k * m)
+        return x
     buf = np.empty((min(_AR_BLOCK, p - 1) + 1, n))
     for start in range(1, p, _AR_BLOCK):
         cols = x[:, start : start + _AR_BLOCK]

@@ -123,6 +123,33 @@ def test_config_validation():
             _quantile_config(**{name: ()})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n1", 40.5, "n1 must be a whole number"),
+        ("d", 10.5, "d must be a whole number"),
+        ("s", 2.5, "s must be a whole number"),
+        ("d", 0, "d must be at least 1"),
+        ("rho", 1.5, r"\|rho\| must be below 1"),
+        ("rho", -1.0, r"\|rho\| must be below 1"),
+        ("rho", float("nan"), r"\|rho\| must be below 1"),
+        ("rho", float("inf"), r"\|rho\| must be below 1"),
+    ],
+)
+def test_config_refuses_a_bad_fdr_setting_at_construction(field, value, message):
+    # refused before a run exists, so before any dataset is generated
+    with pytest.raises(ValueError, match=message):
+        _fdr_config(**{field: value})
+
+
+def test_config_stores_whole_fdr_settings_as_ints_and_rho_as_a_float():
+    config = _fdr_config(n1=40.0, d=10.0, s=2.0, rho=0)
+    assert (config.n1, config.d, config.s, config.rho) == (40, 10, 2, 0.0)
+    types = [type(getattr(config, name)) for name in ("n1", "d", "s", "rho")]
+    assert types == [int, int, int, float]
+    assert _fdr_config(n1=None, d=None, s=None).n1 is None
+
+
 def test_config_stores_canonical_model_ids_and_refuses_repeats():
     assert _quantile_config(models=("1A", "4.c")).models == ("1a", "4c")
     # a repeat would run every replication of that model, alpha or method

@@ -18,6 +18,7 @@ import pcscreen
 from pcscreen.errors import UnknownModel
 from pcscreen.models import (
     _AR_BLOCK,
+    _AR_SCALE_BITS,
     MODEL_IDS,
     ModelSpec,
     _gaussian_ar,
@@ -235,26 +236,80 @@ def test_cached_root_is_read_only():
     assert root[0, 0] != 0.0
 
 
-def test_gaussian_ar_matches_the_column_recursion():
-    # p on both sides of each block boundary of the in-place recursion
-    rho = 0.5
+def _column_recursion(z, rho):
     scale = math.sqrt(1.0 - rho * rho)
-    for n in (2, 7):
-        for p in (1, 2, _AR_BLOCK - 1, _AR_BLOCK, _AR_BLOCK + 1, 2 * _AR_BLOCK + 1):
-            z = np.random.default_rng(4).standard_normal((n, p))
-            expected = np.empty((n, p))
-            expected[:, 0] = z[:, 0]
-            for j in range(1, p):
-                expected[:, j] = rho * expected[:, j - 1] + scale * z[:, j]
-            got = _gaussian_ar(np.random.default_rng(4), n, p, rho)
-            assert got.flags["C_CONTIGUOUS"]
-            npt.assert_array_equal(got, expected, err_msg=f"n={n}, p={p}")
+    expected = np.empty_like(z)
+    expected[:, 0] = z[:, 0]
+    for j in range(1, z.shape[1]):
+        expected[:, j] = rho * expected[:, j - 1] + scale * z[:, j]
+    return expected
+
+
+def _assert_same_bits(got, expected, msg):
+    # int64 views tell -0.0 from +0.0
+    assert got.flags["C_CONTIGUOUS"]
+    npt.assert_array_equal(got.view(np.int64), expected.view(np.int64), err_msg=msg)
+
+
+class _FixedDraw:
+    """A generator stand-in whose standard normal draw is a given array."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z.copy()
+
+
+def _span_width(rho):
+    """Columns per span of the AR recursion: a prefix-sum slab for rho = 2^-k,
+    a block of the transposed buffer otherwise."""
+    mantissa, exponent = math.frexp(rho)
+    return _AR_SCALE_BITS // (1 - exponent) if mantissa == 0.5 else _AR_BLOCK
+
+
+def test_gaussian_ar_matches_the_column_recursion():
+    # 0.5 and 0.25 take the prefix-sum path, -0.5 and 0.3 the column loop
+    for rho in (0.5, -0.5, 0.25, 0.3):
+        for n in (2, 7):
+            # p - 1 on both sides of one and of two spans of either width
+            widths = (_span_width(rho), _AR_BLOCK)
+            for p in sorted({1, 2} | {v for w in widths for v in (w, w + 1, w + 2, 2 * w + 2)}):
+                z = np.random.default_rng(4).standard_normal((n, p))
+                got = _gaussian_ar(np.random.default_rng(4), n, p, rho)
+                _assert_same_bits(got, _column_recursion(z, rho), f"rho={rho}, n={n}, p={p}")
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.5, 0.25, -0.25])
+def test_gaussian_ar_keeps_the_sign_of_every_zero(rho):
+    # Row i is zeros of mixed sign except a pair at column q_i, z_q = -w/rho
+    # and z_(q+1) = w, whose second step cancels exactly to +0 (rho is a
+    # power of two, so -w/rho is exact); q runs over both sides of the first
+    # span boundary, where the carried value is zero.
+    w = _span_width(rho)
+    p = 2 * w + 4
+    qs = [1, 2, 3, w - 1, w, w + 1, w + 2]
+    rng = np.random.default_rng(9)
+    z = np.where(rng.random((len(qs) + 2, p)) < 0.5, -0.0, 0.0)
+    for row, q in zip(z, qs):
+        w = rng.standard_normal()
+        row[q : q + 2] = -w / rho, w
+    z[-1] = -0.0  # an all -0 row, and an all +0 row before it
+    z[-2] = 0.0
+    got = _gaussian_ar(_FixedDraw(z), z.shape[0], p, rho)
+    expected = _column_recursion(z, rho)
+    assert all(expected[i, q + 1] == 0.0 for i, q in enumerate(qs))
+    _assert_same_bits(got, expected, f"rho={rho}")
 
 
 @pytest.mark.parametrize("mid, bound", [("4a", 1.25), ("4c", 2.25)])
 def test_generation_peak_memory_stays_near_one_design(mid, bound):
     # numpy reports its buffers to tracemalloc; the covariates are drawn and
-    # correlated in place, so the peak is x itself (4c: plus its t_2 part)
+    # correlated in place, so the peak is x itself (4c: plus its t_2 part).
+    # One untraced call first: the first call in a process also pays one-time
+    # set-up, which would make the bound depend on which tests ran before.
+    generate_dataset(ModelSpec(id=mid, n=10, p=20), seed=1)
     ds, peak = traced_peak(generate_dataset, ModelSpec(id=mid, n=200, p=2000), seed=1)
     assert peak < bound * ds.x.nbytes
 
