@@ -16,8 +16,10 @@ import numpy as np
 from .errors import DimensionMismatch, MissingColumn, NonNumericCell, ParseError, PcScreenError
 from .fdr import empirical_fdp
 from .kernel import _whole
-from .models import ModelSpec, _canonical_id, generate_dataset
-from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff_core, selection_from_core
+from .models import ModelSpec, generate_dataset
+from .pipeline import (
+    CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff_core, selection_from_core, split_sizes
+)
 from .screening import minimum_model_size, pearson_sis_rank, rank_features
 
 QUANTILE_METHODS = ("pc_screen", "pearson_sis")
@@ -35,7 +37,7 @@ class ExperimentConfig:
     stored in canonical form (``"1A"`` becomes ``"1a"``), quantile levels and
     ``rho`` as floats, sizes and seeds (``s``, ``n1`` and ``d`` included,
     when given) as ints (a fractional one is refused); an empty list, a
-    repeated model, alpha or method, ``d < 1`` and ``|rho| >= 1`` are
+    repeated model, alpha or method and what ModelSpec or split_sizes refuse are
     refused.
     """
 
@@ -57,20 +59,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.models:
             raise ValueError("at least one model id is required")
-        models = tuple(_canonical_id(mid) for mid in self.models)
+        specs = self.specs
+        models = tuple(spec.id for spec in specs)
         if len(set(models)) != len(models):
             raise ValueError(f"repeated model id in {models}")
         object.__setattr__(self, "models", models)
-        for name in ("n", "p", "replications", "base_seed", "threads"):
+        for name in ("n", "p", "rho", "s"):
+            object.__setattr__(self, name, getattr(specs[0], name))
+        if self.n1 is not None or self.d is not None:
+            for name, size in zip(("n1", "d"), split_sizes(self.n, self.n1, self.d)):
+                if getattr(self, name) is not None:
+                    object.__setattr__(self, name, size)
+        for name in ("replications", "base_seed", "threads"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
-        for name in ("s", "n1", "d"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.d is not None and self.d < 1:
-            raise ValueError(f"d must be at least 1, got {self.d}")
-        object.__setattr__(self, "rho", float(self.rho))
-        if not abs(self.rho) < 1:
-            raise ValueError(f"|rho| must be below 1, got {self.rho}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.replications < 1:
@@ -97,6 +98,10 @@ class ExperimentConfig:
             raise ValueError(f"repeated method in {self.methods}")
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}; known: {CONSTRUCTIONS}")
+
+    @property
+    def specs(self):
+        return tuple(ModelSpec(mid, self.n, self.p, self.rho, self.s) for mid in self.models)
 
 
 @dataclass(frozen=True)
@@ -201,8 +206,8 @@ def _run_replications(build, config):
     seed) order, from one pool of ``config.threads`` processes (at one
     thread, from this process)."""
     argses = [
-        (build, ModelSpec(mid, config.n, config.p, config.rho, config.s), config.base_seed + r, config)
-        for mid in config.models
+        (build, spec, config.base_seed + r, config)
+        for spec in config.specs
         for r in range(config.replications)
     ]
     if config.threads > 1:
@@ -258,12 +263,13 @@ def run_fdr_experiment(config):
     """Per-alpha selection size, sure-screening rate, empirical FDR, the
     rates of empty (e1) and partial (e3) selections and per-active selection
     frequencies, per (model, alpha) over replications.  Every model must be
-    of the 4x family, which is checked before any replication runs."""
+    of the 4x family and the split sizes valid; both are checked first."""
     for mid in config.models:
         if mid[0] != "4":
             raise ValueError(f"FDR experiments are defined for the 4x model family, got {mid}")
+    split_sizes(config.n, config.n1, config.d)
     records = _run_replications(_fdr_records, config)
-    s = ModelSpec(config.models[0], config.n, config.p, config.rho, config.s).active_count
+    s = config.specs[0].active_count
     columns = {
         "mean_selected": _mean(lambda rec: rec["n_selected"]),
         "sure_screening_freq": _mean(lambda rec: rec["sure_screening"]),
@@ -347,9 +353,7 @@ def read_design_csv(path, response_columns):
         data = _read_body(handle, len(header))
         if data is None:
             handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
-            data = _read_rows(path, header, reader)
+            data = _read_rows(path, header, itertools.islice(csv.reader(handle), 1, None))
     column = {name: j for j, name in enumerate(header)}
     x = data[:, [column[name] for name in x_names]]
     y = data[:, [column[name] for name in y_names]]
@@ -396,18 +400,25 @@ def _read_body(handle, width):
 def _read_rows(path, header, reader):
     """The body rows of ``reader`` as a float64 array, converted one row at
     a time as csv yields them, so the cells never all exist as strings at
-    once; numpy parses a cell string exactly as float() does.  Row
+    once; float() converts each cell once, in file order.  Row
     ``len(rows) + 2`` is the one being read (the header is row 1)."""
     rows = []
     try:
-        for row in reader:
-            try:
-                values = np.array(row, dtype=np.float64)
-            except ValueError:
-                values = None
-            if values is None or values.shape != (len(header),) or not np.all(np.isfinite(values)):
-                _raise_bad_row(path, header, len(rows) + 2, row)
-            rows.append(values)
+        for i, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise NonNumericCell(
+                        f"{path}: row {i}, column {name!r}: non-numeric cell {cell!r}"
+                    )
+                values.append(value)
+            rows.append(np.array(values))
     except csv.Error as exc:  # e.g. a quoted field past csv's field size limit
         raise ParseError(f"{path}: row {len(rows) + 2}: {exc}") from exc
     if not rows:
@@ -438,22 +449,6 @@ def _split_header(path, header, response_columns):
     if not x_names:
         raise ParseError(f"{path}: no feature columns left after removing responses")
     return x_names, y_names
-
-
-def _raise_bad_row(path, header, i, row):
-    """Raise the error of row i: its first bad cell, or its length."""
-    if len(row) != len(header):
-        raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-    for j, cell in enumerate(row):
-        try:
-            value = float(cell)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise NonNumericCell(
-                f"{path}: row {i}, column {header[j]!r}: non-numeric cell {cell!r}"
-            )
-    raise AssertionError(f"row {i} has no bad cell")
 
 
 def write_design_csv(path, x, y, x_names=None, y_names=None):

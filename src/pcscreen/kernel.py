@@ -570,10 +570,12 @@ def column_scores(x, y, rows=None):
     ``x`` is a validated (n, p) array of univariate features and ``y`` a
     validated (n, q) response.  A univariate response takes the exact sweep:
     each score is I_xy / sqrt(I_xx I_yy) from :func:`univariate_sums`, 0 when
-    a side is constant (0/0 = 0).  The exact ratio is at most 1 by
-    Cauchy-Schwarz and exactly 1 for a column with y's ranking (or its
-    reverse); the minimum with 1 stops the three int-to-float roundings from
-    lifting a value within an ulp or two of 1 above it.
+    a side is constant (0/0 = 0), computed as sign(I_xy) sqrt(fl(I_xy^2 /
+    (I_xx I_yy))) with the inner ratio one correctly rounded division of
+    exact integers.  Every step is monotone, so exactly tied columns score
+    equal and a score never reverses the order of two exact ratios; it is
+    at most 1 (Cauchy-Schwarz) and exactly 1 for a column with y's ranking
+    (or its reverse).
 
     A multivariate response takes the slice loop, with all p columns on the
     matrix axis and one matrix product per slice and block of columns.  Each
@@ -592,7 +594,12 @@ def column_scores(x, y, rows=None):
         rows = as_row_index(rows, x.shape[0])
     if y.shape[1] == 1:
         xy, xx, yy = univariate_sums(x, y[:, 0], rows)
-        return _ratio(xy.astype(np.float64), xx.astype(np.float64), np.float64(yy))
+        xy = xy.astype(object)
+        denom = xx.astype(object) * yy
+        denom[denom == 0] = 1  # I_xy is 0 there too (Cauchy-Schwarz)
+        # Python int / int is correctly rounded
+        ratio = (xy * xy / denom).astype(np.float64)
+        return np.copysign(np.sqrt(ratio), xy.astype(np.float64))
     if rows is not None:
         x, y = x[rows], y[rows]
     return _ratio(*_feature_stats(x, y))

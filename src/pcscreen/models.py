@@ -49,7 +49,7 @@ class ModelSpec:
 
     ``s`` (active-feature count) defaults per family: 5 for the 1x models,
     4 for 2x/3x (fixed by their functional forms), 10 for 4x.  ``n``, ``p``
-    and ``s`` are stored as ints; a fractional value is refused.
+    and ``s`` are stored as ints (a fraction is refused), ``rho`` as a float.
     """
 
     id: str
@@ -64,6 +64,7 @@ class ModelSpec:
             object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
+        object.__setattr__(self, "rho", float(self.rho))
         if not abs(self.rho) < 1:
             raise ValueError(f"|rho| must be below 1, got {self.rho}")
         s = self.active_count

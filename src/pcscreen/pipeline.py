@@ -4,7 +4,6 @@ second."""
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ from .knockoffs import (
     sdp_h,
 )
 from .screening import FeatureRanking, rank_features, select_top_d
-
-MAX_DEFAULT_SURVIVORS = 100
 
 # The ways to choose the knockoff diagonal h, and the one used when none is
 # named.  "sdp" falls back to "equicorrelated" when its solver fails.
@@ -77,14 +74,18 @@ def split_sample(n, n1, seed):
     return SplitPlan(n1=n1, perm=perm)
 
 
-def default_split_size(n):
-    """n1 = ceil(n / 4)."""
-    return int(math.ceil(n / 4))
-
-
-def default_survivor_count(n, n1):
-    """d = min(floor(n2 / 2) - 1, 100), keeping 2d < n2."""
-    return min((n - n1) // 2 - 1, MAX_DEFAULT_SURVIVORS)
+def split_sizes(n, n1=None, d=None):
+    """(n1, d) for n observations, as ints; unless given, n1 = ceil(n / 4) and
+    d = min(floor(n2 / 2) - 1, 100).  The n1 range is checked before d."""
+    n1 = -(-n // 4) if n1 is None else _whole(n1, "n1")
+    if not 2 <= n1 <= n - 2:
+        raise InvalidSplit(f"need 2 <= n1 <= n - 2, got n1={n1} with n={n}")
+    d = min((n - n1) // 2 - 1, 100) if d is None else _whole(d, "d")
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    if not 2 * d < n - n1:
+        raise ValueError(f"need 2d < n - n1, got d={d} with n2={n - n1}")
+    return n1, d
 
 
 def _derive_seeds(seed):
@@ -100,20 +101,14 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, s
     ``selection_from_core``, which reuses the W statistics.
     """
     xm, ym = _sample_pair(x, y)
-    n = xm.shape[0]
-    n1 = default_split_size(n) if n1 is None else _whole(n1, "n1")
-    d = default_survivor_count(n, n1) if d is None else _whole(d, "d")
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    if not 2 * d < n - n1:
-        raise ValueError(f"need 2d < n - n1, got d={d} with n2={n - n1}")
+    n1, d = split_sizes(xm.shape[0], n1, d)
     if construction not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {construction!r}")
     split_seed, knock_seed = _derive_seeds(seed)
 
     timings = {}
     start = time.perf_counter()
-    split = split_sample(n, n1, split_seed)
+    split = split_sample(xm.shape[0], n1, split_seed)
     timings["split"] = time.perf_counter() - start
 
     start = time.perf_counter()

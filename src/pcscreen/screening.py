@@ -24,8 +24,10 @@ class FeatureRanking:
     non-increasing scores and ``n_used`` the number of observations scored
     (``len(rows)`` when :func:`rank_features` is given a row index).  Ties
     are broken on the scores as computed: with a univariate response every
-    score is a correctly rounded ratio of exact integers, so exactly tied
-    columns always score equal and rank by index.  A multivariate response
+    score is a monotone function of an exact ratio of integers (the signed
+    square root of its correctly rounded square), so exactly tied columns
+    always score equal and rank by index, and no two columns rank against
+    their exact order.  A multivariate response
     is scored in floating point by the slice loop, which can leave exactly
     tied columns some ulps apart (n=5, p=2, q=2, seed 255263: 16 ulps), and
     then the larger one ranks first.

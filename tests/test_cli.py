@@ -360,7 +360,7 @@ def test_rejected_simulate_leaves_no_output_directory(tmp_path, capsys):
         ({"kind": "fdr", "model": "4a", "alphas": ""}, "alphas must not be empty"),
         ({"methods": []}, "methods must not be empty"),
         ({"levels": ""}, "quantile_levels must not be empty"),
-        # refused inside the first replication
+        # refused at construction
         ({"kind": "fdr", "model": "4a", "n1": 1}, "need 2 <= n1 <= n - 2"),
     ):
         cfg_path = tmp_path / "run.json"

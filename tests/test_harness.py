@@ -15,6 +15,7 @@ import pytest
 from pcscreen import harness
 from pcscreen.errors import (
     DimensionMismatch,
+    InvalidSplit,
     MissingColumn,
     NonNumericCell,
     ParseError,
@@ -151,7 +152,9 @@ def test_config_stores_whole_fdr_settings_as_ints_and_rho_as_a_float():
 
 
 def test_config_stores_canonical_model_ids_and_refuses_repeats():
-    assert _quantile_config(models=("1A", "4.c")).models == ("1a", "4c")
+    config = _quantile_config(models=("1A", "4.c"))
+    assert config.models == ("1a", "4c")
+    assert config.specs == (ModelSpec("1a", 60, 20), ModelSpec("4c", 60, 20))
     # a repeat would run every replication of that model, alpha or method
     # twice and count both runs in one summary row
     for models in (("1a", "1a"), ("1a", "1A")):
@@ -181,6 +184,7 @@ def test_sizes_and_seeds_refuse_fractions_and_take_whole_floats_as_ints():
     whole = ModelSpec("4a", n=20.0, p=12.0, s=2.0)
     assert (whole.n, whole.p, whole.s) == (20, 12, 2)
     assert all(type(v) is int for v in (whole.n, whole.p, whole.s))
+    assert type(ModelSpec("4a", n=20, p=12, rho=0).rho) is float
     ints = generate_dataset(ModelSpec("4a", n=20, p=12, s=2), 7)
     floats = generate_dataset(whole, 7.0)
     npt.assert_array_equal(floats.x, ints.x)
@@ -244,12 +248,50 @@ def test_a_pooled_run_starts_one_process_pool(monkeypatch):
     )
 
 
+def _refuse_core(*args, **kwargs):
+    raise ValueError("the core refuses this replication")
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_failing_replication_names_its_seed_and_model(threads):
-    # n1 = n leaves no second split, so the core refuses every replication;
+def test_a_failing_replication_names_its_seed_and_model(threads, monkeypatch):
+    # every replication fails inside the run (the pool forks after the patch);
     # the error is the first one in (model, seed) order
-    config = _fdr_config(models=("4c", "4a"), n1=120, threads=threads)
-    with pytest.raises(ValueError, match=r"^replication seed 300 \(4c\): need 2d < n - n1"):
+    monkeypatch.setattr(harness, "pc_knockoff_core", _refuse_core)
+    config = _fdr_config(models=("4c", "4a"), threads=threads)
+    with pytest.raises(
+        ValueError, match=r"^replication seed 300 \(4c\): the core refuses this replication$"
+    ):
+        run_fdr_experiment(config)
+
+
+def _never_replicate(args):
+    raise AssertionError("a replication ran before the config was refused")
+
+
+@pytest.mark.parametrize(
+    "settings, error, message",
+    [
+        ({"n1": 200}, InvalidSplit, r"need 2 <= n1 <= n - 2, got n1=200 with n=120"),
+        ({"n1": 40, "d": 50}, ValueError, r"need 2d < n - n1, got d=50 with n2=80"),
+        ({"models": ("2a",), "s": 5}, ValueError, "model 2a has exactly 4 active features"),
+        ({"n": 1}, ValueError, "n must be at least 2, got 1"),
+        # a quantile run has no split, but a split size it is given is checked
+        ({"d": 70}, ValueError, r"need 2d < n - n1, got d=70 with n2=90"),
+    ],
+)
+def test_config_refuses_each_input_rule_at_construction(settings, error, message, monkeypatch):
+    monkeypatch.setattr(harness, "_replicate", _never_replicate)
+    base = dict(models=("4a",), n=120, p=30, replications=1)
+    with pytest.raises(error, match=message):
+        ExperimentConfig(**{**base, **settings})
+
+
+def test_fdr_run_refuses_invalid_default_sizes_before_any_replication(monkeypatch):
+    monkeypatch.setattr(harness, "_replicate", _never_replicate)
+    # n1 = ceil(5 / 4) = 2 leaves n2 = 3, so the default d is 0
+    config = ExperimentConfig(models=("4a",), n=5, p=20, replications=1)
+    assert (config.n1, config.d) == (None, None)
+    with pytest.raises(ValueError, match="d must be at least 1, got 0"):
         run_fdr_experiment(config)
 
 

@@ -26,12 +26,11 @@ from pcscreen.knockoffs import (
 from pcscreen.models import ModelSpec, generate_dataset
 from pcscreen import pipeline
 from pcscreen.pipeline import (
-    default_split_size,
-    default_survivor_count,
     pc_knockoff,
     pc_knockoff_core,
     selection_from_core,
     split_sample,
+    split_sizes,
 )
 from pcscreen.screening import rank_features
 
@@ -90,14 +89,37 @@ def test_split_rejects_degenerate_sizes(n1):
 
 
 def test_default_sizes():
-    assert default_split_size(1000) == 250
-    assert default_split_size(10) == 3
-    assert default_split_size(999) == 250
+    # n1 = ceil(n / 4)
+    assert split_sizes(1000)[0] == 250
+    assert split_sizes(10)[0] == 3
+    assert split_sizes(999)[0] == 250
     # d = min(floor(n2 / 2) - 1, 100)
-    assert default_survivor_count(1000, 250) == 100
-    assert default_survivor_count(600, 150) == 100
-    assert default_survivor_count(10, 3) == 2
-    assert default_survivor_count(61, 21) == 19
+    assert split_sizes(1000, 250)[1] == 100
+    assert split_sizes(600, 150)[1] == 100
+    assert split_sizes(10, 3)[1] == 2
+    assert split_sizes(61, 21)[1] == 19
+
+
+@pytest.mark.parametrize(
+    "n, n1, d, error, message",
+    [
+        # the n1 range comes first, whatever d is
+        (120, 1, 500, InvalidSplit, r"need 2 <= n1 <= n - 2, got n1=1 with n=120"),
+        (120, 40, 40, ValueError, r"need 2d < n - n1, got d=40 with n2=80"),
+        # the default d of n=5 is 0
+        (5, None, None, ValueError, r"d must be at least 1, got 0"),
+    ],
+)
+def test_split_sizes_refuse_each_rule_in_order(n, n1, d, error, message):
+    with pytest.raises(error, match=message):
+        split_sizes(n, n1, d)
+
+
+def test_core_refuses_an_n1_past_n_as_an_invalid_split():
+    # n2 = -80 breaks the 2d rule too, but the n1 range names the fault
+    ds = _strong_linear(n=120, p=30)
+    with pytest.raises(InvalidSplit, match=r"need 2 <= n1 <= n - 2, got n1=200 with n=120"):
+        pc_knockoff_core(ds.x, ds.y, n1=200, d=10)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ the Pearson baseline."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,7 @@ from pcscreen.errors import (
     MultivariateResponseUnsupported,
     UnknownFeature,
 )
-from pcscreen.kernel import projection_correlation_sq
+from pcscreen.kernel import projection_correlation_sq, univariate_sums
 from pcscreen.models import ModelSpec, generate_dataset
 from pcscreen.screening import (
     FeatureRanking,
@@ -108,6 +109,43 @@ def test_exactly_tied_scores_rank_by_ascending_index():
     position = {j: i for i, j in enumerate(ranking.feature.tolist())}
     assert ranking.omega_hat[position[262]] == ranking.omega_hat[position[966]]
     assert position[966] == position[262] + 1
+
+
+def test_exact_ties_of_different_integers_score_equal():
+    # (xy, xx) = (528, 8064) and (704, 14336) with yy = 12504 are exactly
+    # tied, as 528^2 * 14336 = 704^2 * 8064, but xy / sqrt(xx * yy) rounded
+    # in three steps puts them an ulp apart
+    y = np.array([1, 1, 2, 3, 2, 1, 0, 3, 3], dtype=float)
+    x = np.array([[0, 3, 0, 3, 0, 5, 5, 0, 5], [4, 2, 4, 2, 1, 2, 3, 1, 3]], dtype=float).T
+    xy, xx, yy = univariate_sums(x, y)
+    assert (xy.tolist(), xx.tolist(), yy) == ([528, 704], [8064, 14336], 12504)
+    ranking = rank_features(x, y)
+    assert ranking.feature.tolist() == [0, 1]
+    assert ranking.omega_hat[0] == ranking.omega_hat[1]
+
+
+def _exact_ratio(xy, xx, yy):
+    """sign(xy) xy^2 / (xx yy) as a Fraction, 0 when a side is constant."""
+    xy, denom = int(xy), int(xx) * int(yy)
+    return Fraction(xy * abs(xy), denom) if denom else Fraction(0)
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(min_value=8, max_value=59),
+    alphabet=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_univariate_ranks_follow_the_exact_ratios(n, alphabet, seed):
+    # small alphabets give many exactly tied columns whose integers differ
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, alphabet, size=(n, 1000)).astype(float)
+    y = rng.integers(0, alphabet, size=n).astype(float)
+    xy, xx, yy = univariate_sums(x, y)
+    order = rank_features(x, y).feature.tolist()
+    for j, k in zip(order, order[1:]):
+        # a higher exact ratio first, and an exact tie by ascending index
+        assert (_exact_ratio(xy[j], xx[j], yy), -j) > (_exact_ratio(xy[k], xx[k], yy), -k)
 
 
 def test_rank_features_row_mismatch():
