@@ -18,7 +18,7 @@ from .fdr import empirical_fdp
 from .kernel import _whole
 from .models import ModelSpec, generate_dataset
 from .pipeline import (
-    CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff_core, selection_from_core, split_sizes
+    DEFAULT_CONSTRUCTION, check_construction, pc_knockoff_core, selection_from_core, split_sizes
 )
 from .screening import minimum_model_size, pearson_sis_rank, rank_features
 
@@ -37,8 +37,9 @@ class ExperimentConfig:
     stored in canonical form (``"1A"`` becomes ``"1a"``), quantile levels and
     ``rho`` as floats, sizes and seeds (``s``, ``n1`` and ``d`` included,
     when given) as ints (a fractional one is refused); an empty list, a
-    repeated model, alpha or method and what ModelSpec or split_sizes refuse are
-    refused.
+    repeated model, alpha or method and what ModelSpec, split_sizes,
+    check_construction or nearest_rank_quantile's level rule refuse are
+    refused, with the same messages.
     """
 
     models: tuple[str, ...]
@@ -81,10 +82,8 @@ class ExperimentConfig:
         for name in ("methods", "quantile_levels", "alphas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        levels = tuple(float(q) for q in self.quantile_levels)
+        levels = tuple(_quantile_level(q) for q in self.quantile_levels)
         object.__setattr__(self, "quantile_levels", levels)
-        if any(not 0.0 < q < 100.0 for q in levels):
-            raise ValueError(f"quantile levels must lie in (0, 100), got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("quantile levels must be strictly increasing")
         if any(not 0.0 < a <= 1.0 for a in self.alphas):
@@ -96,8 +95,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}; known: {QUANTILE_METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"repeated method in {self.methods}")
-        if self.construction not in CONSTRUCTIONS:
-            raise ValueError(f"unknown construction {self.construction!r}; known: {CONSTRUCTIONS}")
+        check_construction(self.construction)
 
     @property
     def specs(self):
@@ -113,11 +111,17 @@ class SummaryTable:
     rows: tuple[tuple, ...]
 
 
-def nearest_rank_quantile(values, level):
-    """Nearest-rank empirical quantile: sorted[ceil(level/100 * N) - 1]."""
+def _quantile_level(level):
+    """``level`` as a float, refused unless it lies in (0, 100)."""
     level = float(level)
     if not 0.0 < level < 100.0:
         raise ValueError(f"quantile level must lie in (0, 100), got {level}")
+    return level
+
+
+def nearest_rank_quantile(values, level):
+    """Nearest-rank empirical quantile: sorted[ceil(level/100 * N) - 1]."""
+    level = _quantile_level(level)
     ordered = sorted(values)
     if not ordered:
         raise ValueError("cannot take a quantile of no values")

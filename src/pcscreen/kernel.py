@@ -32,18 +32,21 @@ Both evaluation strategies follow from it, chosen by column counts:
   quadrants of x against y, integers (see the comment above
   :func:`_sorted_counts`).  :func:`univariate_sums` gets the joint counts
   of a block of columns of X against one y at a time, and every block makes
-  one counting pass, one count per row: with the observations in y order,
-  64 to a machine word, bit sets of each word's observations below each
-  place in x order say how many earlier observations lie below this one in
-  x order, with one masked popcount.  That is one sort and O(n^2 / 64) word
-  operations per column, in O(n) memory per column.  A tied block costs a
-  tie-free one plus an integer sort: with each y tie group put in x order
-  and x ties in y order, the four joint counts are that one count plus tie
-  terms.  A block in which neither y nor any column has a tie takes the
-  same identity with the tie terms collapsed: the self totals are one
-  constant of n, and the cross total needs only the count itself,
-  N(<x, <y), the concordance count behind Kendall's tau.  The data decide,
-  and the integers are the same either way;
+  one counting pass, one count per row: with the observations in the order
+  of one sample, 64 to a machine word, bit sets of each word's observations
+  below each place in the other's order say how many earlier observations
+  lie below this one there, with one masked popcount.  The count is
+  symmetric in x and y, so while y has no tie a block counts in x order,
+  on the permutation its sort returns; a tied y is counted in y order.
+  That is one sort and O(n^2 / 64) word operations per column, in O(n)
+  memory per column.  A tied block costs a tie-free one plus an integer
+  sort: with each tie group of the counting order put in the other order,
+  and ties of the other in the counting order, the four joint counts are
+  that one count plus tie terms.  A block in which neither y nor any column
+  has a tie takes the same identity with the tie terms collapsed: the self
+  totals are one constant of n, and the cross total needs only the count
+  itself, N(<x, <y), the concordance count behind Kendall's tau.  The data
+  decide, and the integers are the same either way;
 * the slice loop, for everything else: one pass over the slice indices r
   builds each centered slice B_r of the multivariate sample once (O(n^2)
   working memory).  B_r is symmetric with zero row and column sums, so the
@@ -225,6 +228,14 @@ def center_slice(slice_values):
 #
 # Where nothing ties, o_x = o_y = f = 0, T = W = 1 and only SS depends on q
 # (_tie_free_cross_totals).
+#
+# Every count above is symmetric in x and y: swapping the two samples swaps
+# N(<=, <) with N(<, <=), o_x with o_y and US with SU, and leaves q, T, f,
+# SS, UU and 8 (a d + b c) as they are.  So while y has no tie the rows can
+# be taken in x order instead, with each x tie group in y order, and the
+# rank of a row is its y place: that is the x-order argsort itself, with no
+# inverse permutation to build.  A tied y keeps y order, as its tie groups
+# must be contiguous runs of rows to be sorted.
 # ---------------------------------------------------------------------------
 
 # A centered count is at most n^2 / 4 in size, so 8 (a d + b c) and SS^2 are
@@ -244,11 +255,13 @@ def _sorted_counts(columns):
     entries in sorted order, how many entries of the row lie strictly below
     and strictly above each one (n - below - above are level with it); and
     whether each row has a tie.  With no tie in any row, ``below`` and
-    ``above`` are read-only views of 0..n-1 and its reverse.
+    ``above`` are read-only views of 0..n-1 and its reverse.  The sorted
+    values the runs are read from come from a second, value-only sort, which
+    is cheaper than gathering them through ``order``.
     """
     p, n = columns.shape
     order = np.argsort(columns, axis=1)
-    ordered = np.take_along_axis(columns, order, axis=1)
+    ordered = np.sort(columns, axis=1)
     edge = np.ones((p, n + 1), dtype=bool)  # edge[:, i]: a new value starts at i
     edge[:, 1:-1] = ordered[:, 1:] != ordered[:, :-1]
     tied = ~edge.all(axis=1)
@@ -275,7 +288,8 @@ def _joint_below(rank):
     """How many earlier rows have a lower rank, for every row of a block.
 
     ``rank`` is a (b, n) block of columns, each a permutation of 0..n-1: each
-    row's place in its column's x order, the rows in y order.  Returns the
+    row's place in its column's x order, the rows in y order, or with the
+    roles swapped (see the counting note).  Returns the
     (b, n) int64 counts q[j, r] = #{k < r : rank[j, k] < rank[j, r]}.
 
     The rows are taken 64 at a time, one bit each in a 64-bit word.  Word
@@ -382,7 +396,8 @@ def _tie_free_cross_totals(q, rank):
     """I_xy of every row of a block in which nothing ties.
 
     ``q`` is :func:`_joint_below` of ``rank``.  Row r at place R in x order
-    has S_x = 2 R + 1 and S_y = 2 r + 1, so SS = n (4 q + 1) - S_x S_y =
+    has S_x = 2 R + 1 and S_y = 2 r + 1 (or, counted in x order, the other
+    way round; SS does not tell), so SS = n (4 q + 1) - S_x S_y =
     intercept_r - slope_r R + 4 n q with intercept_r = n - 1 - 2 r and
     slope_r = 2 (1 + 2 r); I_xy is a constant of n (:func:`_tie_free_totals`)
     plus sum_r SS^2.  SS is formed in place on q, and rank is overwritten.
@@ -403,7 +418,9 @@ def _tied_cross_totals(q, rank, x_lower, x_upto, y_lower, y_upto):
     tie group in x order, the ranks with x ties in row order.  ``x_lower``
     and ``x_upto`` are (b, n) arrays of how many rows lie below x_r and at
     most x_r, or None when no column of the block has a tie; ``y_lower`` and
-    ``y_upto`` are those of y, by row.  SS is formed in place on q.
+    ``y_upto`` are those of y, by row.  A block counted in x order passes
+    the roles swapped: None for the untied y, and x's counts by place as
+    ``y_lower`` and ``y_upto``.  SS is formed in place on q.
     """
     n = rank.shape[1]
     steps = np.arange(n)
@@ -447,13 +464,16 @@ def univariate_sums(x, y, rows=None):
     n = 5404) and a Python int.
 
     The rows are put in ascending y once; then a block of columns at a time
-    is sorted, and every block makes one counting pass over its rows: for
-    each row, how many earlier rows lie below it in x order, read from bit
-    sets of y positions (:func:`_joint_below`).  That is O(n^2 p / 64) word
-    operations in all, plus one sort per column.  Ties (0.0 and -0.0 tie) add
-    one integer sort each for y and x: each y tie group is put in x order,
-    and x ties in row order, so that the four joint counts are that one count
-    plus tie terms (:func:`_tied_cross_totals`).  When neither y nor any column of the block
+    is sorted, and every block makes one counting pass (:func:`_joint_below`,
+    O(n^2 p / 64) word operations in all, plus one sort per column).  While
+    y has no tie, the pass runs in x order on the block's argsort: for each x
+    place, how many earlier ones lie below it in y order.  A tied y is
+    counted in y order on the inverse of the argsort: for each row, how many
+    earlier rows lie below it in x order.  Ties (0.0 and -0.0 tie) add one
+    integer sort each for y and x: each tie group of the counting order is
+    put in the other order, and ties of the other in the counting order, so
+    that the four joint counts are that one count plus tie terms
+    (:func:`_tied_cross_totals`).  When neither y nor any column of the block
     has a tie, the cross totals take the closed form of
     :func:`_tie_free_cross_totals`.  The integers are the same either way.
     """
@@ -482,24 +502,30 @@ def univariate_sums(x, y, rows=None):
             order += below * n
             order.sort(axis=1)
             order -= below * n
-        bases = (np.arange(len(order)) * n)[:, None]  # flat index of each column's row
-        rank = np.empty_like(order)
-        rank.ravel()[order + bases] = steps
-        del order
         if y_tied:
-            # each y tie group in x order, in the places the group holds
+            # rows in y order ranked in x order, each y tie group in x order
+            # in the places the group holds
+            bases = (np.arange(len(order)) * n)[:, None]  # flat index of each column's row
+            rank = np.empty_like(order)
+            rank.ravel()[order + bases] = steps
+            del order
             rank += y_below * n
             rank.sort(axis=1)
             rank -= y_below * n
-        q = _joint_below(rank)
-        if not (x_tied or y_tied):
-            xy[c] = _tie_free_cross_totals(q, rank)
-        elif x_tied:
-            x_lower = below.ravel()[rank + bases]
-            x_upto = n - above.ravel()[rank + bases]
-            xy[c] = _tied_cross_totals(q, rank, x_lower, x_upto, y_below, y_upto)
+            x_counts = (None, None)
+            if x_tied:
+                x_counts = below.ravel()[rank + bases], n - above.ravel()[rank + bases]
+            counts = (*x_counts, y_below, y_upto)
         else:
-            xy[c] = _tied_cross_totals(q, rank, None, None, y_below, y_upto)
+            # roles swap (counting note): the x places are the rows and their
+            # y places the ranks, so x takes the part of y in the tie terms
+            rank = order
+            counts = (None, None, below, n - above) if x_tied else None
+        q = _joint_below(rank)
+        if counts is None:
+            xy[c] = _tie_free_cross_totals(q, rank)
+        else:
+            xy[c] = _tied_cross_totals(q, rank, *counts)
     return xy, xx, yy
 
 

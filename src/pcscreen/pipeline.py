@@ -88,6 +88,12 @@ def split_sizes(n, n1=None, d=None):
     return n1, d
 
 
+def check_construction(construction):
+    """Refuse a construction name that is not one of :data:`CONSTRUCTIONS`."""
+    if construction not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {construction!r}; known: {CONSTRUCTIONS}")
+
+
 def _derive_seeds(seed):
     """Two decoupled child seeds (split, knockoff-noise) from one base seed."""
     children = np.random.SeedSequence(_whole(seed, "seed")).spawn(2)
@@ -102,8 +108,7 @@ def pc_knockoff_core(x, y, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, s
     """
     xm, ym = _sample_pair(x, y)
     n1, d = split_sizes(xm.shape[0], n1, d)
-    if construction not in CONSTRUCTIONS:
-        raise ValueError(f"unknown construction {construction!r}")
+    check_construction(construction)
     split_seed, knock_seed = _derive_seeds(seed)
 
     timings = {}

@@ -124,6 +124,26 @@ def test_config_validation():
             _quantile_config(**{name: ()})
 
 
+def _message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_config_and_its_callees_refuse_with_one_message():
+    # each rule has one owner, so the config refuses a value with the message
+    # of the function that would refuse it during the run
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((40, 5)), rng.standard_normal(40)
+    construction = _message(lambda: _quantile_config(construction="sdpp"))
+    assert construction == _message(lambda: pc_knockoff_core(x, y, construction="sdpp"))
+    assert construction == "unknown construction 'sdpp'; known: ('sdp', 'equicorrelated')"
+    for level in (0.0, 100.0, -5.0):
+        refused = _message(lambda: _quantile_config(quantile_levels=(level, 50.0)))
+        assert refused == _message(lambda: nearest_rank_quantile([1, 2], level))
+        assert refused == f"quantile level must lie in (0, 100), got {level}"
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -307,6 +307,34 @@ def test_small_alphabet_sums_match_the_sign_vector_loop(sample):
         assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == expected
 
 
+@st.composite
+def _small_alphabet_against_continuous(draw):
+    # x ties in nearly every column, y never: the blocks count in x order with
+    # tie terms.  Half the samples go through a row index; a repeated row
+    # ties y, and those blocks count in y order.
+    n = draw(st.integers(min_value=2, max_value=140))
+    p = draw(st.integers(min_value=1, max_value=4))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    x = np.array(draw(st.lists(values, min_size=n * p, max_size=n * p))).reshape(n, p)
+    y = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31))).standard_normal(n)
+    rows = None
+    if draw(st.booleans()):
+        rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * n + 2)))
+    return x, y, rows
+
+
+@given(sample=_small_alphabet_against_continuous())
+@settings(max_examples=60)
+def test_tied_columns_against_an_untied_response_match_the_exact_totals(sample):
+    x, y, rows = sample
+    expected = exact_univariate_totals(*((x, y) if rows is None else (x[rows], y[rows])))
+    for block_elements in (kernel._BLOCK_ELEMENTS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_BLOCK_ELEMENTS", block_elements)
+            xy, xx, yy = univariate_sums(x, y, rows)
+        assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == expected
+
+
 def _count_response_sample(n):
     # tie-free columns against a Poisson count response, as in models 1f and
     # 4e: y ties in groups of a few to dozens of rows, and at this seed a y
@@ -378,15 +406,24 @@ def test_tie_free_sums_match_the_sign_vector_loop(monkeypatch, n, block_elements
 
 
 def _block_passes(monkeypatch):
-    # one entry per column block: the rows of its one _joint_below pass, then
-    # the formula its cross totals took
+    # one entry per column block: the rows of its one _joint_below pass, the
+    # order it counted in, then the formula its cross totals took.  A block
+    # counts in x order when the pass gets the argsort of its columns itself;
+    # in y order it gets a new array, built from that argsort's inverse.
     blocks = []
-    joint_below = kernel._joint_below
+    sorted_counts, joint_below = kernel._sorted_counts, kernel._joint_below
+    orders = []
+
+    def sort_spy(columns):
+        counts = sorted_counts(columns)
+        orders.append(counts[0])
+        return counts
 
     def spy(rank):
-        blocks.append([len(rank)])
+        blocks.append([len(rank), "x order" if rank is orders[-1] else "y order"])
         return joint_below(rank)
 
+    monkeypatch.setattr(kernel, "_sorted_counts", sort_spy)
     monkeypatch.setattr(kernel, "_joint_below", spy)
     for name, formula in (("_tie_free_cross_totals", "closed form"), ("_tied_cross_totals", "ties")):
 
@@ -405,17 +442,22 @@ def test_one_tie_sends_its_block_to_the_general_formulas(monkeypatch, n):
     blocks = _block_passes(monkeypatch)
     x_tie = x.copy()
     x_tie[1, 4] = x_tie[0, 4]
-    closed, ties = [3, "closed form"], [3, "ties"]
+    y_tie = np.where(np.arange(n) == 1, y[0], y)
+    closed, x_ties = [3, "x order", "closed form"], [3, "x order", "ties"]
+    y_ties = [3, "y order", "ties"]
     cases = {
         "tie-free": (x, y, [closed, closed]),
-        # column 4 ties rows 0 and 1: only the second block loses the closed form
-        "x tie": (x_tie, y, [closed, ties]),
-        # a single tied pair in y sends every block to the general formulas
-        "y tie": (x, np.where(np.arange(n) == 1, y[0], y), [ties, ties]),
+        # column 4 ties rows 0 and 1: only the second block loses the closed
+        # form, and with y untied it still counts in x order
+        "x tie": (x_tie, y, [closed, x_ties]),
+        # a single tied pair in y sends every block to the general formulas,
+        # counted in y order
+        "y tie": (x, y_tie, [y_ties, y_ties]),
+        "x and y tie": (x_tie, y_tie, [y_ties, y_ties]),
     }
     signed_zero = x.copy()
     signed_zero[:2, 1] = [0.0, -0.0]  # equal as numbers, so a tie
-    cases["signed zero"] = (signed_zero, y, [ties, closed])
+    cases["signed zero"] = (signed_zero, y, [x_ties, closed])
     for name, (xs, ys, passes) in cases.items():
         blocks.clear()
         xy, xx, yy = univariate_sums(xs, ys)
@@ -451,9 +493,9 @@ def test_closed_form_at_the_first_n_with_object_totals(monkeypatch):
     x, y = _tie_free_sample(n, p=3)
     blocks = _block_passes(monkeypatch)
     xy, xx, yy = univariate_sums(x, y)
-    assert blocks == [[3, "closed form"]]
+    assert blocks == [[3, "x order", "closed form"]]
     general = univariate_sums(np.column_stack([x, np.ones(n)]), y)
-    assert blocks[1] == [4, "ties"]
+    assert blocks[1] == [4, "x order", "ties"]
     assert xy.dtype == object and all(type(v) is int for v in xy)
     assert xy.tolist() == general[0][:3].tolist()
     assert xx.tolist() == [_tie_free_self_total(n)] * 3 == general[1][:3].tolist()
