@@ -26,7 +26,9 @@ from .harness import (
 )
 from .kernel import _whole
 from .models import _canonical_id
-from .pipeline import CONSTRUCTIONS, DEFAULT_CONSTRUCTION, pc_knockoff
+from .pipeline import (
+    CONSTRUCTIONS, DEFAULT_CONSTRUCTION, core_diagnostics, pc_knockoff, selection_fields
+)
 from .screening import rank_features, signal_gap_diagnostic
 
 _TABLE_MODELS = {
@@ -227,20 +229,12 @@ def _cmd_pcknockoff(args):
     except DegenerateColumn as exc:
         name = design.x_names[exc.column]
         raise DegenerateColumn(f"feature {name!r} has zero variance in split 2", name) from exc
-    t_alpha = selection.t_alpha
     payload = {
-        "alpha": selection.alpha,
-        "t_alpha": None if t_alpha == float("inf") else t_alpha,
+        **selection_fields(selection),
         "selected": [design.x_names[j] for j in selection.selected],
-        "fdp_hat": selection.fdp_hat,
         "survivors": [design.x_names[j] for j in core.survivors],
         "w": [{"feature": design.x_names[j], "w_hat": w} for j, w in core.w.entries],
-        "diagnostics": {
-            "jitter": core.jitter_applied,
-            "clip": core.clip_magnitude,
-            "fallback": core.fallback_flag,
-            "construction": core.construction_used,
-        },
+        "diagnostics": {**core_diagnostics(core), "construction": core.construction_used},
     }
     outdir = _output_dir(args.out or ".")
     _write_text(outdir / "selection.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -46,8 +46,8 @@ class InfeasibleH(PcScreenError):
     """An h vector whose implied joint covariance is not positive semidefinite."""
 
 
-class InvalidAlpha(PcScreenError):
-    """A target FDR level outside (0, 1]."""
+class InvalidAlpha(PcScreenError, ValueError):
+    """A target FDR level outside (0, 1]; also a ``ValueError``."""
 
 
 class InvalidSplit(PcScreenError):

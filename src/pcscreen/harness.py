@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MissingColumn, NonNumericCell, ParseError, PcScreenError
-from .fdr import empirical_fdp
+from .fdr import check_alpha, empirical_fdp
 from .kernel import _whole
 from .models import ModelSpec, generate_dataset
 from .pipeline import (
-    DEFAULT_CONSTRUCTION, check_construction, pc_knockoff_core, selection_from_core, split_sizes
+    DEFAULT_CONSTRUCTION, check_construction, core_diagnostics, pc_knockoff_core, selection_fields,
+    selection_from_core, split_sizes,
 )
 from .screening import minimum_model_size, pearson_sis_rank, rank_features
 
@@ -34,12 +35,12 @@ class ExperimentConfig:
     replications of a run, one each, whatever the number of models; results
     are independent of the pool size.  They can depend on the BLAS thread
     count of the processes, which no setting here fixes.  Model ids are
-    stored in canonical form (``"1A"`` becomes ``"1a"``), quantile levels and
-    ``rho`` as floats, sizes and seeds (``s``, ``n1`` and ``d`` included,
-    when given) as ints (a fractional one is refused); an empty list, a
-    repeated model, alpha or method and what ModelSpec, split_sizes,
-    check_construction or nearest_rank_quantile's level rule refuse are
-    refused, with the same messages.
+    stored in canonical form (``"1A"`` becomes ``"1a"``), alphas, quantile
+    levels and ``rho`` as floats, sizes and seeds (``s``, ``n1`` and ``d``
+    included, when given) as ints (a fractional one is refused); an empty
+    list, a repeated model, alpha or method and what ModelSpec, split_sizes,
+    check_construction, check_alpha or nearest_rank_quantile's level rule
+    refuse are refused, with the same messages.
     """
 
     models: tuple[str, ...]
@@ -86,10 +87,10 @@ class ExperimentConfig:
         object.__setattr__(self, "quantile_levels", levels)
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("quantile levels must be strictly increasing")
-        if any(not 0.0 < a <= 1.0 for a in self.alphas):
-            raise ValueError(f"alpha levels must lie in (0, 1], got {self.alphas}")
-        if len({float(a) for a in self.alphas}) != len(self.alphas):
-            raise ValueError(f"repeated alpha level in {self.alphas}")
+        alphas = tuple(check_alpha(a) for a in self.alphas)
+        object.__setattr__(self, "alphas", alphas)
+        if len(set(alphas)) != len(alphas):
+            raise ValueError(f"repeated alpha level in {alphas}")
         unknown = set(self.methods) - set(QUANTILE_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; known: {QUANTILE_METHODS}")
@@ -158,26 +159,18 @@ def _fdr_records(data, seed, config):
         data.x, data.y, n1=config.n1, d=config.d, construction=config.construction, seed=seed
     )
     active = set(data.true_active)
-    replication = {
-        "record": "fdr",
-        "screened_all": active.issubset(core.survivors),
-        "fallback": core.fallback_flag,
-        "jitter": core.jitter_applied,
-        "clip": core.clip_magnitude,
-    }
+    screened_all = active.issubset(core.survivors)
+    replication = {"record": "fdr", "screened_all": screened_all, **core_diagnostics(core)}
     records = []
     for alpha in config.alphas:
-        selection = selection_from_core(core, float(alpha))
-        selected = sorted(selection.selected)
+        fields = selection_fields(selection_from_core(core, alpha))
+        selected = fields["selected"]
         sure = active.issubset(selected)
         records.append(
             {
                 **replication,
-                "alpha": float(alpha),
+                **fields,
                 "n_selected": len(selected),
-                "selected": selected,
-                "t_alpha": None if math.isinf(selection.t_alpha) else float(selection.t_alpha),
-                "fdp_hat": float(selection.fdp_hat),
                 "empirical_fdp": empirical_fdp(selected, active),
                 "sure_screening": sure,
                 "event": "e1" if not selected else "e2" if sure else "e3",

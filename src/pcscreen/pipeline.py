@@ -4,6 +4,7 @@ second."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -169,6 +170,23 @@ def selection_from_core(core, alpha):
     # checks each selection against the survivors and fdp_hat <= alpha, so
     # callers threshold here, not through fdr.
     return knockoff_plus_threshold(core.w, alpha)
+
+
+def core_diagnostics(core):
+    """A core's knockoff diagnostics, as FDR records and ``selection.json`` carry them."""
+    return {
+        "jitter": core.jitter_applied, "clip": core.clip_magnitude, "fallback": core.fallback_flag
+    }
+
+
+def selection_fields(selection):
+    """A selection as FDR records and ``selection.json`` carry it: ``selected``
+    as a list of feature indices, an infinite ``t_alpha`` as None."""
+    t_alpha = None if math.isinf(selection.t_alpha) else selection.t_alpha
+    return {
+        "alpha": selection.alpha, "t_alpha": t_alpha, "selected": list(selection.selected),
+        "fdp_hat": selection.fdp_hat,
+    }
 
 
 def pc_knockoff(x, y, alpha, n1=None, d=None, construction=DEFAULT_CONSTRUCTION, seed=0):

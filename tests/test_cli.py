@@ -241,6 +241,42 @@ def test_pcknockoff_runs_are_byte_identical(design_csv, tmp_path):
     assert (out_a / "selection.json").read_bytes() == (out_b / "selection.json").read_bytes()
 
 
+@pytest.mark.parametrize("alpha", [0.02, 0.5])
+def test_pcknockoff_and_the_fdr_records_report_one_core_alike(tmp_path, alpha):
+    # a one-replication FDR run and `pcknockoff` on its dataset, written out,
+    # run the same core: they share every field the core and selection give
+    seed, n1, d = 300, 40, 10
+    data = generate_dataset(ModelSpec(id="4a", n=120, p=30), seed=seed)
+    path = tmp_path / "design.csv"
+    write_design_csv(path, data.x, data.y)
+    args = ["pcknockoff", str(path), "--response-count", "1", "--seed", str(seed)]
+    args += ["--n1", str(n1), "--d", str(d), "--alpha", str(alpha), "--out", str(tmp_path)]
+    assert cli_main(args) == 0
+    payload = json.loads((tmp_path / "selection.json").read_text())
+    config = harness.ExperimentConfig(
+        models=("4a",), n=120, p=30, replications=1, alphas=(alpha,), n1=n1, d=d, base_seed=seed
+    )
+    (record,) = harness.run_fdr_experiment(config)[1]
+
+    assert set(payload) == {
+        "alpha", "t_alpha", "selected", "fdp_hat", "survivors", "w", "diagnostics",
+    }
+    assert set(payload["diagnostics"]) == {"jitter", "clip", "fallback", "construction"}
+    assert set(record) == {
+        "model", "seed", "clamp_events", "extreme_responses", "record", "screened_all",
+        "jitter", "clip", "fallback", "alpha", "t_alpha", "selected", "fdp_hat",
+        "n_selected", "empirical_fdp", "sure_screening", "event",
+    }
+    shared = ("alpha", "t_alpha", "fdp_hat")
+    assert {key: payload[key] for key in shared} == {key: record[key] for key in shared}
+    assert payload["selected"] == [f"x{j + 1}" for j in record["selected"]]
+    diagnostics = ("jitter", "clip", "fallback")
+    assert {key: payload["diagnostics"][key] for key in diagnostics} == {
+        key: record[key] for key in diagnostics
+    }
+    assert (record["t_alpha"] is None) == (alpha == 0.02)
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from pcscreen.errors import (
     ParseError,
     PcScreenError,
 )
+from pcscreen.fdr import check_alpha
 from pcscreen.harness import (
     ExperimentConfig,
     SummaryTable,
@@ -142,6 +143,10 @@ def test_config_and_its_callees_refuse_with_one_message():
         refused = _message(lambda: _quantile_config(quantile_levels=(level, 50.0)))
         assert refused == _message(lambda: nearest_rank_quantile([1, 2], level))
         assert refused == f"quantile level must lie in (0, 100), got {level}"
+    for alpha in (0.0, 1.5, -0.1):
+        refused = _message(lambda: _quantile_config(alphas=(alpha,)))
+        assert refused == _message(lambda: check_alpha(alpha))
+        assert refused == f"alpha must lie in (0, 1], got {alpha}"
 
 
 @pytest.mark.parametrize(

@@ -96,4 +96,8 @@ def test_one_fdr_replication_calls_each_traced_knockoff_layer_once(monkeypatch):
     totals = tracer.layer_totals()
     calls = {name: totals[name]["calls"] for name in knockoff_layers}
     assert calls == dict.fromkeys(knockoff_layers, 1)
+    # the core and each alpha's threshold run through the names tracing.py
+    # patches, so its survivor and fdp_hat checks see every selection
+    assert totals["pipeline.pc_knockoff_core"]["calls"] == 1
+    assert totals["fdr.knockoff_plus_threshold"]["calls"] == len(config.alphas)
     assert tracer.take_problems() == []
