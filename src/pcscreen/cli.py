@@ -18,6 +18,7 @@ from .errors import DegenerateColumn, InfeasibleH, ParseError, PcScreenError, So
 from .fdr import check_alpha
 from .harness import (
     ExperimentConfig,
+    check_threads,
     read_design_csv,
     run_fdr_experiment,
     run_quantile_experiment,
@@ -102,8 +103,8 @@ def build_parser():
         "--threads",
         type=int,
         default=None,
-        help="replication process-pool size for simulate and reproduce; "
-        "screen and pcknockoff ignore it (default 1)",
+        help="process count: the replication pool of simulate and reproduce, the "
+        "CSV body parse of screen and pcknockoff; results never depend on it (default 1)",
     )
     common.add_argument("--out", default=None, help="output directory (default .)")
 
@@ -195,9 +196,14 @@ def _write_text(path, text):
     print(f"wrote {path}")
 
 
+def _threads(args):
+    """The checked ``--threads`` of a command that reads a CSV."""
+    return check_threads(1 if args.threads is None else args.threads)
+
+
 def _cmd_screen(args):
     response = _response_spec(args)
-    design = read_design_csv(args.data, response)
+    design = read_design_csv(args.data, response, processes=_threads(args))
     ranking = rank_features(design.x, design.y)
     lines = ["feature,omega_hat,rank"]
     for rank, (j, omega) in enumerate(ranking.entries, start=1):
@@ -215,7 +221,7 @@ def _cmd_screen(args):
 def _cmd_pcknockoff(args):
     response = _response_spec(args)
     check_alpha(args.alpha)
-    design = read_design_csv(args.data, response)
+    design = read_design_csv(args.data, response, processes=_threads(args))
     try:
         core, selection = pc_knockoff(
             design.x,

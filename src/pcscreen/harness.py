@@ -5,10 +5,13 @@ numeric design-matrix CSV ingestion."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +75,9 @@ class ExperimentConfig:
             for name, size in zip(("n1", "d"), split_sizes(self.n, self.n1, self.d)):
                 if getattr(self, name) is not None:
                     object.__setattr__(self, name, size)
-        for name in ("replications", "base_seed", "threads"):
+        for name in ("replications", "base_seed"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        object.__setattr__(self, "threads", check_threads(self.threads))
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if self.base_seed < 0:
@@ -110,6 +112,15 @@ class SummaryTable:
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
+
+
+def check_threads(threads):
+    """``threads`` as an int, refused unless it is a whole number of at
+    least 1: the one rule for every command's ``--threads``."""
+    threads = _whole(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return threads
 
 
 def _quantile_level(level):
@@ -318,7 +329,7 @@ class DesignData:
     y_names: tuple[str, ...]
 
 
-def read_design_csv(path, response_columns):
+def read_design_csv(path, response_columns, processes=1):
     """Parse a headed numeric CSV into (X, Y) by response names or count.
 
     ``response_columns`` is either a list of header names or an integer k
@@ -332,6 +343,11 @@ def read_design_csv(path, response_columns):
     row, which names the first fault in file order.  Both convert cells with
     CPython's correctly rounded ``PyOS_string_to_double``, so the values do
     not depend on the path.
+
+    With ``processes`` above 1 the C reader's work is split over up to that
+    many byte ranges of the body, one per usable CPU, each parsed by a
+    forked process (see ``_read_body_in_ranges``).  The values and every
+    error are those of ``processes=1``.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -347,7 +363,11 @@ def read_design_csv(path, response_columns):
             raise ParseError(f"{path}: empty file (a header row is required)")
         header = [name.strip() for name in first]
         x_names, y_names = _split_header(path, header, response_columns)
-        data = _read_body(handle, len(header))
+        data = None
+        if processes > 1 and reader.line_num == 1:
+            data = _read_body_in_ranges(path, len(header), processes)
+        if data is None:
+            data = _read_body(handle, len(header))
         if data is None:
             handle.seek(0)
             data = _read_rows(path, header, itertools.islice(csv.reader(handle), 1, None))
@@ -392,6 +412,135 @@ def _read_body(handle, width):
     if data.shape != (count, width) or not np.isfinite(data).all():
         return None
     return data
+
+
+def _read_body_in_ranges(path, width, processes):
+    """The body of the one-line-header CSV at ``path`` as ``_read_body``
+    reads it, parsed in byte ranges, or None where the caller must read it
+    serially.
+
+    The body is cut into min(``processes``, usable CPUs) ranges, each cut
+    moved forward to just past a newline.  The parent forks one process per
+    range but the last, which it parses itself; a child sends its rows'
+    float64 bytes back over a pipe.  A refused or failed range makes the
+    whole result None, so a result is always the rows of ``_read_body`` on
+    the whole body.  Nothing is forked where "fork" is not a start method,
+    and every child is joined before this returns.  The children are forked,
+    not spawned: a spawned child would import numpy again, which costs more
+    than its range's parse, and a forked one only reads, decodes and parses.
+    Each child runs off the parent's CPU where Linux says which that is: a
+    scheduler that left both on one CPU made the parse slower than serial.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    count = min(processes, len(cpus) if cpus else os.cpu_count() or 1)
+    if count < 2:
+        return None
+    # imported here: a serial read never pays for multiprocessing
+    import multiprocessing
+
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    if not forkable or multiprocessing.current_process().daemon:  # a daemon has no children
+        return None
+    with open(path, "rb") as raw:
+        if _cr_line_end(raw.readline()):
+            return None
+        cuts = [raw.tell()]
+        size = os.fstat(raw.fileno()).st_size
+        for k in range(1, count):
+            raw.seek(cuts[0] + (size - cuts[0]) * k // count)
+            raw.readline()
+            cuts.append(raw.tell())
+    ranges = [(start, end) for start, end in zip(cuts, cuts[1:] + [size]) if start < end]
+    if len(ranges) < 2:
+        return None
+    context = multiprocessing.get_context("fork")
+    others = cpus and _cpus_but_this_one(cpus)
+    reads, children = [], []
+    try:
+        for start, end in ranges[:-1]:
+            read, write = context.Pipe(duplex=False)
+            reads.append(read)
+            child = context.Process(
+                target=_send_range, args=(write, reads, others, path, start, end, width)
+            )
+            child.start()
+            children.append(child)
+            write.close()
+        last = _parse_range(path, *ranges[-1], width)
+        parts = [_received(read, width) for read in reads] + [last]
+    except OSError:  # no pipe or process could be made
+        parts = [None]
+    finally:
+        for read in reads:
+            read.close()
+        for child in children:
+            child.join()
+    if any(part is None for part in parts):
+        return None
+    return np.concatenate(parts)
+
+
+def _cpus_but_this_one(cpus):
+    """The CPUs of ``cpus`` but the one this process runs on, or None where
+    /proc does not say which that is."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # field 39, "processor", counted past the parenthesized name
+            return cpus - {int(stat.read().rsplit(b")", 1)[1].split()[36])}
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _cr_line_end(chunk):
+    """Whether bytes ``chunk`` hold a CR that is not followed by LF."""
+    return b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")
+
+
+def _parse_range(path, start, end, width):
+    """``_read_body`` of bytes [start, end) of ``path`` decoded as UTF-8, or
+    None where it refuses them, where they hold a ``"`` or a CR line end (a
+    quoted newline or a CR-only line may straddle a cut), or where reading
+    them fails."""
+    try:
+        with open(path, "rb") as raw:
+            raw.seek(start)
+            chunk = raw.read(end - start)
+        if b'"' in chunk or _cr_line_end(chunk):
+            return None
+        lines = io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8", newline="")
+        return _read_body(lines, width)
+    except (OSError, ValueError):  # the serial read that follows reports it
+        return None
+
+
+def _send_range(write, reads, others, path, start, end, width):
+    """A forked child's work: send ``_parse_range``'s float64 bytes over
+    ``write``, or nothing, which the parent reads as a refusal.  The child
+    first closes its inherited read ends, so a parent that closes its own
+    never leaves a child blocked on a full pipe, and moves to the CPUs
+    ``others`` when they are given."""
+    try:
+        for read in reads:
+            read.close()
+        if others:
+            with contextlib.suppress(OSError):  # a placement hint, not a condition
+                os.sched_setaffinity(0, others)
+        data = _parse_range(path, start, end, width)
+        if data is not None:
+            write.send_bytes(data)
+    except BaseException:  # noqa: BLE001 - a child reports every failure as a refusal
+        pass
+    finally:
+        write.close()
+
+
+def _received(read, width):
+    """The (rows, width) array a child sent over ``read``, or None where it
+    sent nothing or died while sending."""
+    try:
+        return np.frombuffer(read.recv_bytes(), dtype=np.float64).reshape(-1, width)
+    except (EOFError, OSError):
+        return None
 
 
 def _read_rows(path, header, reader):

@@ -77,6 +77,29 @@ def test_pcknockoff_checks_alpha_before_reading_the_csv(tmp_path, capsys):
     assert "error: alpha must lie in (0, 1], got 1.5" in capsys.readouterr().err
 
 
+def test_every_command_refuses_a_thread_count_below_one_alike(tmp_path, capsys, monkeypatch):
+    # one rule for --threads; screen and pcknockoff apply it before the CSV is opened
+    def never(*args, **kwargs):
+        raise AssertionError("the CSV was read before --threads was checked")
+
+    monkeypatch.setattr(cli, "read_design_csv", never)
+    missing = str(tmp_path / "missing.csv")
+    outcomes = []
+    for argv in (
+        ["simulate", "--model", "1a", "--n", "40", "--p", "10", "--reps", "1", "--threads", "0"],
+        ["screen", missing, "--response-count", "1", "--threads", "0"],
+        ["pcknockoff", missing, "--response-count", "1", "--threads", "-1"],
+    ):
+        code = cli_main(argv + ["--out", str(tmp_path / "out")])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes == [
+        (2, "error: threads must be at least 1, got 0\n"),
+        (2, "error: threads must be at least 1, got 0\n"),
+        (2, "error: threads must be at least 1, got -1\n"),
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_numeric_cell_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,apple\n")

@@ -646,23 +646,26 @@ def test_design_non_numeric_cell_errors(tmp_path):
 
 
 def _parsed_on_both_paths(path, response, monkeypatch):
-    """What read_design_csv makes of a file, checked equal to what it makes
-    of it with the body always read row by row: the arrays' bits and shapes,
-    or the error class and message."""
+    """What read_design_csv makes of a file at 1, 2 and 3 processes, checked
+    equal to what it makes of it with the body always read row by row: the
+    arrays' bits and shapes, or the error class and message.  The host is
+    shown eight usable CPUs, so that 2 and 3 processes cut the body into 2
+    and 3 byte ranges on any host."""
 
-    def outcome():
+    def outcome(processes=1):
         try:
-            parsed = read_design_csv(path, response)
+            parsed = read_design_csv(path, response, processes)
         except PcScreenError as exc:
             return type(exc), str(exc)
         return parsed.x.tobytes(), parsed.y.tobytes(), parsed.x.shape, parsed.y.shape
 
-    chosen = outcome()
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    chosen = {processes: outcome(processes) for processes in (1, 2, 3)}
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_read_body", lambda handle, width: None)
         row_wise = outcome()
-    assert chosen == row_wise, path.name
-    return chosen
+    assert chosen == dict.fromkeys(chosen, row_wise), path.name
+    return row_wise
 
 
 @pytest.mark.filterwarnings("error")
@@ -700,6 +703,16 @@ def test_design_reports_the_first_fault_in_file_order(tmp_path, monkeypatch):
             "row 3: field larger than field limit",
         ),
         "long_header.csv": ('a,"b\n' + "5,6\n" * 40_000, ParseError, "row 1: field larger"),
+        # every byte range but the last parses; the last one holds the fault
+        "last_range_fault.csv": (
+            "a,b\n" + "1,2\n" * 40 + "3,x\n", NonNumericCell, "row 42, column 'b'"
+        ),
+        # the body's midpoint falls in the quoted cell, whose newline ends
+        # the first of two byte ranges
+        "straddling_quote.csv": (
+            "a,b\n" + "1,2\n" * 4 + '3,"1\n5"\n' + "1,2\n" * 4, NonNumericCell,
+            "row 6, column 'b': non-numeric cell '1\\n5'",
+        ),
     }
     for name, (text, error, message) in cases.items():
         path = tmp_path / name
@@ -738,3 +751,123 @@ def test_design_cells_parse_as_python_floats(tmp_path, monkeypatch):
             assert (x_shape, y_shape) == ((2, 1), (2, 1))
             assert x == np.array([float(value), 1.0]).tobytes(), (cell, ending)
             assert y == np.array([float(value), 2.0]).tobytes(), (cell, ending)
+
+
+def test_design_bodies_parse_alike_in_byte_ranges(tmp_path, monkeypatch):
+    import multiprocessing
+
+    rows = [f"{i}.25,{-i}e-3" for i in range(30)]
+    expected = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    cases = {
+        "lf.csv": "a,b\n" + "\n".join(rows) + "\n",
+        "no_final_newline.csv": "a,b\n" + "\n".join(rows),
+        "crlf.csv": "a,b\r\n" + "\r\n".join(rows) + "\r\n",
+        "cr_only.csv": "a,b\r" + "\r".join(rows) + "\r",
+        # a whole quoted cell: numpy would read the range, which refuses it
+        "quoted_cell.csv": "a,b\n" + "\n".join(rows[:5] + ['5.25,"-5e-3"'] + rows[6:]),
+        # only the header ends in CR: its first binary line holds a body row
+        "cr_header.csv": "a,b\r" + "\n".join(rows) + "\n",
+        "bom.csv": "\ufeffa,b\n" + "\n".join(rows) + "\n",
+        # a quoted newline at the body's midpoint: the cell reads 1.5
+        "straddling_quote.csv": "a,b\n" + "\n".join(rows[:15] + ['0.25,"1.5\n"'] + rows[16:]),
+    }
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    spied = []
+    real = harness._read_body_in_ranges
+    monkeypatch.setattr(
+        harness, "_read_body_in_ranges", lambda *args: spied.append(real(*args)) or spied[-1]
+    )
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        spied.clear()
+        x, y, x_shape, y_shape = _parsed_on_both_paths(path, 1, monkeypatch)
+        assert (x_shape, y_shape) == ((30, 1), (30, 1)), name
+        want = expected.copy()
+        if name == "straddling_quote.csv":
+            want[15] = (0.25, 1.5)
+        assert (x, y) == (want[:, :1].tobytes(), want[:, 1:].tobytes()), name
+        # the forked ranges read every LF and CRLF body; a CR line end or a
+        # quote sends it to the serial reader
+        forked = name in ("lf.csv", "no_final_newline.csv", "crlf.csv", "bom.csv") and fork
+        assert [part is not None for part in spied] == [forked, forked], name
+
+
+def _outcome(path, processes=1):
+    try:
+        parsed = read_design_csv(path, 1, processes)
+    except Exception as exc:  # noqa: BLE001 - compared with the serial outcome
+        return type(exc), str(exc)
+    return parsed.x.tobytes(), parsed.y.tobytes()
+
+
+def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypatch, capfd):
+    import multiprocessing
+    import os
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    rows = b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000))
+    bad = tmp_path / "bad_utf8.csv"  # the first of two ranges cannot be decoded
+    bad.write_bytes(b"a,b\n" + rows + b"1,\xff\n" + rows + rows + rows)
+    good = tmp_path / "good.csv"
+    good.write_bytes(b"a,b\n" + rows)
+    serial = {path: _outcome(path) for path in (bad, good)}
+    assert serial[bad][0] is UnicodeDecodeError
+    for processes in (2, 3):
+        assert _outcome(bad, processes) == serial[bad]
+    parent = os.getpid()
+    real = harness._read_body
+
+    def fails_in_a_child(handle, width):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt  # past the child's Exception handlers
+        return real(handle, width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_read_body", fails_in_a_child)
+        for processes in (2, 3):
+            assert _outcome(good, processes) == serial[good]
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr() == ("", "")
+    # without the fork start method nothing is cut or forked
+    with monkeypatch.context() as patch:
+        patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        patch.setattr(harness, "_parse_range", lambda *args: pytest.fail("a range was parsed"))
+        assert _outcome(good, 2) == serial[good]
+
+
+def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monkeypatch):
+    import multiprocessing
+    import os
+    import signal
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    path = tmp_path / "long.csv"
+    # each child's rows are about 200 kB, more than a pipe holds unread
+    path.write_bytes(b"a,b\n" + b"1.5,2\n" * 40_000)
+    parent = os.getpid()
+    real = harness._parse_range
+
+    def fails_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent's range failed")
+        return real(*args)
+
+    def hung(signum, frame):
+        # not an OSError, which multiprocessing's wait for a child swallows
+        raise AssertionError("a child was left blocked on its pipe")
+
+    monkeypatch.setattr(harness, "_parse_range", fails_in_the_parent)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="the parent's range failed"):
+            read_design_csv(path, 1, processes=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        left = multiprocessing.active_children()
+        for child in left:  # so that a failure here does not hang the test run
+            child.kill()
+            child.join()
+    assert left == []
