@@ -18,6 +18,7 @@ from .errors import DegenerateColumn, InfeasibleH, ParseError, PcScreenError, So
 from .fdr import check_alpha
 from .harness import (
     ExperimentConfig,
+    SummaryTable,
     check_threads,
     read_design_csv,
     run_fdr_experiment,
@@ -98,7 +99,6 @@ def _given(args, keys):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
     common.add_argument(
         "--threads",
         type=int,
@@ -107,6 +107,9 @@ def build_parser():
         "CSV body parse of screen and pcknockoff; results never depend on it (default 1)",
     )
     common.add_argument("--out", default=None, help="output directory (default .)")
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
 
     design = argparse.ArgumentParser(add_help=False)
     design.add_argument("data", help="input CSV with a header row")
@@ -124,7 +127,7 @@ def build_parser():
     screen.set_defaults(func=_cmd_screen)
 
     knock = sub.add_parser(
-        "pcknockoff", parents=[common, design], help="screen + knockoff selection on a CSV"
+        "pcknockoff", parents=[common, seeded, design], help="screen + knockoff selection on a CSV"
     )
     knock.add_argument("--alpha", type=float, default=0.2, help="target FDR level")
     knock.add_argument("--n1", type=int, default=None, help="screening split size")
@@ -138,7 +141,7 @@ def build_parser():
     knock.set_defaults(func=_cmd_pcknockoff)
 
     sim = sub.add_parser(
-        "simulate", parents=[common], help="run a replicated simulation experiment"
+        "simulate", parents=[common, seeded], help="run a replicated simulation experiment"
     )
     sim.add_argument("--config", default=None, help="JSON file of flag defaults")
     sim.add_argument("--kind", choices=tuple(_RUNNERS), default=None)
@@ -157,7 +160,7 @@ def build_parser():
     sim.set_defaults(func=_cmd_simulate)
 
     repro = sub.add_parser(
-        "reproduce", parents=[common], help="run a built-in table preset"
+        "reproduce", parents=[common, seeded], help="run a built-in table preset"
     )
     repro.add_argument("--table", type=int, choices=(1, 2, 3, 4), required=True)
     repro.add_argument("--scale", choices=("paper", "desk"), default="desk")
@@ -196,6 +199,11 @@ def _write_text(path, text):
     print(f"wrote {path}")
 
 
+def _write_table(path, table):
+    write_summary_csv(table, path)
+    print(f"wrote {path}")
+
+
 def _threads(args):
     """The checked ``--threads`` of a command that reads a CSV."""
     return check_threads(1 if args.threads is None else args.threads)
@@ -205,16 +213,12 @@ def _cmd_screen(args):
     response = _response_spec(args)
     design = read_design_csv(args.data, response, processes=_threads(args))
     ranking = rank_features(design.x, design.y)
-    lines = ["feature,omega_hat,rank"]
-    for rank, (j, omega) in enumerate(ranking.entries, start=1):
-        lines.append(f"{design.x_names[j]},{omega!r},{rank}")
-    gap_lines = ["rank,omega_hat,gap"]
-    if len(ranking) >= 2:
-        for rank, omega, gap in signal_gap_diagnostic(ranking):
-            gap_lines.append(f"{rank},{omega!r},{gap!r}")
+    entries = enumerate(ranking.entries, start=1)
+    rows = tuple((design.x_names[j], omega, rank) for rank, (j, omega) in entries)
+    gaps = tuple(signal_gap_diagnostic(ranking)) if len(ranking) >= 2 else ()
     outdir = _output_dir(args.out or ".")
-    _write_text(outdir / "ranking.csv", "\n".join(lines) + "\n")
-    _write_text(outdir / "gaps.csv", "\n".join(gap_lines) + "\n")
+    _write_table(outdir / "ranking.csv", SummaryTable(("feature", "omega_hat", "rank"), rows))
+    _write_table(outdir / "gaps.csv", SummaryTable(("rank", "omega_hat", "gap"), gaps))
     return 0
 
 
@@ -325,10 +329,8 @@ def _run_experiment(settings, stem=None):
     table, records = runner(config)
     outdir = _output_dir(out)
     stem = stem or kind
-    summary_path = outdir / f"{stem}_summary.csv"
     records_path = outdir / f"{stem}_records.jsonl"
-    write_summary_csv(table, summary_path)
-    print(f"wrote {summary_path}")
+    _write_table(outdir / f"{stem}_summary.csv", table)
     write_records_jsonl(records, records_path)
     print(f"wrote {records_path}")
     return 0

@@ -58,9 +58,9 @@ Both evaluation strategies follow from it, chosen by column counts:
 
   Univariate feature columns sit on the matrix axis: their 0/1 indicators
   at r form (n, p) arrays, and B_r meets them in one matrix product, a fixed
-  block of columns at a time.  When both samples are multivariate the full
-  slices are contracted directly.  A univariate column's self sum always
-  comes from the exact counts.
+  block of columns at a time.  When both samples are multivariate,
+  :func:`pcov_stats` contracts their full slices directly.  A univariate
+  column's self sum always comes from the exact counts.
 
 The slice loop adds its per-r contributions in ascending r, so results are
 reproducible run to run; integer sums do not depend on order at all.  Nothing
@@ -533,6 +533,8 @@ def _ratio(s_xy, s_xx, s_yy):
     """s_xy / sqrt(s_xx s_yy) elementwise, 0 where the denominator vanishes.
 
     The minimum with 1 keeps rounding from lifting a value above its bound.
+    The one rule for every floating-point score: the slice loop, a
+    multivariate pair and the Pearson baseline (s_yy may be a scalar).
     """
     denom_sq = s_xx * s_yy
     scores = np.zeros(np.shape(s_xy))
@@ -541,42 +543,32 @@ def _ratio(s_xy, s_xx, s_yy):
     return scores
 
 
-def _slice_sums(full, x, features):
-    """Raw slice sums of ``x`` against the multivariate sample ``full``.
+def _slice_sums(full, x):
+    """Raw slice sums of univariate columns ``x`` against multivariate ``full``.
 
     One loop over the slice indices r builds and centers each slice B_r of
-    ``full`` once.  With ``features``, every column of ``x`` is a univariate
-    sample, and <A_r, B_r> = -2 pi sum_k g_k (B_r h)_k with the indicators
+    ``full`` once.  <A_r, B_r> = -2 pi sum_k g_k (B_r h)_k with the indicators
     g = 1[x > x_r] and h = 1[x >= x_r] (see the module docstring); those of a
     block of columns are (n, block) arrays, and B_r meets them in one matrix
-    product.  Otherwise ``x`` is one multivariate sample whose full slices
-    A_r are contracted directly.  Contributions are added in ascending r.
+    product.  Contributions are added in ascending r.
 
-    Returns ``(xy, xx, yy)``: sum_r <A_r, B_r> per column (one entry if not
-    ``features``), sum_r |A_r|^2 (``None`` with ``features``; the exact counts
-    give it) and sum_r |B_r|^2, none of them yet scaled by n^-3.
+    Returns ``(xy, yy)``: sum_r <A_r, B_r> per column and sum_r |B_r|^2,
+    neither yet scaled by n^-3 (the exact counts give sum_r |A_r|^2).
     """
     n = full.shape[0]
     block = max(1, _BLOCK_ELEMENTS // n)
-    xy = np.zeros(x.shape[1] if features else 1)
-    xx = None if features else 0.0
+    xy = np.zeros(x.shape[1])
     yy = 0.0
     for r in range(n):
         b = center_slice(_angle_slice_raw(full, r))
         yy += np.einsum("kl,kl->", b, b)
-        if not features:
-            a = center_slice(_angle_slice_raw(x, r))
-            xy += np.einsum("kl,kl->", a, b)
-            xx += np.einsum("kl,kl->", a, a)
-            continue
         for c in range(0, x.shape[1], block):
             cols = x[:, c : c + block]
             above = (cols > cols[r]).astype(np.float64)
             level = (cols >= cols[r]).astype(np.float64)
             xy[c : c + block] -= np.einsum("kj,kj->j", above, b @ level)
-    if features:
-        xy *= 2.0 * math.pi
-    return xy, xx, yy
+    xy *= 2.0 * math.pi
+    return xy, yy
 
 
 def _feature_stats(x, full):
@@ -585,7 +577,7 @@ def _feature_stats(x, full):
     ``full`` is multivariate; all three are scaled by n^-3 as in PcStats.
     """
     n = x.shape[0]
-    xy, _, yy = _slice_sums(full, x, features=True)
+    xy, yy = _slice_sums(full, x)
     cube = float(n) ** 3
     return xy / cube, _self_totals(x) * (_HALF_PI * _HALF_PI / float(n) ** 5), yy / cube
 
@@ -657,9 +649,15 @@ def pcov_stats(x, y):
         s_xy, s_uu, s_mm = _feature_stats(*((ym, xm) if swap else (xm, ym)))
         s_xx, s_yy = (s_mm, s_uu[0]) if swap else (s_uu[0], s_mm)
         return PcStats(s_xy=float(s_xy[0]), s_xx=float(s_xx), s_yy=float(s_yy))
-    xy, xx, yy = _slice_sums(ym, xm, features=False)
+    # both samples multivariate: their full slices are contracted directly
+    xy = xx = yy = 0.0
+    for r in range(n):
+        a, b = (center_slice(_angle_slice_raw(sample, r)) for sample in (xm, ym))
+        yy += np.einsum("kl,kl->", b, b)
+        xy += np.einsum("kl,kl->", a, b)
+        xx += np.einsum("kl,kl->", a, a)
     cube = float(n) ** 3
-    return PcStats(s_xy=float(xy[0]) / cube, s_xx=xx / cube, s_yy=yy / cube)
+    return PcStats(s_xy=float(xy) / cube, s_xx=float(xx) / cube, s_yy=float(yy) / cube)
 
 
 def projection_correlation_sq(x, y):
@@ -679,9 +677,7 @@ def projection_correlation_sq(x, y):
         features, other = (xm, ym) if xm.shape[1] == 1 else (ym, xm)
         return float(column_scores(features, other)[0])
     stats = pcov_stats(xm, ym)
-    denom_sq = stats.s_xx * stats.s_yy
-    if denom_sq <= 0.0:
-        return 0.0
-    if xm.shape == ym.shape and np.array_equal(xm, ym):
+    score = float(_ratio(*np.array([[stats.s_xy], [stats.s_xx], [stats.s_yy]]))[0])
+    if score > 0.0 and xm.shape == ym.shape and np.array_equal(xm, ym):
         return 1.0
-    return min(stats.s_xy / math.sqrt(denom_sq), 1.0)
+    return score

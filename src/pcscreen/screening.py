@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MultivariateResponseUnsupported, UnknownFeature
-from .kernel import _sample_pair, _whole, column_scores
+from .kernel import _ratio, _sample_pair, _whole, column_scores
 
 # perfbench/tracing.py patches this name (its kernel.build_response_cache
 # layer) when a traced run starts; screening builds no response cache, so that
@@ -70,8 +70,9 @@ def rank_features(x, y, rows=None):
 def pearson_sis_rank(x, y):
     """Rank features by absolute sample Pearson correlation with a scalar response.
 
-    Degenerate (constant) columns get correlation 0.  Refuses multivariate
-    responses, which this baseline does not define.
+    Scores lie in [0, 1], degenerate (constant) columns scoring 0, by the
+    kernel's floating-point score rule.  Refuses multivariate responses,
+    which this baseline does not define.
     """
     xm, ym = _sample_pair(x, y)
     if ym.shape[1] != 1:
@@ -80,11 +81,7 @@ def pearson_sis_rank(x, y):
         )
     yc = ym[:, 0] - ym[:, 0].mean()
     xc = xm - xm.mean(axis=0)
-    num = xc.T @ yc
-    denom_sq = np.einsum("ij,ij->j", xc, xc) * float(yc @ yc)
-    scores = np.zeros(xm.shape[1])
-    ok = denom_sq > 0.0
-    scores[ok] = np.abs(num[ok]) / np.sqrt(denom_sq[ok])
+    scores = _ratio(np.abs(xc.T @ yc), np.einsum("ij,ij->j", xc, xc), float(yc @ yc))
     return _ranking_from_scores(scores, xm.shape[0])
 
 

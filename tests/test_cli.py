@@ -3,6 +3,7 @@ config-file merge, and table presets — all run in-process via cli_main."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -190,6 +191,29 @@ def test_screen_writes_ranking_and_gap_files(tmp_path):
     gap_lines = (out / "gaps.csv").read_text().splitlines()
     assert gap_lines[0] == "rank,omega_hat,gap"
     assert len(gap_lines) == 4  # p - 1 diagnostic rows
+
+
+def test_screen_quotes_feature_names_that_need_it(tmp_path):
+    rng = np.random.default_rng(8)
+    rows = [",".join(f"{v!r}" for v in row) for row in rng.standard_normal((20, 4)).tolist()]
+    path = tmp_path / "named.csv"
+    path.write_text("\n".join(['"dose, mg",b,"c ""q""",y', *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["screen", str(path), "--response-count", "1", "--out", str(out)]) == 0
+    with open(out / "ranking.csv", newline="", encoding="utf-8") as handle:
+        table = list(csv.reader(handle))
+    assert table[0] == ["feature", "omega_hat", "rank"]
+    assert all(len(row) == 3 for row in table)
+    assert sorted(row[0] for row in table[1:]) == sorted(["dose, mg", "b", 'c "q"'])
+
+
+def test_screen_refuses_a_seed(design_csv, tmp_path, capsys):
+    # screen draws no random numbers, so --seed is a usage error, not ignored
+    out = tmp_path / "out"
+    argv = ["screen", str(design_csv), "--response-count", "1", "--seed", "3", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_screen_single_feature_emits_header_only_gaps(tmp_path):

@@ -572,6 +572,46 @@ def test_self_correlation_is_exactly_one():
 def test_degenerate_self_correlation_is_zero():
     x = np.full((8, 1), 1.25)
     assert projection_correlation_sq(x, x) == 0.0
+    # equal multivariate inputs short-circuit to 1.0 only when they score
+    x = np.full((8, 2), 1.25)
+    assert projection_correlation_sq(x, x) == 0.0
+
+
+def _normal_pair():
+    rng = np.random.default_rng(20261020)
+    return rng.standard_normal((23, 3)), rng.standard_normal((23, 2))
+
+
+def _rounded_pair_with_a_repeated_row():
+    rng = np.random.default_rng(7)
+    x = np.round(rng.standard_normal((17, 2)), 1)
+    y = np.round(x[:, ::-1] + rng.standard_normal((17, 2)), 1)
+    x[5], y[5] = x[2], y[2]
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "pair, bits",
+    [
+        (
+            _normal_pair,
+            ("0x1.3d4d30351b6d6p-5", "0x1.ad5c4c81e6885p-3", "0x1.6d2aecb954b3fp-2",
+             "0x1.221d6375ca76ap-3"),
+        ),
+        (
+            _rounded_pair_with_a_repeated_row,
+            ("0x1.2cc3284bbcbb8p-3", "0x1.803855bf97131p-2", "0x1.5ca8e20a326b5p-2",
+             "0x1.a4baa3f587061p-2"),
+        ),
+    ],
+)
+def test_multivariate_pair_bits_are_pinned(pair, bits):
+    # s_xy, s_xx, s_yy and the score of the both-multivariate slice loop,
+    # bit for bit: no golden case reaches this path
+    x, y = pair()
+    stats = pcov_stats(x, y)
+    got = (stats.s_xy, stats.s_xx, stats.s_yy, projection_correlation_sq(x, y))
+    assert tuple(float.hex(float(v)) for v in got) == bits
 
 
 def test_statistic_spread_shrinks_with_sample_size():

@@ -327,6 +327,17 @@ def test_pearson_constant_feature_scores_zero():
     assert by_feature[1] == 0.0
 
 
+def test_pearson_scores_of_collinear_columns_stay_at_most_one():
+    # rounding lifted 3y + 1 to 1.0000000000000002 before the kernel's score
+    # rule clamped it; the clamp does not make the columns tie
+    y = np.random.default_rng(0).standard_normal((37, 1))
+    assert pearson_sis_rank(np.hstack([3 * y + 1, y]), y).omega_hat.max() <= 1.0
+    for seed in range(8):
+        y = np.random.default_rng(seed).standard_normal((37, 1))
+        ranking = pearson_sis_rank(np.hstack([3 * y + 1, -y, 7.1 * y]), y)
+        assert ranking.omega_hat.max() <= 1.0
+
+
 def test_pearson_matches_covariance_formula_oracle():
     rng = np.random.default_rng(7)
     n, p = 20, 5

@@ -101,3 +101,19 @@ def test_one_fdr_replication_calls_each_traced_knockoff_layer_once(monkeypatch):
     assert totals["pipeline.pc_knockoff_core"]["calls"] == 1
     assert totals["fdr.knockoff_plus_threshold"]["calls"] == len(config.alphas)
     assert tracer.take_problems() == []
+
+
+def test_every_workload_passes_its_own_output_check_at_the_tiny_shape(monkeypatch, tmp_path):
+    # the first op per model of each workload, run and checked as the
+    # benchmark does, so a wrong output or a refused screen argv fails here
+    workloads = _load(monkeypatch, "workloads")
+    problems = {}
+    for name, spec in workloads.WORKLOADS.items():
+        runner = workloads.Runner(name, "tiny", tmp_path / name)
+        references = workloads.load_references(PERFBENCH / "references.json", name, "tiny")
+        for inp in workloads.op_inputs(name, 0)[: len(spec["models"])]:
+            if runner.kind == "screen":
+                runner.prepare(inp)
+            out = runner.output(inp, runner.execute(inp))
+            problems[workloads.input_key(inp)] = runner.check(inp, out, references)
+    assert problems and not any(problems.values()), problems
