@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingColumn, NonNumericCell, ParseError, PcScreenError
 from .fdr import check_alpha, empirical_fdp
-from .kernel import _whole
+from .kernel import _seed, _whole
 from .models import ModelSpec, generate_dataset
 from .pipeline import (
     DEFAULT_CONSTRUCTION, check_construction, core_diagnostics, pc_knockoff_core, selection_fields,
@@ -75,13 +75,11 @@ class ExperimentConfig:
             for name, size in zip(("n1", "d"), split_sizes(self.n, self.n1, self.d)):
                 if getattr(self, name) is not None:
                     object.__setattr__(self, name, size)
-        for name in ("replications", "base_seed"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        object.__setattr__(self, "replications", _whole(self.replications, "replications"))
+        object.__setattr__(self, "base_seed", _seed(self.base_seed, "base_seed"))
         object.__setattr__(self, "threads", check_threads(self.threads))
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         for name in ("methods", "quantile_levels", "alphas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")

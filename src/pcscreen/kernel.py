@@ -5,8 +5,8 @@ statistic is assembled from per-observation "angle slices": slice ``r`` holds
 
     a_klr = arccos( <x_k - x_r, x_l - x_r> / (|x_k - x_r| |x_l - x_r|) ),
 
-with ``a_klr = 0`` whenever ``k = r``, ``l = r``, or either difference is the
-zero vector.  Each slice is double-centered,
+with ``a_klr = 0`` for a zero difference (k = r or l = r), evaluated by
+Kahan's form (:func:`_angle_slice_raw`).  Each slice is double-centered,
 
     A_klr = a_klr - abar_{k.r} - abar_{.lr} + abar_{..r},
 
@@ -39,14 +39,8 @@ Both evaluation strategies follow from it, chosen by column counts:
   symmetric in x and y, so while y has no tie a block counts in x order,
   on the permutation its sort returns; a tied y is counted in y order.
   That is one sort and O(n^2 / 64) word operations per column, in O(n)
-  memory per column.  A tied block costs a tie-free one plus an integer
-  sort: with each tie group of the counting order put in the other order,
-  and ties of the other in the counting order, the four joint counts are
-  that one count plus tie terms.  A block in which neither y nor any column
-  has a tie takes the same identity with the tie terms collapsed: the self
-  totals are one constant of n, and the cross total needs only the count
-  itself, N(<x, <y), the concordance count behind Kendall's tau.  The data
-  decide, and the integers are the same either way;
+  memory per column; ties add an integer sort, and a tie-free block needs
+  only the concordance count behind Kendall's tau (:func:`univariate_sums`);
 * the slice loop, for everything else: one pass over the slice indices r
   builds each centered slice B_r of the multivariate sample once (O(n^2)
   working memory).  B_r is symmetric with zero row and column sums, so the
@@ -137,6 +131,13 @@ def _whole(value, name="value"):
     return int(value)
 
 
+def _seed(value, name="seed"):
+    """``_whole(value, name)``, refusing a negative value: the one seed rule."""
+    if (seed := _whole(value, name)) < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class PcStats:
     """The three accumulated slice sums, already scaled by n^-3."""
@@ -147,29 +148,26 @@ class PcStats:
 
 
 def _angle_slice_raw(x, r):
+    """Raw angles a_klr of slice r by Kahan's formula, for u = x_k - x_r and
+    v = x_l - x_r: 2 atan2(| |v| u - |u| v |, | |v| u + |u| v |), summed one
+    coordinate at a time (W. Kahan, "How futile are mindless assessments of
+    roundoff in floating-point computation?", 2006, section 12).  It is exactly
+    0 for equal or zero differences and exactly pi for opposite ones."""
     diff = x - x[r]
     norms = np.sqrt(np.einsum("im,im->i", diff, diff))
-    cos = diff @ diff.T
-    denom = np.outer(norms, norms)
-    np.divide(cos, denom, out=cos, where=denom > 0.0)
-    np.clip(cos, -1.0, 1.0, out=cos)
-    angles = np.arccos(cos)
-    # Coincident difference vectors (k = l, or exact duplicate points) span
-    # an angle of exactly 0; going through arccos instead would amplify 1-ulp
-    # rounding of the norms into ~1e-8 noise.
-    same = np.all(diff[:, None, :] == diff[None, :, :], axis=2)
-    angles[same] = 0.0
-    degenerate = norms == 0.0
-    angles[degenerate, :] = 0.0
-    angles[:, degenerate] = 0.0
-    return angles
+    minus, plus = np.zeros((2, len(x), len(x)))
+    for column in diff.T:
+        scaled = np.multiply.outer(column, norms)  # [k, l]: one coordinate of |v| u
+        minus += (scaled - scaled.T) ** 2
+        plus += (scaled + scaled.T) ** 2
+    return 2.0 * np.arctan2(np.sqrt(minus), np.sqrt(plus))
 
 
 def center_slice(slice_values):
     """Double-center an angle slice.
 
     Subtracts row and column means and adds back the grand mean; all means
-    divide by the full n (forced zeros included), matching the definition.
+    divide by the full n (row and column r included), matching the definition.
     """
     a = np.asarray(slice_values, dtype=np.float64)
     return a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
@@ -601,7 +599,7 @@ def column_scores(x, y, rows=None):
     may differ from it in the last bits, as a matrix product and a
     matrix-vector product round differently.  Only the exact sweep scores
     every pair of exactly tied columns equal; the slice loop can leave them
-    some ulps apart (n=5, p=2, q=2, seed 255263: 16 ulps).
+    some ulps apart (n=5, p=2, q=2, seed 255263: 5 ulps).
 
     ``rows``, a row index checked by :func:`as_row_index`, scores the sample
     ``x[rows]`` against ``y[rows]`` with the same bits.  The exact sweep

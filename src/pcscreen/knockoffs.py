@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumn, DimensionMismatch, InfeasibleH, SolverFailure
-from .kernel import as_sample_matrix
+from .kernel import _seed, as_sample_matrix
 
 MIN_EIGENVALUE = 1e-8
 FEASIBILITY_TOL = 1e-8
@@ -245,6 +245,6 @@ def sample_knockoffs(x, model, seed):
     d = model.cond_mean_factor.shape[0]
     if xm.shape[1] != d:
         raise DimensionMismatch(f"x has {xm.shape[1]} columns but the model expects {d}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     z = rng.standard_normal(xm.shape)
     return xm @ model.cond_mean_factor.T + z @ model.cond_cov_root.T

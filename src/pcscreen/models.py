@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnknownModel
-from .kernel import _whole
+from .kernel import _seed, _whole
 
 MODEL_IDS = (
     "1a", "1b", "1c", "1d", "1e", "1f",
@@ -217,7 +217,7 @@ def generate_dataset(spec, seed):
     """
     mid = spec.id
     n, p, rho, s = spec.n, spec.p, spec.rho, spec.active_count
-    rng = np.random.default_rng(_whole(seed, "seed"))
+    rng = np.random.default_rng(_seed(seed))
     clamped = 0
 
     if mid in ("1c", "1d"):

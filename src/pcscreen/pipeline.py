@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateColumn, InvalidSplit, SolverFailure
 from .fdr import WVector, check_alpha, knockoff_plus_threshold, w_statistics
-from .kernel import _sample_pair, _whole
+from .kernel import _sample_pair, _seed, _whole
 from .knockoffs import (
     build_knockoff_model,
     equicorrelated_h,
@@ -71,7 +71,7 @@ def split_sample(n, n1, seed):
     n1 = _whole(n1, "n1")
     if not 2 <= n1 <= n - 2:
         raise InvalidSplit(f"need 2 <= n1 <= n - 2, got n1={n1} with n={n}")
-    perm = np.random.default_rng(_whole(seed, "seed")).permutation(n)
+    perm = np.random.default_rng(_seed(seed)).permutation(n)
     return SplitPlan(n1=n1, perm=perm)
 
 
@@ -97,7 +97,7 @@ def check_construction(construction):
 
 def _derive_seeds(seed):
     """Two decoupled child seeds (split, knockoff-noise) from one base seed."""
-    children = np.random.SeedSequence(_whole(seed, "seed")).spawn(2)
+    children = np.random.SeedSequence(_seed(seed)).spawn(2)
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 

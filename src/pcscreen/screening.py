@@ -29,7 +29,7 @@ class FeatureRanking:
     always score equal and rank by index, and no two columns rank against
     their exact order.  A multivariate response
     is scored in floating point by the slice loop, which can leave exactly
-    tied columns some ulps apart (n=5, p=2, q=2, seed 255263: 16 ulps), and
+    tied columns some ulps apart (n=5, p=2, q=2, seed 255263: 5 ulps), and
     then the larger one ranks first.
     """
 

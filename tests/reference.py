@@ -19,27 +19,28 @@ from pcscreen.kernel import PcStats, as_sample_matrix
 def angle_matrix_fsum(points, r):
     """All pairwise angles seen from observation ``r``, in extended precision.
 
-    Scalar evaluation: every dot product and squared norm is accumulated with
-    ``math.fsum``.  Entries involving observation ``r`` or a zero difference
-    are zero by convention, and pairs whose difference vectors are identical
-    subtend an angle of exactly zero (their true cosine is exactly 1; going
-    through ``acos`` would turn 1-ulp square-root rounding into ~1e-8 noise).
+    Scalar evaluation of atan2(|u ^ v|, u . v) for the differences u and v,
+    with |u ^ v|^2 = sum_{i<j} (u_i v_j - u_j v_i)^2 and every sum accumulated
+    with ``math.fsum``.  Entries involving observation ``r`` or a zero
+    difference are zero by convention.  Equal or opposite differences have an
+    exactly zero wedge, so their angles are exactly 0 and pi.
     """
     pts = [[float(v) for v in row] for row in points]
     n = len(pts)
     dim = len(pts[0])
     diffs = [[pts[k][i] - pts[r][i] for i in range(dim)] for k in range(n)]
-    norms = [math.sqrt(math.fsum(v * v for v in d)) for d in diffs]
     out = [[0.0] * n for _ in range(n)]
     for k in range(n):
-        if k == r or norms[k] == 0.0:
+        if k == r or not any(diffs[k]):
             continue
         for l in range(n):
-            if l == r or norms[l] == 0.0 or diffs[k] == diffs[l]:
+            if l == r or not any(diffs[l]):
                 continue
-            cos = math.fsum(a * b for a, b in zip(diffs[k], diffs[l]))
-            cos /= norms[k] * norms[l]
-            out[k][l] = math.acos(max(-1.0, min(1.0, cos)))
+            u, v = diffs[k], diffs[l]
+            wedge = math.fsum(
+                (u[i] * v[j] - u[j] * v[i]) ** 2 for i in range(dim) for j in range(i + 1, dim)
+            )
+            out[k][l] = math.atan2(math.sqrt(wedge), math.fsum(a * b for a, b in zip(u, v)))
     return np.array(out)
 
 
@@ -229,20 +230,21 @@ def _naive_centered_slices(m):
             if k == r:
                 continue
             dk = [rows[k][i] - rows[r][i] for i in range(dim)]
-            nk = math.sqrt(sum(v * v for v in dk))
-            if nk == 0.0:
+            if not any(dk):
                 continue
             for l in range(n):
                 if l == r:
                     continue
                 dl = [rows[l][i] - rows[r][i] for i in range(dim)]
-                nl = math.sqrt(sum(v * v for v in dl))
-                if nl == 0.0:
+                if not any(dl):
                     continue
-                if dl == dk:
-                    continue  # identical difference vectors: angle exactly 0
-                cos = sum(dk[i] * dl[i] for i in range(dim)) / (nk * nl)
-                raw[k][l] = math.acos(min(1.0, max(-1.0, cos)))
+                # atan2(|dk ^ dl|, dk . dl), the wedge norm summed over i < j
+                wedge = 0.0
+                for i in range(dim):
+                    for j in range(i + 1, dim):
+                        wedge += (dk[i] * dl[j] - dk[j] * dl[i]) ** 2
+                dot = sum(dk[i] * dl[i] for i in range(dim))
+                raw[k][l] = math.atan2(math.sqrt(wedge), dot)
         row_mean = [sum(raw[k][l] for l in range(n)) / n for k in range(n)]
         col_mean = [sum(raw[k][l] for k in range(n)) / n for l in range(n)]
         grand = sum(row_mean) / n

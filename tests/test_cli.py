@@ -277,6 +277,14 @@ def test_pcknockoff_names_a_constant_survivor_by_its_header(tmp_path, capsys):
     assert not (tmp_path / "out" / "selection.json").exists()
 
 
+def test_pcknockoff_refuses_a_negative_seed_by_name(design_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["pcknockoff", str(design_csv), "--response-count", "1", "--seed", "-1"]
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pcknockoff_runs_are_byte_identical(design_csv, tmp_path):
     args = [
         "pcknockoff", str(design_csv), "--response-count", "1",

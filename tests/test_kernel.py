@@ -47,6 +47,26 @@ def test_collinear_opposite_directions_span_pi():
     assert angles[2, 2] == 0.0
 
 
+@pytest.mark.parametrize("direction", [(1.0, 1.0), (1.0, -2.0, 3.0)])
+def test_collinear_differences_span_zero_or_pi(direction):
+    # x_k - x_0 = t_k d: equal signs of t span 0, opposite ones pi.  A power
+    # of two scales a norm exactly, so the first six t give exact angles;
+    # other multiples round their norms, which shows in the last bit or two
+    t = np.array([0.0, 1.0, 2.0, -1.0, 0.5, -4.0, 3.0, -2.5])
+    angles = kernel._angle_slice_raw(np.outer(t, direction), r=0)
+    expected = np.where(np.outer(t, t) < 0.0, math.pi, 0.0)
+    npt.assert_array_equal(angles[:6, :6], expected[:6, :6])
+    npt.assert_allclose(angles, expected, rtol=0, atol=1e-15)
+
+
+def test_nearly_parallel_differences_keep_their_small_angle():
+    # (0.1, 0.2, 0.3) and (0.3, 0.6, 0.9) are parallel but for the rounding
+    # of their decimals: the angle between the doubles is 7.4e-17
+    points = np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.3], [0.3, 0.6, 0.9]])
+    angles = kernel._angle_slice_raw(points, r=0)
+    assert angles[1, 2] == angles[2, 1] <= 1e-15
+
+
 def test_vertex_row_and_column_are_zero():
     angles = kernel._angle_slice_raw(_points(0, 8, 3), r=5)
     npt.assert_array_equal(angles[5, :], 0.0)
@@ -221,8 +241,9 @@ def test_batched_kernel_on_tied_samples(n, p, seed):
     q=st.sampled_from([2, 3]),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-# the scores of columns 0 and 1 tie exactly; a batched call once rounded
-# them 1 ulp apart and ranked column 1 first, unlike one-column calls
+# the scores of columns 0 and 1 tie exactly; the slice loop leaves them 5
+# ulps apart and ranks column 1 first, as one-column calls do (a batched
+# call once ranked them unlike one-column calls)
 @example(n=5, p=2, q=2, seed=255263)
 # columns 2 and 3 tie exactly and score equal in the batched call, while the
 # one-column call scores column 3 1 ulp higher: ranks follow the batched scores
@@ -243,6 +264,17 @@ def test_slice_loop_on_tied_samples(n, p, q, seed):
     assert np.all(np.diff(ranking.omega_hat) <= 0.0)
     assert scores[p] == 0.0
     assert np.all(scores <= 1.0)
+
+
+def test_slice_loop_scores_a_tied_sample_to_the_last_bits():
+    # column 0 of the case n=5, p=1, q=2, seed 6 of the test above; its
+    # score to 40 digits was computed once with mpmath 1.3.0 at 60 digits,
+    # from atan2(|u ^ v|, u . v), so the test needs no mpmath
+    x = np.array([[1.0], [2.0], [2.0], [1.0], [3.0]])
+    y = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, 0.0], [2.0, 1.0], [2.0, 3.0]])
+    exact = 0.05082988681120184243213716097341308107735
+    assert abs(column_scores(x, y)[0] - exact) <= 1e-15
+    assert abs(projection_correlation_sq(x, y) - exact) <= 1e-15
 
 
 def test_slice_loop_column_blocks_do_not_change_scores(monkeypatch):
@@ -590,28 +622,38 @@ def _rounded_pair_with_a_repeated_row():
     return x, y
 
 
+# each value's bits, and its exact value to 40 digits, computed once with
+# mpmath 1.3.0 at 60 digits from atan2(|u ^ v|, u . v): the test does not
+# import mpmath
 @pytest.mark.parametrize(
     "pair, bits",
     [
         (
             _normal_pair,
-            ("0x1.3d4d30351b6d6p-5", "0x1.ad5c4c81e6885p-3", "0x1.6d2aecb954b3fp-2",
-             "0x1.221d6375ca76ap-3"),
+            (("0x1.3d4d30351b6dap-5", 0.03873309531705411858354190316776673475953),
+             ("0x1.ad5c4c81e6885p-3", 0.2096487023489467226989634687215095305011),
+             ("0x1.6d2aecb954b43p-2", 0.3566090572468746860039361871205857587969),
+             ("0x1.221d6375ca76cp-3", 0.1416576166459963287711334157053093606467)),
         ),
         (
             _rounded_pair_with_a_repeated_row,
-            ("0x1.2cc3284bbcbb8p-3", "0x1.803855bf97131p-2", "0x1.5ca8e20a326b5p-2",
-             "0x1.a4baa3f587061p-2"),
+            (("0x1.2cc3284bbcbb9p-3", 0.1468566082108660260242660489271586962297),
+             ("0x1.803855bf97133p-2", 0.3752149007975901765192237761933707894585),
+             ("0x1.5ca8e20a326b7p-2", 0.3404879873965954835197436049414912521198),
+             ("0x1.a4baa3f587060p-2", 0.4108682268722586092922424079538834220880)),
         ),
     ],
 )
 def test_multivariate_pair_bits_are_pinned(pair, bits):
     # s_xy, s_xx, s_yy and the score of the both-multivariate slice loop,
-    # bit for bit: no golden case reaches this path
+    # bit for bit, and each within 1e-15 relative of its exact value: no
+    # golden case reaches this path
     x, y = pair()
     stats = pcov_stats(x, y)
     got = (stats.s_xy, stats.s_xx, stats.s_yy, projection_correlation_sq(x, y))
-    assert tuple(float.hex(float(v)) for v in got) == bits
+    assert tuple(float.hex(float(v)) for v in got) == tuple(hexed for hexed, _ in bits)
+    for value, (_, exact) in zip(got, bits):
+        assert abs(value - exact) <= 1e-15 * exact
 
 
 def test_statistic_spread_shrinks_with_sample_size():

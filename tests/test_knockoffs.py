@@ -212,6 +212,16 @@ def test_sampling_is_deterministic_per_seed():
     assert not np.array_equal(first, sample_knockoffs(x, model, seed=12))
 
 
+def test_sampling_takes_whole_non_negative_seeds_only():
+    cov = _known_cov(ar_covariance(3, 0.5))
+    model = build_knockoff_model(cov, equicorrelated_h(cov))
+    x = np.random.default_rng(5).standard_normal((10, 3))
+    for seed in (True, 1.5, -1):
+        with pytest.raises(ValueError, match="seed must be"):
+            sample_knockoffs(x, model, seed)
+    npt.assert_array_equal(sample_knockoffs(x, model, 2.0), sample_knockoffs(x, model, 2))
+
+
 def test_sampling_rejects_column_mismatch():
     model = build_knockoff_model(_known_cov(np.eye(3)), np.ones(3))
     with pytest.raises(DimensionMismatch):
