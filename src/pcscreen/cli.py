@@ -26,7 +26,7 @@ from .harness import (
     write_records_jsonl,
     write_summary_csv,
 )
-from .kernel import _whole
+from .kernel import _seed, _whole
 from .models import _canonical_id
 from .pipeline import (
     CONSTRUCTIONS, DEFAULT_CONSTRUCTION, core_diagnostics, pc_knockoff, selection_fields
@@ -225,6 +225,7 @@ def _cmd_screen(args):
 def _cmd_pcknockoff(args):
     response = _response_spec(args)
     check_alpha(args.alpha)
+    seed = _seed(args.seed or 0)
     design = read_design_csv(args.data, response, processes=_threads(args))
     try:
         core, selection = pc_knockoff(
@@ -234,7 +235,7 @@ def _cmd_pcknockoff(args):
             n1=args.n1,
             d=args.d,
             construction=args.construction,
-            seed=args.seed or 0,
+            seed=seed,
         )
     except DegenerateColumn as exc:
         name = design.x_names[exc.column]

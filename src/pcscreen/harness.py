@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import itertools
 import json
 import math
@@ -336,16 +335,17 @@ def read_design_csv(path, response_columns, processes=1):
     ``float()`` accepts, each optionally ``"``-quoted.  A blank line, a row
     of the wrong length and a cell that is not a finite number are errors
     that carry the 1-based row number (the header is row 1) and the column
-    name.  The common case goes through numpy's C reader; a body that reader
-    refuses, or might read otherwise than ``float()``, is read again row by
-    row, which names the first fault in file order.  Both convert cells with
-    CPython's correctly rounded ``PyOS_string_to_double``, so the values do
-    not depend on the path.
+    name.  The common case goes through numpy's C reader, line by line; a
+    body that reader refuses, or might read otherwise than ``float()``, is
+    read again row by row, which names the first fault in file order.  So is
+    a body line that holds a CR other than the one before its LF (a CR-only
+    file), an odd number of ``"`` or a byte in ``\\x1c``-``\\x1f``, and a
+    header that spans lines.  Both convert cells with CPython's correctly
+    rounded ``PyOS_string_to_double``, so the values do not depend on the path.
 
-    With ``processes`` above 1 the C reader's work is split over up to that
-    many byte ranges of the body, one per usable CPU, each parsed by a
-    forked process (see ``_read_body_in_ranges``).  The values and every
-    error are those of ``processes=1``.
+    The body is cut into min(``processes``, usable CPUs) byte ranges (one
+    where the platform cannot fork), all but one parsed by forked processes
+    (see ``_read_body``).  The values and errors never depend on ``processes``.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -361,11 +361,7 @@ def read_design_csv(path, response_columns, processes=1):
             raise ParseError(f"{path}: empty file (a header row is required)")
         header = [name.strip() for name in first]
         x_names, y_names = _split_header(path, header, response_columns)
-        data = None
-        if processes > 1 and reader.line_num == 1:
-            data = _read_body_in_ranges(path, len(header), processes)
-        if data is None:
-            data = _read_body(handle, len(header))
+        data = _read_body(path, len(header), processes) if reader.line_num == 1 else None
         if data is None:
             handle.seek(0)
             data = _read_rows(path, header, itertools.islice(csv.reader(handle), 1, None))
@@ -375,72 +371,34 @@ def read_design_csv(path, response_columns, processes=1):
     return DesignData(x=x, y=y, x_names=tuple(x_names), y_names=tuple(y_names))
 
 
-# numpy's reader strips these around a number; float() does not strip them
-# from an ASCII string, and no cell that float() accepts holds one
-_FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"
+def _read_body(path, width, processes):
+    """The body of the one-line-header CSV at ``path`` as ``_parse_range``
+    reads it, or None where the row-wise reader must decide: a header that
+    holds a lone CR (its binary line would hold a body row) or a refused or
+    failed range.
 
-
-def _read_body(handle, width):
-    """The rest of ``handle`` as an (n, width) float64 array read by
-    ``np.loadtxt``, or None where the row-wise reader must decide: an empty
-    body or one that starts with a blank line (either would make numpy warn
-    that there is no data), a line holding a character of
-    ``_FLOAT_REFUSES``, a body numpy refuses, a shape other than one row of
-    ``width`` per line (numpy skips blank lines and joins quoted newlines)
-    or a value that is not finite."""
-    first = next(handle, None)
-    if first is None or first in ("\n", "\r\n", "\r"):
-        return None
-    count = 0
-
-    def lines():
-        nonlocal count
-        for line in itertools.chain((first,), handle):
-            if any(ch in line for ch in _FLOAT_REFUSES):
-                raise ValueError("a cell float() refuses")
-            count += 1
-            yield line
-
-    try:
-        data = np.loadtxt(
-            lines(), dtype=np.float64, delimiter=",", comments=None, quotechar='"', ndmin=2
-        )
-    except ValueError:
-        return None
-    if data.shape != (count, width) or not np.isfinite(data).all():
-        return None
-    return data
-
-
-def _read_body_in_ranges(path, width, processes):
-    """The body of the one-line-header CSV at ``path`` as ``_read_body``
-    reads it, parsed in byte ranges, or None where the caller must read it
-    serially.
-
-    The body is cut into min(``processes``, usable CPUs) ranges, each cut
-    moved forward to just past a newline.  The parent forks one process per
-    range but the last, which it parses itself; a child sends its rows'
-    float64 bytes back over a pipe.  A refused or failed range makes the
-    whole result None, so a result is always the rows of ``_read_body`` on
-    the whole body.  Nothing is forked where "fork" is not a start method,
-    and every child is joined before this returns.  The children are forked,
-    not spawned: a spawned child would import numpy again, which costs more
-    than its range's parse, and a forked one only reads, decodes and parses.
+    The body is cut into min(``processes``, usable CPUs) byte ranges, each
+    cut moved forward to just past a newline; there is one range where
+    "fork" is not a start method.  One range is parsed in this process,
+    without importing multiprocessing.  Otherwise the parent forks one
+    process per range but the last, which it parses itself; a child sends
+    its rows' float64 bytes back over a pipe, and every child is joined
+    before this returns.  The children are forked, not spawned: a spawned
+    child would import numpy again, which costs more than its range's parse.
     Each child runs off the parent's CPU where Linux says which that is: a
-    scheduler that left both on one CPU made the parse slower than serial.
+    scheduler that left both on one CPU made the parse slower than one range.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     count = min(processes, len(cpus) if cpus else os.cpu_count() or 1)
-    if count < 2:
-        return None
-    # imported here: a serial read never pays for multiprocessing
-    import multiprocessing
+    if count > 1:
+        # imported here: a one-range read never pays for multiprocessing
+        import multiprocessing
 
-    forkable = "fork" in multiprocessing.get_all_start_methods()
-    if not forkable or multiprocessing.current_process().daemon:  # a daemon has no children
-        return None
+        forkable = "fork" in multiprocessing.get_all_start_methods()
+        if not forkable or multiprocessing.current_process().daemon:  # a daemon has no children
+            count = 1
     with open(path, "rb") as raw:
-        if _cr_line_end(raw.readline()):
+        if _stray_cr(raw.readline()):
             return None
         cuts = [raw.tell()]
         size = os.fstat(raw.fileno()).st_size
@@ -450,7 +408,7 @@ def _read_body_in_ranges(path, width, processes):
             cuts.append(raw.tell())
     ranges = [(start, end) for start, end in zip(cuts, cuts[1:] + [size]) if start < end]
     if len(ranges) < 2:
-        return None
+        return _parse_range(path, cuts[0], size, width)
     context = multiprocessing.get_context("fork")
     others = cpus and _cpus_but_this_one(cpus)
     reads, children = [], []
@@ -489,26 +447,60 @@ def _cpus_but_this_one(cpus):
         return None
 
 
-def _cr_line_end(chunk):
-    """Whether bytes ``chunk`` hold a CR that is not followed by LF."""
-    return b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")
+# numpy's reader strips these around a number; float() does not strip them
+# from an ASCII string, and no cell that float() accepts holds one
+_FLOAT_REFUSED_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _stray_cr(line):
+    """Whether the bytes ``line`` hold a CR other than one just before its
+    final LF."""
+    cr = line.find(b"\r")
+    return cr >= 0 and line[cr:] != b"\r\n"
 
 
 def _parse_range(path, start, end, width):
-    """``_read_body`` of bytes [start, end) of ``path`` decoded as UTF-8, or
-    None where it refuses them, where they hold a ``"`` or a CR line end (a
-    quoted newline or a CR-only line may straddle a cut), or where reading
-    them fails."""
+    """The binary lines of bytes [start, end) of ``path``, each decoded as
+    UTF-8 and fed to ``np.loadtxt``, as an (n, width) float64 array; or None
+    where the row-wise reader must decide.  That is an empty range or one
+    that starts with a blank line (numpy would warn of no data); a line that
+    holds a CR other than the one before its LF, an odd number of ``"`` (a
+    quoted line end, which may straddle a cut) or a byte of
+    ``_FLOAT_REFUSED_BYTES``; a line that cannot be read or decoded or that
+    numpy refuses; a shape other than one row of ``width`` per line (numpy
+    skips blank lines); or a value that is not finite."""
+    count = 0
+
+    def lines(raw):
+        nonlocal count
+        left = end - start
+        for line in raw:
+            if (
+                _stray_cr(line)
+                or (b'"' in line and line.count(b'"') % 2)  # `in` is 10x faster than count
+                or any(byte in line for byte in _FLOAT_REFUSED_BYTES)
+                or (count == 0 and line in (b"\n", b"\r\n"))
+            ):
+                raise ValueError("a line for the row-wise reader")
+            count += 1
+            yield line.decode("utf-8")
+            left -= len(line)
+            if left <= 0:
+                return
+
+    if start >= end:
+        return None
     try:
         with open(path, "rb") as raw:
             raw.seek(start)
-            chunk = raw.read(end - start)
-        if b'"' in chunk or _cr_line_end(chunk):
-            return None
-        lines = io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8", newline="")
-        return _read_body(lines, width)
-    except (OSError, ValueError):  # the serial read that follows reports it
+            data = np.loadtxt(
+                lines(raw), dtype=np.float64, delimiter=",", comments=None, quotechar='"', ndmin=2
+            )
+    except (OSError, ValueError):  # the row-wise read that follows reports it
         return None
+    if data.shape != (count, width) or not np.isfinite(data).all():
+        return None
+    return data
 
 
 def _send_range(write, reads, others, path, start, end, width):

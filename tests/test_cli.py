@@ -78,6 +78,14 @@ def test_pcknockoff_checks_alpha_before_reading_the_csv(tmp_path, capsys):
     assert "error: alpha must lie in (0, 1], got 1.5" in capsys.readouterr().err
 
 
+def test_pcknockoff_checks_the_seed_before_reading_the_csv(tmp_path, capsys):
+    code = cli_main(
+        ["pcknockoff", str(tmp_path / "missing.csv"), "--response-count", "1", "--seed", "-1"]
+    )
+    assert code == 2
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_every_command_refuses_a_thread_count_below_one_alike(tmp_path, capsys, monkeypatch):
     # one rule for --threads; screen and pcknockoff apply it before the CSV is opened
     def never(*args, **kwargs):

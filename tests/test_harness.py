@@ -5,8 +5,12 @@ ingestion."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -555,9 +559,7 @@ def test_design_round_trip_is_bit_exact(tmp_path):
     y = rng.standard_normal((23, 2)) / 3.0
     path = tmp_path / "design.csv"
     write_design_csv(path, x, y)
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        handle.readline()
-        assert harness._read_body(handle, 6) is not None  # the C reader takes it
+    assert harness._read_body(path, 6, 1) is not None  # the C reader takes it
     parsed = read_design_csv(path, 2)
     npt.assert_array_equal(parsed.x, x)
     npt.assert_array_equal(parsed.y, y)
@@ -662,7 +664,7 @@ def _parsed_on_both_paths(path, response, monkeypatch):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     chosen = {processes: outcome(processes) for processes in (1, 2, 3)}
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_read_body", lambda handle, width: None)
+        patch.setattr(harness, "_read_body", lambda path, width, processes: None)
         row_wise = outcome()
     assert chosen == dict.fromkeys(chosen, row_wise), path.name
     return row_wise
@@ -683,6 +685,12 @@ def test_design_reports_the_first_fault_in_file_order(tmp_path, monkeypatch):
         # csv keeps the space, so the quote is part of the cell
         "space_quote.csv": (
             'a,b\n1, "1.5"\n', NonNumericCell, "row 2, column 'b': non-numeric cell ' \"1.5\"'"
+        ),
+        # a balanced quote keeps the line on the C reader, which refuses
+        # the comma in the cell
+        "quoted_comma.csv": ('a,b\n1,"2,5"\n', NonNumericCell, "row 2, column 'b'"),
+        "stray_quote.csv": (
+            'a,b\n1,2\n3,4"\n5,6\n', NonNumericCell, "row 3, column 'b': non-numeric cell '4\"'"
         ),
         "quoted_newline.csv": (
             'a,b\n1,2\n3,"1\n5"\n', NonNumericCell, "row 3, column 'b': non-numeric cell '1\\n5'"
@@ -763,7 +771,7 @@ def test_design_bodies_parse_alike_in_byte_ranges(tmp_path, monkeypatch):
         "no_final_newline.csv": "a,b\n" + "\n".join(rows),
         "crlf.csv": "a,b\r\n" + "\r\n".join(rows) + "\r\n",
         "cr_only.csv": "a,b\r" + "\r".join(rows) + "\r",
-        # a whole quoted cell: numpy would read the range, which refuses it
+        # a whole quoted cell: its line holds two quotes, which numpy reads
         "quoted_cell.csv": "a,b\n" + "\n".join(rows[:5] + ['5.25,"-5e-3"'] + rows[6:]),
         # only the header ends in CR: its first binary line holds a body row
         "cr_header.csv": "a,b\r" + "\n".join(rows) + "\n",
@@ -772,25 +780,40 @@ def test_design_bodies_parse_alike_in_byte_ranges(tmp_path, monkeypatch):
         "straddling_quote.csv": "a,b\n" + "\n".join(rows[:15] + ['0.25,"1.5\n"'] + rows[16:]),
     }
     fork = "fork" in multiprocessing.get_all_start_methods()
-    spied = []
-    real = harness._read_body_in_ranges
+    bodies, spans = [], []
+    read_body, parse_range = harness._read_body, harness._parse_range
     monkeypatch.setattr(
-        harness, "_read_body_in_ranges", lambda *args: spied.append(real(*args)) or spied[-1]
+        harness, "_read_body", lambda *args: bodies.append(read_body(*args)) or bodies[-1]
+    )
+    monkeypatch.setattr(
+        harness,
+        "_parse_range",
+        lambda path, start, end, width: spans.append((start, end))
+        or parse_range(path, start, end, width),
     )
     for name, text in cases.items():
         path = tmp_path / name
         path.write_bytes(text.encode("utf-8"))
-        spied.clear()
+        bodies.clear()
+        spans.clear()
         x, y, x_shape, y_shape = _parsed_on_both_paths(path, 1, monkeypatch)
         assert (x_shape, y_shape) == ((30, 1), (30, 1)), name
         want = expected.copy()
         if name == "straddling_quote.csv":
             want[15] = (0.25, 1.5)
         assert (x, y) == (want[:, :1].tobytes(), want[:, 1:].tobytes()), name
-        # the forked ranges read every LF and CRLF body; a CR line end or a
-        # quote sends it to the serial reader
-        forked = name in ("lf.csv", "no_final_newline.csv", "crlf.csv", "bom.csv") and fork
-        assert [part is not None for part in spied] == [forked, forked], name
+        # the C reader takes every LF and CRLF body at 1, 2 and 3 processes;
+        # a CR line end or a quoted newline sends it to the row-wise reader
+        c_reader = name not in ("cr_only.csv", "cr_header.csv", "straddling_quote.csv")
+        assert [part is not None for part in bodies] == [c_reader] * 3, name
+        if c_reader:
+            # this process parses the whole body at 1 process and only the
+            # last of 2 and 3 ranges where it can fork the others
+            body, size = len(text.encode("utf-8").split(b"\n", 1)[0]) + 1, path.stat().st_size
+            assert spans[0] == (body, size), name
+            assert [end for _, end in spans] == [size] * 3, name
+            starts = [start for start, _ in spans]
+            assert (body < starts[1] < starts[2]) if fork else starts == [body] * 3, name
 
 
 def _outcome(path, processes=1):
@@ -803,7 +826,6 @@ def _outcome(path, processes=1):
 
 def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypatch, capfd):
     import multiprocessing
-    import os
 
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     rows = b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000))
@@ -816,29 +838,61 @@ def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypa
     for processes in (2, 3):
         assert _outcome(bad, processes) == serial[bad]
     parent = os.getpid()
-    real = harness._read_body
+    real = harness._parse_range
 
-    def fails_in_a_child(handle, width):
+    def fails_in_a_child(*args):
         if os.getpid() != parent:
             raise KeyboardInterrupt  # past the child's Exception handlers
-        return real(handle, width)
+        return real(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_read_body", fails_in_a_child)
+        patch.setattr(harness, "_parse_range", fails_in_a_child)
         for processes in (2, 3):
             assert _outcome(good, processes) == serial[good]
     assert multiprocessing.active_children() == []
     assert capfd.readouterr() == ("", "")
-    # without the fork start method nothing is cut or forked
-    with monkeypatch.context() as patch:
-        patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        patch.setattr(harness, "_parse_range", lambda *args: pytest.fail("a range was parsed"))
-        assert _outcome(good, 2) == serial[good]
+
+
+def test_a_one_range_read_forks_nothing(tmp_path, monkeypatch):
+    import multiprocessing
+
+    path = tmp_path / "good.csv"
+    path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(300)))
+    span = (4, path.stat().st_size)
+    # at 1 process the body is one range, parsed by this process, which
+    # imports no multiprocessing and forks nothing
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import os, sys\n"
+        "from pcscreen import harness\n"
+        "def forked(*args):\n"
+        "    raise AssertionError('a process was started')\n"
+        "os.fork = os.posix_spawn = forked\n"
+        "spans, real = [], harness._parse_range\n"
+        "harness._parse_range = lambda *args: spans.append(args[1:3]) or real(*args)\n"
+        "design = harness.read_design_csv(sys.argv[1], 1, processes=1)\n"
+        "print(spans, design.x.shape, sorted(m for m in sys.modules if 'multiprocessing' in m))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(path)], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == f"[{span}] (300, 1) []"
+    # without the fork start method 2 processes also read one range here
+    spans, real = [], harness._parse_range
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(
+        harness, "_parse_range", lambda *args: spans.append(args[1:3]) or real(*args)
+    )
+    assert _outcome(path, 2) == _outcome(path, 1)
+    assert spans == [span, span]
+    assert multiprocessing.active_children() == []
 
 
 def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monkeypatch):
     import multiprocessing
-    import os
     import signal
 
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
