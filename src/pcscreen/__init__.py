@@ -27,13 +27,7 @@ from .harness import (
     run_quantile_experiment,
     write_design_csv,
 )
-from .kernel import (
-    PcStats,
-    as_sample_matrix,
-    center_slice,
-    pcov_stats,
-    projection_correlation_sq,
-)
+from .kernel import as_sample_matrix, center_slice, projection_correlation_sq
 from .knockoffs import (
     CovarianceEstimate,
     KnockoffModel,
@@ -74,7 +68,6 @@ __all__ = [
     "ModelSpec",
     "PcKnockoffCore",
     "PcScreenError",
-    "PcStats",
     "SelectionResult",
     "SplitPlan",
     "SummaryTable",
@@ -92,7 +85,6 @@ __all__ = [
     "nearest_rank_quantile",
     "pc_knockoff",
     "pc_knockoff_core",
-    "pcov_stats",
     "pearson_sis_rank",
     "projection_correlation_sq",
     "rank_features",

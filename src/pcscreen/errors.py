@@ -37,6 +37,10 @@ class DegenerateColumn(PcScreenError):
         super().__init__(message)
         self.column = column
 
+    def __reduce__(self):
+        # the default rebuilds from args alone, which lacks the column
+        return type(self), (str(self), self.column)
+
 
 class SolverFailure(PcScreenError):
     """The h-vector solver found no feasible iterate within its budget."""

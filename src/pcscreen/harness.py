@@ -613,9 +613,5 @@ def write_design_csv(path, x, y, x_names=None, y_names=None):
                 f"{side} has {matrix.shape[1]} columns but {len(names)} names"
             )
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(x_names + y_names)
-        for i in range(x.shape[0]):
-            writer.writerow(
-                ["%.17g" % v for v in x[i]] + ["%.17g" % v for v in y[i]]
-            )
+        csv.writer(handle).writerow(x_names + y_names)
+        np.savetxt(handle, np.hstack([x, y]), fmt="%.17g", delimiter=",", newline="\r\n")

@@ -53,7 +53,7 @@ Both evaluation strategies follow from it, chosen by column counts:
   Univariate feature columns sit on the matrix axis: their 0/1 indicators
   at r form (n, p) arrays, and B_r meets them in one matrix product, a fixed
   block of columns at a time.  When both samples are multivariate,
-  :func:`pcov_stats` contracts their full slices directly.  A univariate
+  :func:`_pair_sums` contracts their full slices directly.  A univariate
   column's self sum always comes from the exact counts.
 
 The slice loop adds its per-r contributions in ascending r, so results are
@@ -67,7 +67,6 @@ the tests (``tests/reference.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,22 +137,17 @@ def _seed(value, name="seed"):
     return seed
 
 
-@dataclass(frozen=True)
-class PcStats:
-    """The three accumulated slice sums, already scaled by n^-3."""
-
-    s_xy: float
-    s_xx: float
-    s_yy: float
-
-
 def _angle_slice_raw(x, r):
     """Raw angles a_klr of slice r by Kahan's formula, for u = x_k - x_r and
     v = x_l - x_r: 2 atan2(| |v| u - |u| v |, | |v| u + |u| v |), summed one
     coordinate at a time (W. Kahan, "How futile are mindless assessments of
     roundoff in floating-point computation?", 2006, section 12).  It is exactly
-    0 for equal or zero differences and exactly pi for opposite ones."""
+    0 for equal or zero differences and exactly pi for opposite ones.  The
+    differences are first scaled by the power of two that brings the largest
+    into [0.5, 1), which is exact, so no square overflows or underflows and
+    the angles do not depend on the sample's magnitude."""
     diff = x - x[r]
+    diff = np.ldexp(diff, -np.frexp(np.abs(diff).max())[1])
     norms = np.sqrt(np.einsum("im,im->i", diff, diff))
     minus, plus = np.zeros((2, len(x), len(x)))
     for column in diff.T:
@@ -569,17 +563,6 @@ def _slice_sums(full, x):
     return xy, yy
 
 
-def _feature_stats(x, full):
-    """s_xy and s_xx of every univariate column of ``x``, and s_yy of ``full``.
-
-    ``full`` is multivariate; all three are scaled by n^-3 as in PcStats.
-    """
-    n = x.shape[0]
-    xy, yy = _slice_sums(full, x)
-    cube = float(n) ** 3
-    return xy / cube, _self_totals(x) * (_HALF_PI * _HALF_PI / float(n) ** 5), yy / cube
-
-
 def column_scores(x, y, rows=None):
     """Squared projection correlation of every column of ``x`` with ``y``.
 
@@ -618,44 +601,28 @@ def column_scores(x, y, rows=None):
         return np.copysign(np.sqrt(ratio), xy.astype(np.float64))
     if rows is not None:
         x, y = x[rows], y[rows]
-    return _ratio(*_feature_stats(x, y))
+    n = x.shape[0]
+    xy, yy = _slice_sums(y, x)
+    xx = _self_totals(x) * (_HALF_PI * _HALF_PI / float(n) ** 5)
+    cube = float(n) ** 3
+    return _ratio(xy / cube, xx, yy / cube)
 
 
-def pcov_stats(x, y):
-    """Accumulated centered-slice sums between two sample matrices.
+def _pair_sums(xm, ym):
+    """s_xy, s_xx and s_yy of two multivariate samples, scaled by n^-3.
 
-    Parameters
-    ----------
-    x, y : array-like, shape (n, m) and (n, q)
-        Observation matrices with a shared row count.
-
-    Returns
-    -------
-    PcStats with s_xy, s_xx, s_yy already scaled by n^-3.
+    One loop over the slice indices r builds both centered slices and
+    contracts them directly, adding the contributions in ascending r.
+    Returns a (3, 1) array, one row per sum, as :func:`_ratio` takes them.
     """
-    xm, ym = _sample_pair(x, y)
     n = xm.shape[0]
-
-    if xm.shape[1] == 1 and ym.shape[1] == 1:
-        xy, xx, yy = univariate_sums(xm, ym[:, 0])
-        scale = _HALF_PI * _HALF_PI / float(n) ** 5
-        return PcStats(s_xy=float(xy[0]) * scale, s_xx=float(xx[0]) * scale, s_yy=float(yy) * scale)
-    if xm.shape[1] == 1 or ym.shape[1] == 1:
-        # the univariate side always takes the factor axis, so swapping x and
-        # y swaps s_xx and s_yy and nothing else
-        swap = ym.shape[1] == 1
-        s_xy, s_uu, s_mm = _feature_stats(*((ym, xm) if swap else (xm, ym)))
-        s_xx, s_yy = (s_mm, s_uu[0]) if swap else (s_uu[0], s_mm)
-        return PcStats(s_xy=float(s_xy[0]), s_xx=float(s_xx), s_yy=float(s_yy))
-    # both samples multivariate: their full slices are contracted directly
     xy = xx = yy = 0.0
     for r in range(n):
         a, b = (center_slice(_angle_slice_raw(sample, r)) for sample in (xm, ym))
         yy += np.einsum("kl,kl->", b, b)
         xy += np.einsum("kl,kl->", a, b)
         xx += np.einsum("kl,kl->", a, a)
-    cube = float(n) ** 3
-    return PcStats(s_xy=float(xy) / cube, s_xx=float(xx) / cube, s_yy=float(yy) / cube)
+    return np.array([[xy], [xx], [yy]]) / float(n) ** 3
 
 
 def projection_correlation_sq(x, y):
@@ -666,16 +633,12 @@ def projection_correlation_sq(x, y):
     The value is not clamped below zero: downstream statistics difference two
     of these and clamping would bias signs.  A pair with a univariate side is
     scored by :func:`column_scores`, with that side as the feature (the
-    statistic is symmetric), bitwise as in a batched call.  Equal
-    multivariate inputs short-circuit to exactly 1.0, the correctly-rounded
-    value of the exact ratio.
+    statistic is symmetric), bitwise as in a batched call.  Two multivariate
+    samples are scored by :func:`_pair_sums`.  Equal inputs give bitwise
+    equal sums, so a sample scores exactly 1.0 with itself (0 if constant).
     """
     xm, ym = _sample_pair(x, y)
     if xm.shape[1] == 1 or ym.shape[1] == 1:
         features, other = (xm, ym) if xm.shape[1] == 1 else (ym, xm)
         return float(column_scores(features, other)[0])
-    stats = pcov_stats(xm, ym)
-    score = float(_ratio(*np.array([[stats.s_xy], [stats.s_xx], [stats.s_yy]]))[0])
-    if score > 0.0 and xm.shape == ym.shape and np.array_equal(xm, ym):
-        return 1.0
-    return score
+    return float(_ratio(*_pair_sums(xm, ym))[0])

@@ -3,17 +3,57 @@
 Everything here is written straight from the definitions with plain Python
 scalars (``math.fsum`` accumulation, literal nested loops), closed forms or
 direct simulation, and shares no code with the package implementations it is used
-to check beyond input validation and the result type.
+to check beyond input validation.  The one exception is
+:func:`kernel_pcov_stats`, the fast side these oracles are compared with.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from pcscreen import kernel
 from pcscreen.errors import DimensionMismatch, InputTooLarge
-from pcscreen.kernel import PcStats, as_sample_matrix
+from pcscreen.kernel import as_sample_matrix
+
+
+@dataclass(frozen=True)
+class PcStats:
+    """The three accumulated slice sums, already scaled by n^-3."""
+
+    s_xy: float
+    s_xx: float
+    s_yy: float
+
+
+def kernel_pcov_stats(x, y):
+    """The kernel's own s_xy, s_xx and s_yy of two samples, as PcStats.
+
+    Picks the kernel path by sample shape, as the package's callers do: the
+    exact sums of :func:`kernel.univariate_sums` for two univariate samples,
+    the slice loop (:func:`kernel._slice_sums` with :func:`kernel._self_totals`)
+    with a univariate side on the feature axis, and :func:`kernel._pair_sums`
+    for two multivariate samples.
+    """
+    xm, ym = kernel._sample_pair(x, y)
+    n = xm.shape[0]
+    scale = kernel._HALF_PI * kernel._HALF_PI / float(n) ** 5  # of the exact totals
+    if xm.shape[1] == ym.shape[1] == 1:
+        xy, xx, yy = kernel.univariate_sums(xm, ym[:, 0])
+        return PcStats(float(xy[0]) * scale, float(xx[0]) * scale, float(yy) * scale)
+    if ym.shape[1] == 1:
+        # the univariate side takes the feature axis: swapping the samples
+        # swaps s_xx and s_yy and nothing else
+        swapped = kernel_pcov_stats(ym, xm)
+        return PcStats(swapped.s_xy, swapped.s_yy, swapped.s_xx)
+    if xm.shape[1] == 1:
+        xy, yy = kernel._slice_sums(ym, xm)
+        xx = float(kernel._self_totals(xm)[0]) * scale
+        cube = float(n) ** 3
+        return PcStats(float(xy[0]) / cube, xx, float(yy) / cube)
+    return PcStats(*kernel._pair_sums(xm, ym)[:, 0].tolist())
 
 
 def angle_matrix_fsum(points, r):

