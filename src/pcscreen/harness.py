@@ -216,7 +216,7 @@ def _run_replications(build, config):
         for r in range(config.replications)
     ]
     if config.threads > 1:
-        # imported here: a serial run never pays for multiprocessing
+        # imported here: a serial run never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -344,8 +344,9 @@ def read_design_csv(path, response_columns, processes=1):
     rounded ``PyOS_string_to_double``, so the values do not depend on the path.
 
     The body is cut into min(``processes``, usable CPUs) byte ranges (one
-    where the platform cannot fork), all but one parsed by forked processes
-    (see ``_read_body``).  The values and errors never depend on ``processes``.
+    where there is no ``os.fork``), all but one parsed by children started
+    with ``os.fork``, in a daemonic process too (see ``_read_body``); nothing
+    forks at one range.  The values and errors never depend on ``processes``.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -379,24 +380,19 @@ def _read_body(path, width, processes):
 
     The body is cut into min(``processes``, usable CPUs) byte ranges, each
     cut moved forward to just past a newline; there is one range where
-    "fork" is not a start method.  One range is parsed in this process,
-    without importing multiprocessing.  Otherwise the parent forks one
-    process per range but the last, which it parses itself; a child sends
-    its rows' float64 bytes back over a pipe, and every child is joined
-    before this returns.  The children are forked, not spawned: a spawned
-    child would import numpy again, which costs more than its range's parse.
-    Each child runs off the parent's CPU where Linux says which that is: a
+    ``os.fork`` does not exist.  One range is parsed in this process, which
+    forks nothing.  Otherwise the parent forks one child per range but the
+    last (in a daemonic process too) and parses the last itself; a child
+    writes its rows' float64 bytes to a pipe and exits 0, or exits nonzero,
+    a refusal.  Every pipe is read to EOF and every child waited for before
+    this returns.  The children are forked, not spawned: a spawned child
+    would import numpy again, which costs more than its range's parse.  Each
+    child runs off the parent's CPU where Linux says which that is: a
     scheduler that left both on one CPU made the parse slower than one range.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    count = min(processes, len(cpus) if cpus else os.cpu_count() or 1)
-    if count > 1:
-        # imported here: a one-range read never pays for multiprocessing
-        import multiprocessing
-
-        forkable = "fork" in multiprocessing.get_all_start_methods()
-        if not forkable or multiprocessing.current_process().daemon:  # a daemon has no children
-            count = 1
+    usable = len(cpus) if cpus else os.cpu_count() or 1
+    count = min(processes, usable) if hasattr(os, "fork") else 1
     with open(path, "rb") as raw:
         if _stray_cr(raw.readline()):
             return None
@@ -409,31 +405,30 @@ def _read_body(path, width, processes):
     ranges = [(start, end) for start, end in zip(cuts, cuts[1:] + [size]) if start < end]
     if len(ranges) < 2:
         return _parse_range(path, cuts[0], size, width)
-    context = multiprocessing.get_context("fork")
     others = cpus and _cpus_but_this_one(cpus)
-    reads, children = [], []
+    reads, pids = [], []
     try:
         for start, end in ranges[:-1]:
-            read, write = context.Pipe(duplex=False)
-            reads.append(read)
-            child = context.Process(
-                target=_send_range, args=(write, reads, others, path, start, end, width)
-            )
-            child.start()
-            children.append(child)
-            write.close()
+            read, write = os.pipe()
+            try:
+                reads.append(open(read, "rb"))
+                pids.append(os.fork())
+                if pids[-1] == 0:  # the child, which never returns
+                    _send_range(write, reads, others, path, start, end, width)
+            finally:
+                os.close(write)
         last = _parse_range(path, *ranges[-1], width)
-        parts = [_received(read, width) for read in reads] + [last]
+        sent = [read.read() for read in reads]
     except OSError:  # no pipe or process could be made
-        parts = [None]
+        last = None
     finally:
         for read in reads:
             read.close()
-        for child in children:
-            child.join()
-    if any(part is None for part in parts):
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if last is None or any(statuses):  # a child that exited nonzero refused its range
         return None
-    return np.concatenate(parts)
+    parts = [np.frombuffer(data, np.float64).reshape(-1, width) for data in sent]
+    return np.concatenate(parts + [last])
 
 
 def _cpus_but_this_one(cpus):
@@ -504,11 +499,13 @@ def _parse_range(path, start, end, width):
 
 
 def _send_range(write, reads, others, path, start, end, width):
-    """A forked child's work: send ``_parse_range``'s float64 bytes over
-    ``write``, or nothing, which the parent reads as a refusal.  The child
-    first closes its inherited read ends, so a parent that closes its own
-    never leaves a child blocked on a full pipe, and moves to the CPUs
-    ``others`` when they are given."""
+    """A forked child's work, which it leaves only by ``os._exit``: write
+    ``_parse_range``'s float64 bytes to the pipe end ``write`` and exit 0, or
+    exit 1, which the parent reads as a refusal.  The child first closes its
+    inherited read ends, so a parent that closes its own never leaves a child
+    blocked on a full pipe, and moves to the CPUs ``others`` when they are
+    given."""
+    code = 1
     try:
         for read in reads:
             read.close()
@@ -517,20 +514,11 @@ def _send_range(write, reads, others, path, start, end, width):
                 os.sched_setaffinity(0, others)
         data = _parse_range(path, start, end, width)
         if data is not None:
-            write.send_bytes(data)
-    except BaseException:  # noqa: BLE001 - a child reports every failure as a refusal
-        pass
+            with open(write, "wb") as pipe:  # a buffered write writes all or raises
+                pipe.write(data)
+            code = 0
     finally:
-        write.close()
-
-
-def _received(read, width):
-    """The (rows, width) array a child sent over ``read``, or None where it
-    sent nothing or died while sending."""
-    try:
-        return np.frombuffer(read.recv_bytes(), dtype=np.float64).reshape(-1, width)
-    except (EOFError, OSError):
-        return None
+        os._exit(code)  # also on an exception: the child never runs the parent's code
 
 
 def _read_rows(path, header, reader):
@@ -592,7 +580,9 @@ def write_design_csv(path, x, y, x_names=None, y_names=None):
     doubles exactly).
 
     Raises DimensionMismatch, before the file is opened, when x and y differ
-    in rows or a name list differs in length from its matrix's columns.
+    in rows or a name list differs in length from its matrix's columns, and
+    NonNumericCell, also before, at the first cell ``read_design_csv`` would
+    refuse as not finite, with the row (the header is row 1) and column it names.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -612,6 +602,12 @@ def write_design_csv(path, x, y, x_names=None, y_names=None):
             raise DimensionMismatch(
                 f"{side} has {matrix.shape[1]} columns but {len(names)} names"
             )
+    data = np.hstack([x, y])
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        name = (x_names + y_names)[j]
+        raise NonNumericCell(f"{path}: row {i + 2}, column {name!r}: non-finite cell {data[i, j]}")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(x_names + y_names)
-        np.savetxt(handle, np.hstack([x, y]), fmt="%.17g", delimiter=",", newline="\r\n")
+        np.savetxt(handle, data, fmt="%.17g", delimiter=",", newline="\r\n")

@@ -599,6 +599,23 @@ def test_design_writer_refuses_mismatched_inputs_before_opening_the_file(tmp_pat
     npt.assert_array_equal(parsed.x, x)
 
 
+def test_design_writer_refuses_a_non_finite_cell_before_opening_the_file(tmp_path):
+    path = tmp_path / "design.csv"
+    x, y = np.arange(8.0).reshape(4, 2), np.arange(4.0)
+    x_inf = x.copy()
+    x_inf[1, 0] = np.inf
+    x_last, y_nan = x.copy(), y.copy()
+    x_last[3, 1], y_nan[2] = -np.inf, np.nan
+    # the first bad cell in file order, named as read_design_csv names it
+    for bad, message in (
+        ((x_inf, y), "row 3, column 'x1': non-finite cell inf"),
+        ((x_last, y_nan), "row 4, column 'y1': non-finite cell nan"),
+    ):
+        with pytest.raises(NonNumericCell, match=message):
+            write_design_csv(path, *bad)
+        assert not path.exists()
+
+
 def test_design_response_selection_by_name(tmp_path):
     path = tmp_path / "named.csv"
     path.write_text("a,b,c\n1,2,3\n4,5,6\n")
@@ -775,8 +792,6 @@ def test_design_cells_parse_as_python_floats(tmp_path, monkeypatch):
 
 
 def test_design_bodies_parse_alike_in_byte_ranges(tmp_path, monkeypatch):
-    import multiprocessing
-
     rows = [f"{i}.25,{-i}e-3" for i in range(30)]
     expected = np.array([[float(cell) for cell in row.split(",")] for row in rows])
     cases = {
@@ -792,7 +807,7 @@ def test_design_bodies_parse_alike_in_byte_ranges(tmp_path, monkeypatch):
         # a quoted newline at the body's midpoint: the cell reads 1.5
         "straddling_quote.csv": "a,b\n" + "\n".join(rows[:15] + ['0.25,"1.5\n"'] + rows[16:]),
     }
-    fork = "fork" in multiprocessing.get_all_start_methods()
+    fork = hasattr(os, "fork")
     bodies, spans = [], []
     read_body, parse_range = harness._read_body, harness._parse_range
     monkeypatch.setattr(
@@ -837,9 +852,13 @@ def _outcome(path, processes=1):
     return parsed.x.tobytes(), parsed.y.tobytes()
 
 
-def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypatch, capfd):
-    import multiprocessing
+def _assert_no_child_left():
+    """This process has no child, running or exited and not yet waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
+
+def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypatch, capfd):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     rows = b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000))
     bad = tmp_path / "bad_utf8.csv"  # the first of two ranges cannot be decoded
@@ -855,20 +874,39 @@ def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypa
 
     def fails_in_a_child(*args):
         if os.getpid() != parent:
-            raise KeyboardInterrupt  # past the child's Exception handlers
+            raise KeyboardInterrupt  # no Exception: the child still leaves by os._exit
         return real(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_parse_range", fails_in_a_child)
         for processes in (2, 3):
             assert _outcome(good, processes) == serial[good]
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert capfd.readouterr() == ("", "")
 
 
-def test_a_one_range_read_forks_nothing(tmp_path, monkeypatch):
-    import multiprocessing
+def test_a_child_killed_by_a_signal_refuses_its_range(tmp_path, monkeypatch):
+    import signal
 
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    path = tmp_path / "good.csv"
+    path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000)))
+    serial = _outcome(path)
+    parent = os.getpid()
+    real = harness._parse_range
+
+    def killed_in_a_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_parse_range", killed_in_a_child)
+    assert harness._read_body(path, 2, 2) is None
+    assert _outcome(path, 2) == serial
+    _assert_no_child_left()
+
+
+def test_a_one_range_read_forks_nothing(tmp_path, monkeypatch):
     path = tmp_path / "good.csv"
     path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(300)))
     span = (4, path.stat().st_size)
@@ -892,20 +930,41 @@ def test_a_one_range_read_forks_nothing(tmp_path, monkeypatch):
         check=True,
     )
     assert result.stdout.strip() == f"[{span}] (300, 1) []"
-    # without the fork start method 2 processes also read one range here
+    # without os.fork 2 processes also read one range here
     spans, real = [], harness._parse_range
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(harness.os, "fork")
     monkeypatch.setattr(
         harness, "_parse_range", lambda *args: spans.append(args[1:3]) or real(*args)
     )
     assert _outcome(path, 2) == _outcome(path, 1)
     assert spans == [span, span]
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+def test_a_two_range_read_forks_once_without_multiprocessing(tmp_path):
+    path = tmp_path / "good.csv"
+    path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(300)))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import os, sys\n"
+        "from pcscreen import harness\n"
+        "os.sched_getaffinity = lambda pid: set(range(8))\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "design = harness.read_design_csv(sys.argv[1], 1, processes=2)\n"
+        "values = design.x[:, 0].tolist() == [i + 0.5 for i in range(300)]\n"
+        "print(len(forks), values, sorted(m for m in sys.modules if 'multiprocessing' in m))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(path)], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == "1 True []"
 
 
 def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monkeypatch):
-    import multiprocessing
     import signal
 
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -921,7 +980,6 @@ def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monke
         return real(*args)
 
     def hung(signum, frame):
-        # not an OSError, which multiprocessing's wait for a child swallows
         raise AssertionError("a child was left blocked on its pipe")
 
     monkeypatch.setattr(harness, "_parse_range", fails_in_the_parent)
@@ -933,8 +991,4 @@ def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monke
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-        left = multiprocessing.active_children()
-        for child in left:  # so that a failure here does not hang the test run
-            child.kill()
-            child.join()
-    assert left == []
+    _assert_no_child_left()
