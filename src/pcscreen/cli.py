@@ -28,9 +28,7 @@ from .harness import (
 )
 from .kernel import _seed, _whole
 from .models import _canonical_id
-from .pipeline import (
-    CONSTRUCTIONS, DEFAULT_CONSTRUCTION, core_diagnostics, pc_knockoff, selection_fields
-)
+from .pipeline import CONSTRUCTIONS, core_diagnostics, pc_knockoff, selection_fields
 from .screening import rank_features, signal_gap_diagnostic
 
 _TABLE_MODELS = {
@@ -70,31 +68,49 @@ def _optional_whole(value):
 
 # The settings of one experiment: the keys `simulate` reads from --config
 # and its flags, and the form `reproduce` expands its table presets into.
-# Each maps to the ExperimentConfig field it sets and the conversion of its
-# value; a setting that is not given keeps the field's default.  Only s, n1
-# and d take null.  "kind" and "out" are not fields.
+# Each maps to the ExperimentConfig field it sets, the conversion of its
+# value and the argparse keywords of its flag (None for seed and threads,
+# whose flags the shared parent parsers add); a setting that is not given
+# keeps the field's default.  Only s, n1 and d take null.  "kind" and "out"
+# are not fields.
 _FIELDS = {
-    "model": ("models", lambda v: _listed(v, str)),
-    "n": ("n", _whole),
-    "p": ("p", _whole),
-    "reps": ("replications", _whole),
-    "rho": ("rho", float),
-    "s": ("s", _optional_whole),
-    "methods": ("methods", lambda v: _listed(v, str)),
-    "levels": ("quantile_levels", lambda v: _listed(v, float)),
-    "alphas": ("alphas", lambda v: _listed(v, float)),
-    "n1": ("n1", _optional_whole),
-    "d": ("d", _optional_whole),
-    "construction": ("construction", str),
-    "seed": ("base_seed", _whole),
-    "threads": ("threads", _whole),
+    "model": ("models", lambda v: _listed(v, str), dict(help="comma-separated model ids")),
+    "n": ("n", _whole, dict(type=int, help="sample size")),
+    "p": ("p", _whole, dict(type=int, help="dimension")),
+    "reps": ("replications", _whole, dict(type=int, help="replication count")),
+    "rho": ("rho", float, dict(type=float)),
+    "s": ("s", _optional_whole, dict(type=int, help="active-feature count override")),
+    "methods": (
+        "methods", lambda v: _listed(v, str), dict(help="comma-separated ranking methods")
+    ),
+    "levels": (
+        "quantile_levels", lambda v: _listed(v, float), dict(help="comma-separated quantile levels")
+    ),
+    "alphas": ("alphas", lambda v: _listed(v, float), dict(help="comma-separated FDR levels")),
+    "n1": ("n1", _optional_whole, dict(type=int, help="screening split size")),
+    "d": ("d", _optional_whole, dict(type=int, help="screening survivor count")),
+    "construction": (
+        "construction", str, dict(choices=CONSTRUCTIONS, help="knockoff h construction")
+    ),
+    "seed": ("base_seed", _whole, None),
+    "threads": ("threads", _whole, None),
 }
 _SETTINGS = ("kind", "out", *_FIELDS)
+# the settings `reproduce` overrides in its presets, and those `pcknockoff` takes
+_REPRODUCE_KEYS = ("n", "p", "reps", "alphas")
+_PCKNOCKOFF_KEYS = ("n1", "d", "construction")
 
 
 def _given(args, keys):
-    """The flags among ``keys`` that were set on the command line."""
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    """The settings among ``keys`` that were set on the command line (a key
+    the command has no flag for is not set)."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+
+
+def _add_setting_flags(parser, keys):
+    """Add the flag of each setting in ``keys``, as `_FIELDS` declares it."""
+    for key in keys:
+        parser.add_argument(f"--{key}", **_FIELDS[key][2])
 
 
 def build_parser():
@@ -130,14 +146,7 @@ def build_parser():
         "pcknockoff", parents=[common, seeded, design], help="screen + knockoff selection on a CSV"
     )
     knock.add_argument("--alpha", type=float, default=0.2, help="target FDR level")
-    knock.add_argument("--n1", type=int, default=None, help="screening split size")
-    knock.add_argument("--d", type=int, default=None, help="screening survivor count")
-    knock.add_argument(
-        "--construction",
-        choices=CONSTRUCTIONS,
-        default=DEFAULT_CONSTRUCTION,
-        help="knockoff h construction",
-    )
+    _add_setting_flags(knock, _PCKNOCKOFF_KEYS)
     knock.set_defaults(func=_cmd_pcknockoff)
 
     sim = sub.add_parser(
@@ -145,18 +154,7 @@ def build_parser():
     )
     sim.add_argument("--config", default=None, help="JSON file of flag defaults")
     sim.add_argument("--kind", choices=tuple(_RUNNERS), default=None)
-    sim.add_argument("--model", default=None, help="comma-separated model ids")
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--p", type=int, default=None)
-    sim.add_argument("--reps", type=int, default=None)
-    sim.add_argument("--rho", type=float, default=None)
-    sim.add_argument("--s", type=int, default=None, help="active-feature count override")
-    sim.add_argument("--alphas", default=None, help="comma-separated FDR levels")
-    sim.add_argument("--levels", default=None, help="comma-separated quantile levels")
-    sim.add_argument("--methods", default=None, help="comma-separated ranking methods")
-    sim.add_argument("--n1", type=int, default=None)
-    sim.add_argument("--d", type=int, default=None)
-    sim.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
+    _add_setting_flags(sim, [key for key, (_, _, flag) in _FIELDS.items() if flag])
     sim.set_defaults(func=_cmd_simulate)
 
     repro = sub.add_parser(
@@ -165,10 +163,7 @@ def build_parser():
     repro.add_argument("--table", type=int, choices=(1, 2, 3, 4), required=True)
     repro.add_argument("--scale", choices=("paper", "desk"), default="desk")
     repro.add_argument("--models", default=None, help="restrict to these model ids")
-    repro.add_argument("--reps", type=int, default=None, help="override replication count")
-    repro.add_argument("--n", type=int, default=None, help="override sample size")
-    repro.add_argument("--p", type=int, default=None, help="override dimension")
-    repro.add_argument("--alphas", default=None, help="override FDR levels (table 4)")
+    _add_setting_flags(repro, _REPRODUCE_KEYS)
     repro.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -229,13 +224,7 @@ def _cmd_pcknockoff(args):
     design = read_design_csv(args.data, response, processes=_threads(args))
     try:
         core, selection = pc_knockoff(
-            design.x,
-            design.y,
-            alpha=args.alpha,
-            n1=args.n1,
-            d=args.d,
-            construction=args.construction,
-            seed=seed,
+            design.x, design.y, alpha=args.alpha, seed=seed, **_given(args, _PCKNOCKOFF_KEYS)
         )
     except DegenerateColumn as exc:
         name = design.x_names[exc.column]
@@ -294,7 +283,7 @@ def _cmd_reproduce(args):
             raise ValueError(f"models {bad} are not part of table {table}")
         models = chosen
     settings = {**_table_preset(table, args.scale), "model": models}
-    overrides = _given(args, ("n", "p", "reps", "alphas", "seed", "threads", "out"))
+    overrides = _given(args, _SETTINGS)
     if settings["kind"] == "quantile":
         overrides.pop("alphas", None)  # the quantile tables have no FDR levels
     if "n" in overrides:
@@ -320,7 +309,11 @@ def _run_experiment(settings, stem=None):
             raise ParseError(f"setting {key!r} has an invalid value {settings[key]!r}") from exc
 
     config = ExperimentConfig(
-        **{field: value(key, convert) for key, (field, convert) in _FIELDS.items() if key in settings}
+        **{
+            field: value(key, convert)
+            for key, (field, convert, _) in _FIELDS.items()
+            if key in settings
+        }
     )
     kind = settings["kind"]
     runner = _RUNNERS.get(kind) if isinstance(kind, str) else None
@@ -346,7 +339,7 @@ def cli_main(argv=None):
         return 1
     except SystemExit as exc:  # argparse --help exits itself
         return 0 if not exc.code else 1
-    if getattr(args, "command", None) is None or not hasattr(args, "func"):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
     try:

@@ -419,11 +419,9 @@ def _tied_cross_totals(q, rank, x_lower, x_upto, y_lower, y_upto):
     y_offset, y_sum, y_size = steps - y_lower, y_lower + y_upto, y_upto - y_lower
     if x_lower is None:
         x_offset, x_sum, x_size = 0, 2 * rank + 1, 1
-    else:
-        x_offset, x_sum, x_size = rank - x_lower, x_lower + x_upto, x_upto - x_lower
-    if x_lower is None or (y_size == 1).all():
         run, skew = 1, 1  # T and T - 2 f
     else:
+        x_offset, x_sum, x_size = rank - x_lower, x_lower + x_upto, x_upto - x_lower
         # runs tied in x and y: rows of a y group with equal counts below in x
         edge = np.ones((len(rank), n + 1), dtype=bool)
         edge[:, 1:-1] = x_lower[:, 1:] != x_lower[:, :-1]

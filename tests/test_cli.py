@@ -54,6 +54,11 @@ def test_screen_requires_a_response_spec(design_csv, capsys):
     assert "usage error" in err and "--response-cols" in err
 
 
+def test_screen_refuses_an_empty_response_name_list(design_csv, capsys):
+    assert cli_main(["screen", str(design_csv), "--response-cols", ","]) == 1
+    assert capsys.readouterr().err == "usage error: --response-cols is empty\n"
+
+
 def test_screen_rejects_conflicting_response_specs(design_csv, capsys):
     code = cli_main(
         ["screen", str(design_csv), "--response-cols", "y1", "--response-count", "1"]
@@ -265,6 +270,31 @@ def test_pcknockoff_selection_schema(design_csv, tmp_path):
         assert payload["fdp_hat"] < 0.5
 
 
+def test_pcknockoff_hands_only_its_given_setting_flags_to_pc_knockoff(
+    design_csv, tmp_path, monkeypatch
+):
+    calls = []
+
+    def spy(x, y, **kwargs):
+        calls.append(kwargs)
+        return pcscreen.pc_knockoff(x, y, **kwargs)
+
+    monkeypatch.setattr(cli, "pc_knockoff", spy)
+    out = tmp_path / "out"
+    argv = ["pcknockoff", str(design_csv), "--response-count", "1", "--out", str(out)]
+    assert cli_main(argv) == 0
+    flags = ["--n1", "50", "--d", "4", "--construction", "equicorrelated"]
+    assert cli_main(argv + flags) == 0
+    payload = json.loads((out / "selection.json").read_text())
+    # absent flags leave pc_knockoff's own defaults in force
+    assert [sorted(kwargs) for kwargs in calls] == [
+        ["alpha", "seed"], ["alpha", "construction", "d", "n1", "seed"]
+    ]
+    assert (calls[1]["n1"], calls[1]["d"], calls[1]["construction"]) == (50, 4, "equicorrelated")
+    assert payload["diagnostics"]["construction"] == "equicorrelated"
+    assert len(payload["survivors"]) == 4
+
+
 def _constant_survivor_args(tmp_path):
     # features 5-7 carry the signal and survive; the one in the CSV column
     # x7 is constant on the rows of split 2
@@ -408,6 +438,39 @@ def test_simulate_config_file_with_flag_override(tmp_path):
     )
     assert code == 0
     assert (out_over / "fdr_summary.csv").read_text().splitlines()[1].startswith("4a,0.5,3,")
+
+
+# one value of every setting that has a flag: its flag text and its config-file value
+_SETTING_VALUES = {
+    "model": ("1b,1c", ["1b", "1c"]),
+    "n": ("50", 50),
+    "p": ("12", 12),
+    "reps": ("2", 2),
+    "rho": ("0.3", 0.3),
+    "s": ("2", 2),
+    "methods": ("pc_screen", ["pc_screen"]),
+    "levels": ("10,90", [10, 90]),
+    "alphas": ("0.1,0.3", [0.1, 0.3]),
+    "n1": ("15", 15),
+    "d": ("5", 5),
+    "construction": ("equicorrelated", "equicorrelated"),
+}
+
+
+@pytest.mark.parametrize("key", [key for key, entry in cli._FIELDS.items() if entry[2]])
+def test_simulate_flag_and_config_key_build_the_same_config(tmp_path, captured_runs, key):
+    flag, value = _SETTING_VALUES[key]
+    base = {"model": "1a", "n": 40, "p": 10, "reps": 1, "out": str(tmp_path / "out")}
+    for name, cfg, argv in (
+        ("base", base, []),
+        ("flag", base, [f"--{key}", flag]),
+        ("file", {**base, key: value}, []),
+    ):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["simulate", "--config", str(cfg_path), *argv]) == 0
+    [(_, default), (_, by_flag), (_, by_file)] = captured_runs
+    assert by_flag == by_file != default
 
 
 def test_simulate_config_file_errors(tmp_path, capsys):

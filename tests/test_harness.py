@@ -578,6 +578,12 @@ def test_design_round_trip_is_bit_exact(tmp_path):
     npt.assert_array_equal(parsed.y, y)
     assert parsed.x_names == ("x1", "x2", "x3", "x4")
     assert parsed.y_names == ("y1", "y2")
+    # a 1-D x is one feature column
+    write_design_csv(path, x[:, 0], y)
+    parsed = read_design_csv(path, 2)
+    assert parsed.x.shape == (23, 1) and parsed.x.tobytes() == x[:, :1].tobytes()
+    assert parsed.y.tobytes() == y.tobytes()
+    assert parsed.x_names == ("x1",)
 
 
 def test_design_writer_refuses_mismatched_inputs_before_opening_the_file(tmp_path):

@@ -154,6 +154,22 @@ def test_rank_features_row_mismatch():
         rank_features(rng.standard_normal((10, 2)), rng.standard_normal((11, 1)))
 
 
+@pytest.mark.parametrize(
+    "x_shape, y_shape, message",
+    [
+        ((10, 2, 2), (10,), "x must be 1- or 2-dimensional, got ndim=3"),
+        ((10, 2), (10, 1, 1), "y must be 1- or 2-dimensional, got ndim=3"),
+        ((1, 2), (1,), "x needs at least 2 observations, got 1"),
+        ((10, 0), (10,), "x needs at least 1 column"),
+        ((10, 2), (10, 0), "y needs at least 1 column"),
+    ],
+)
+def test_rank_features_refuses_a_bad_shape_naming_the_sample(x_shape, y_shape, message):
+    rng = np.random.default_rng(3)
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        rank_features(rng.standard_normal(x_shape), rng.standard_normal(y_shape))
+
+
 def _row_index_cases():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((40, 12))
