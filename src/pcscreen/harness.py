@@ -33,7 +33,7 @@ class ExperimentConfig:
     """Everything one replicated experiment needs, seeds included.
 
     Replication r of every model uses seed ``base_seed + r``.  ``threads``
-    is the size of the one process pool that runs all (model, seed)
+    caps the size of the one process pool that runs all (model, seed)
     replications of a run, one each, whatever the number of models; results
     are independent of the pool size.  They can depend on the BLAS thread
     count of the processes, which no setting here fixes.  Model ids are
@@ -208,18 +208,20 @@ def _replicate(args):
 
 def _run_replications(build, config):
     """``build``'s records of every (model, seed) pair of a run, in (model,
-    seed) order, from one pool of ``config.threads`` processes (at one
-    thread, from this process)."""
+    seed) order, from one pool of min(``config.threads``, pairs) processes
+    (at one, from this process).  The pool starts all its workers at its
+    first task, so it is never larger than the run."""
     argses = [
         (build, spec, config.base_seed + r, config)
         for spec in config.specs
         for r in range(config.replications)
     ]
-    if config.threads > 1:
+    workers = min(config.threads, len(argses))
+    if workers > 1:
         # imported here: a serial run never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, argses))
     else:
         results = [_replicate(args) for args in argses]
@@ -318,7 +320,11 @@ def write_summary_csv(table, path):
 
 @dataclass(frozen=True)
 class DesignData:
-    """A parsed numeric design: X/Y matrices plus their header names."""
+    """A parsed numeric design: X/Y matrices plus their header names.
+
+    ``read_design_csv`` gives x and y as C-ordered float64 arrays, which the
+    kernel reads in place, without a copy.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -347,6 +353,10 @@ def read_design_csv(path, response_columns, processes=1):
     where there is no ``os.fork``), all but one parsed by children started
     with ``os.fork``, in a daemonic process too (see ``_read_body``); nothing
     forks at one range.  The values and errors never depend on ``processes``.
+
+    On every path x and y come back as C-ordered float64 arrays, which the
+    kernel reads in place: a screen holds the design twice while it parses
+    (the body and its x and y) and once while it scores.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -367,8 +377,10 @@ def read_design_csv(path, response_columns, processes=1):
             handle.seek(0)
             data = _read_rows(path, header, itertools.islice(csv.reader(handle), 1, None))
     column = {name: j for j, name in enumerate(header)}
-    x = data[:, [column[name] for name in x_names]]
-    y = data[:, [column[name] for name in y_names]]
+    # np.take returns C order; data[:, cols] would return Fortran order,
+    # which as_sample_matrix copies again
+    x = np.take(data, [column[name] for name in x_names], axis=1)
+    y = np.take(data, [column[name] for name in y_names], axis=1)
     return DesignData(x=x, y=y, x_names=tuple(x_names), y_names=tuple(y_names))
 
 

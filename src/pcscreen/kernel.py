@@ -79,7 +79,9 @@ def as_sample_matrix(data, name="sample"):
     """Validate and return an n x m float64 observation matrix.
 
     One-dimensional input is treated as a single column.  Rows are
-    observations, columns are variables.
+    observations, columns are variables.  Only input that is not C-ordered
+    float64 is copied; a C-ordered float64 array (a 2-D one, or a 1-D one
+    seen as a column) comes back as the caller's own memory.
     """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 1:

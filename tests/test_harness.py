@@ -38,8 +38,11 @@ from pcscreen.harness import (
     write_records_jsonl,
     write_summary_csv,
 )
+from pcscreen.kernel import _sample_pair, as_sample_matrix
 from pcscreen.models import ModelSpec, generate_dataset
 from pcscreen.pipeline import pc_knockoff_core
+
+from .memory import traced_peak
 
 
 QUANTILE_COLUMNS = ("q5", "q25", "q50", "q75", "q95")
@@ -258,7 +261,9 @@ def test_quantile_experiment_matches_process_pool(run, config):
     assert serial_records == pooled_records
 
 
-def test_a_pooled_run_starts_one_process_pool(monkeypatch):
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The process pools a run starts from here on, in order."""
     import concurrent.futures
 
     pools = []
@@ -269,13 +274,29 @@ def test_a_pooled_run_starts_one_process_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
+def test_a_pooled_run_starts_one_process_pool(started_pools):
     config = _quantile_config(models=("1a", "1b", "3a"), replications=2, threads=2)
     table, records = run_quantile_experiment(config)
-    assert len(pools) == 1
+    assert len(started_pools) == 1
     assert [row["model"] for row in _rows(table)] == ["1a", "1a", "1b", "1b", "3a"]
     assert [(r["model"], r["seed"]) for r in records] == sorted(
         (r["model"], r["seed"]) for r in records
     )
+
+
+@pytest.mark.parametrize(
+    ("replications", "workers"), [(1, None), (2, 2)], ids=["one-replication", "two-replications"]
+)
+def test_a_pool_is_never_larger_than_its_run(replications, workers, started_pools):
+    # the pool forks all its workers at its first task, so a fourth worker
+    # for one or two replications would be a process that never runs one
+    config = _quantile_config(replications=replications)
+    serial = run_quantile_experiment(config)
+    assert run_quantile_experiment(replace(config, threads=4)) == serial
+    assert [pool._max_workers for pool in started_pools] == ([] if workers is None else [workers])
 
 
 def _refuse_core(*args, **kwargs):
@@ -584,6 +605,36 @@ def test_design_round_trip_is_bit_exact(tmp_path):
     assert parsed.x.shape == (23, 1) and parsed.x.tobytes() == x[:, :1].tobytes()
     assert parsed.y.tobytes() == y.tobytes()
     assert parsed.x_names == ("x1",)
+
+
+@pytest.mark.parametrize(
+    ("processes", "row_wise"),
+    [(1, False), (2, False), (1, True)],
+    ids=["one-range", "two-ranges", "row-wise"],
+)
+def test_design_arrays_are_read_in_place(processes, row_wise, tmp_path, monkeypatch):
+    rng = np.random.default_rng(39)
+    x, y = rng.standard_normal((60, 50)), rng.standard_normal((60, 2))
+    path = tmp_path / "design.csv"
+    write_design_csv(path, x, y)
+    if row_wise:  # a quoted newline in a cell sends the body to the row-wise reader
+        lines = path.read_bytes().split(b"\r\n")
+        cells, last = lines[1].rsplit(b",", 1)
+        lines[1] = cells + b',"' + last + b'\n"'
+        path.write_bytes(b"\r\n".join(lines))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    bodies = []
+    read_body = harness._read_body
+    monkeypatch.setattr(
+        harness, "_read_body", lambda *args: bodies.append(read_body(*args)) or bodies[-1]
+    )
+    design = read_design_csv(path, 2, processes)
+    assert [body is None for body in bodies] == [row_wise]
+    assert design.x.tobytes() == x.tobytes() and design.y.tobytes() == y.tobytes()
+    assert design.x.flags.c_contiguous and design.y.flags.c_contiguous
+    assert as_sample_matrix(design.x) is design.x and as_sample_matrix(design.y) is design.y
+    # a copy of x would take all of its bytes; the finiteness check takes one per cell
+    assert traced_peak(_sample_pair, design.x, design.y)[1] < design.x.nbytes // 2
 
 
 def test_design_writer_refuses_mismatched_inputs_before_opening_the_file(tmp_path):
