@@ -19,7 +19,6 @@ from .fdr import check_alpha
 from .harness import (
     ExperimentConfig,
     SummaryTable,
-    check_threads,
     read_design_csv,
     run_fdr_experiment,
     run_quantile_experiment,
@@ -201,7 +200,7 @@ def _write_table(path, table):
 
 def _threads(args):
     """The checked ``--threads`` of a command that reads a CSV."""
-    return check_threads(1 if args.threads is None else args.threads)
+    return _whole(1 if args.threads is None else args.threads, "threads", 1)
 
 
 def _cmd_screen(args):

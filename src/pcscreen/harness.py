@@ -74,11 +74,9 @@ class ExperimentConfig:
             for name, size in zip(("n1", "d"), split_sizes(self.n, self.n1, self.d)):
                 if getattr(self, name) is not None:
                     object.__setattr__(self, name, size)
-        object.__setattr__(self, "replications", _whole(self.replications, "replications"))
+        object.__setattr__(self, "replications", _whole(self.replications, "replications", 1))
         object.__setattr__(self, "base_seed", _seed(self.base_seed, "base_seed"))
-        object.__setattr__(self, "threads", check_threads(self.threads))
-        if self.replications < 1:
-            raise ValueError(f"replications must be at least 1, got {self.replications}")
+        object.__setattr__(self, "threads", _whole(self.threads, "threads", 1))
         for name in ("methods", "quantile_levels", "alphas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -109,15 +107,6 @@ class SummaryTable:
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-
-
-def check_threads(threads):
-    """``threads`` as an int, refused unless it is a whole number of at
-    least 1: the one rule for every command's ``--threads``."""
-    threads = _whole(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    return threads
 
 
 def _quantile_level(level):
@@ -335,8 +324,8 @@ class DesignData:
 def read_design_csv(path, response_columns, processes=1):
     """Parse a headed numeric CSV into (X, Y) by response names or count.
 
-    ``response_columns`` is either a list of header names or an integer k
-    meaning the trailing k columns.  The file is one comma-separated header
+    ``response_columns`` is either a list of header names or a whole number
+    k meaning the trailing k columns.  The file is one comma-separated header
     row, then one row per line of cells that are any spelling Python
     ``float()`` accepts, each optionally ``"``-quoted.  A blank line, a row
     of the wrong length and a cell that is not a finite number are errors
@@ -352,12 +341,15 @@ def read_design_csv(path, response_columns, processes=1):
     The body is cut into min(``processes``, usable CPUs) byte ranges (one
     where there is no ``os.fork``), all but one parsed by children started
     with ``os.fork``, in a daemonic process too (see ``_read_body``); nothing
-    forks at one range.  The values and errors never depend on ``processes``.
+    forks at one range.  The values and errors never depend on ``processes``,
+    a whole number of at least 1 by the one count rule (``kernel._whole``),
+    checked before the file is opened.
 
     On every path x and y come back as C-ordered float64 arrays, which the
     kernel reads in place: a screen holds the design twice while it parses
     (the body and its x and y) and once while it scores.
     """
+    processes = _whole(processes, "processes", 1)
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -566,8 +558,8 @@ def _split_header(path, header, response_columns):
     """The (feature, response) column names of a header."""
     if len(set(header)) != len(header):
         raise ParseError(f"{path}: duplicate column names in header")
-    if isinstance(response_columns, int):
-        count = response_columns
+    if isinstance(response_columns, (int, float)):
+        count = _whole(response_columns, "trailing response count")
         if not 1 <= count < len(header):
             raise ParseError(
                 f"{path}: trailing response count must be in [1, {len(header) - 1}], got {count}"

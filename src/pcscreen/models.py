@@ -61,9 +61,8 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "id", _canonical_id(self.id))
         for name in ("n", "p") + (() if self.s is None else ("s",)):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+            least = 2 if name == "n" else None
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
         object.__setattr__(self, "rho", float(self.rho))
         if not abs(self.rho) < 1:
             raise ValueError(f"|rho| must be below 1, got {self.rho}")

@@ -81,9 +81,7 @@ def split_sizes(n, n1=None, d=None):
     n1 = -(-n // 4) if n1 is None else _whole(n1, "n1")
     if not 2 <= n1 <= n - 2:
         raise InvalidSplit(f"need 2 <= n1 <= n - 2, got n1={n1} with n={n}")
-    d = min((n - n1) // 2 - 1, 100) if d is None else _whole(d, "d")
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
+    d = _whole(min((n - n1) // 2 - 1, 100) if d is None else d, "d", 1)
     if not 2 * d < n - n1:
         raise ValueError(f"need 2d < n - n1, got d={d} with n2={n - n1}")
     return n1, d

@@ -87,9 +87,7 @@ def pearson_sis_rank(x, y):
 
 def select_top_d(ranking, d):
     """Indices of the first min(d, p) ranking entries, in rank order."""
-    d = _whole(d, "d")
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
+    d = _whole(d, "d", 1)
     return tuple(int(j) for j in ranking.feature[:d])
 
 

@@ -4,8 +4,10 @@ ingestion."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -723,6 +725,45 @@ def test_design_error_paths(tmp_path):
         read_design_csv(write("norows.csv", "a,b\n"), 1)
 
 
+@pytest.mark.parametrize(
+    ("processes", "message"),
+    [
+        (0, "processes must be at least 1, got 0"),
+        (-5, "processes must be at least 1, got -5"),
+        (True, "processes must be a whole number, got True"),
+        (2.5, "processes must be a whole number, got 2.5"),
+        ("2", None),
+    ],
+)
+def test_design_reader_takes_processes_by_the_one_count_rule(processes, message, tmp_path):
+    path = tmp_path / "good.csv"
+    if message is not None:  # refused before the file, not yet written, is opened
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_design_csv(path, 1, processes)
+        return
+    path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(300)))
+    assert _outcome(path, processes) == _outcome(path)  # what int() takes is a count
+
+
+@pytest.mark.parametrize(
+    ("count", "message"),
+    [
+        (True, "trailing response count must be a whole number, got True"),
+        (1.5, "trailing response count must be a whole number, got 1.5"),
+        (2.0, None),
+    ],
+)
+def test_design_reader_takes_a_response_count_by_the_one_count_rule(count, message, tmp_path):
+    path = tmp_path / "abc.csv"
+    path.write_text("a,b,c\n1,2,3\n4,5,6\n")
+    if message is None:
+        parsed = read_design_csv(path, count)
+        assert (parsed.x_names, parsed.y_names) == (("a",), ("b", "c"))
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_design_csv(path, count)
+
+
 def test_design_non_numeric_cell_errors(tmp_path):
     # Errors carry 1-based row numbers (header is row 1) and column names.
     for i, cell in enumerate(["abc", "inf", "nan", ""]):
@@ -1049,3 +1090,42 @@ def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monke
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_a_read_without_a_pipe_or_a_process_reads_serially(call, processes, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    path = tmp_path / "good.csv"
+    path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000)))
+    serial = _outcome(path)
+    real, calls = getattr(os, call), []
+
+    def fails_at_the_last_child(*args):
+        # at 3 processes the first child is made, and must still be waited for
+        calls.append(args)
+        if len(calls) % (processes - 1) == 0:
+            raise OSError(f"no {call} could be made")
+        return real(*args)
+
+    monkeypatch.setattr(harness.os, call, fails_at_the_last_child)
+    assert harness._read_body(path, 2, processes) is None
+    assert _outcome(path, processes) == serial
+    assert len(calls) == 2 * (processes - 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "stat",
+    [None, b"", b"1 (python3) R 1", b"1 (python3)" + b" x" * 40],
+    ids=["unreadable", "empty", "short", "non-numeric"],
+)
+def test_no_cpu_is_left_out_where_proc_does_not_say_which_one_runs(stat, monkeypatch):
+    def opened(path, mode):
+        assert (path, mode) == ("/proc/self/stat", "rb")
+        if stat is None:
+            raise PermissionError(path)
+        return io.BytesIO(stat)
+
+    monkeypatch.setattr(harness, "open", opened, raising=False)
+    assert harness._cpus_but_this_one(set(range(8))) is None
