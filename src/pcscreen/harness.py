@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -558,7 +559,7 @@ def _split_header(path, header, response_columns):
     """The (feature, response) column names of a header."""
     if len(set(header)) != len(header):
         raise ParseError(f"{path}: duplicate column names in header")
-    if isinstance(response_columns, (int, float)):
+    if isinstance(response_columns, (numbers.Number, np.bool_)):
         count = _whole(response_columns, "trailing response count")
         if not 1 <= count < len(header):
             raise ParseError(

@@ -126,9 +126,12 @@ def as_row_index(rows, n):
 
 
 def _whole(value, name="value", least=None):
-    """``int(value)``, refusing a bool, a float with a fractional part and,
-    when ``least`` is given, a value below it: the one count rule."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)``, refusing a bool, a float with a fractional part (numpy
+    scalars alike) and, when ``least`` is given, a value below it: the one
+    count rule."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and not value.is_integer()
+    ):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if least is not None and int(value) < least:
         raise ValueError(f"{name} must be at least {least}, got {int(value)}")

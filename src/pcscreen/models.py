@@ -25,7 +25,6 @@ _EXP_CLAMP = 700.0
 # numpy's Poisson sampler rejects rates beyond the int64 range
 _POISSON_RATE_LIMIT = 9e18
 _EXTREME_RESPONSE = 1e12
-_AR_BLOCK = 64
 # the prefix-sum AR path scales by at most 2^_AR_SCALE_BITS, far from overflow
 _AR_SCALE_BITS = 900
 
@@ -149,9 +148,8 @@ def _gaussian_ar(rng, n, p, rho):
     stays normal for every |s| >= 2^-958), and because IEEE addition is
     commutative.  A negative rho would scale by -2^(k m), and negation does
     not commute with an exact cancellation (x + (-x) is +0, never -0), so
-    every other rho (negative, 0, 0.3, ...) steps column by column through a
-    transposed buffer of _AR_BLOCK columns, reading and writing contiguous
-    memory.
+    every other rho (negative, 0, 0.3, ...) runs the recursion as written,
+    one column at a time.
     """
     x = rng.standard_normal((n, p))
     mantissa, exponent = math.frexp(rho)
@@ -168,15 +166,9 @@ def _gaussian_ar(rng, n, p, rho):
             carry = slab[:, -1] * math.ldexp(1.0, -k * width)
         x[:, 1:] *= np.ldexp(1.0, -k * m)
         return x
-    buf = np.empty((min(_AR_BLOCK, p - 1) + 1, n))
-    for start in range(1, p, _AR_BLOCK):
-        cols = x[:, start : start + _AR_BLOCK]
-        block = buf[1 : cols.shape[1] + 1]
-        buf[0] = x[:, start - 1]  # carried in; block row k follows buf row k
-        np.multiply(cols.T, math.sqrt(1.0 - rho * rho), out=block)
-        for prev, row in zip(buf, block):
-            row += rho * prev
-        cols[...] = block.T
+    x[:, 1:] *= math.sqrt(1.0 - rho * rho)
+    for j in range(1, p):
+        x[:, j] += rho * x[:, j - 1]
     return x
 
 

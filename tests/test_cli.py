@@ -38,6 +38,16 @@ def test_no_subcommand_is_a_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_module_run_without_a_subcommand_is_a_usage_error():
+    src = str(Path(pcscreen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pcscreen.cli"], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("usage: ")
+
+
 def test_help_exits_cleanly(capsys):
     assert cli_main(["--help"]) == 0
     assert "pcscreen" in capsys.readouterr().out

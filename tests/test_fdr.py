@@ -126,6 +126,15 @@ def test_w_statistics_shape_errors():
         w_statistics(x, x.copy(), rng.standard_normal((21, 1)))
 
 
+def test_w_statistics_refuse_kernel_scores_outside_the_unit_interval(monkeypatch):
+    # scores lie in [0, 1], so |W| <= 1; a kernel giving 3 and 0 is refused
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((20, 1))
+    monkeypatch.setattr("pcscreen.fdr.column_scores", lambda xy, y: np.array([3.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^W statistic outside \[-2, 2\]"):
+        w_statistics(x, x.copy(), rng.standard_normal((20, 1)))
+
+
 def test_w_statistics_entries_view():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((12, 2))

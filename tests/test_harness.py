@@ -213,6 +213,8 @@ def test_sizes_and_seeds_refuse_fractions_and_take_whole_floats_as_ints():
         lambda: _quantile_config(replications=2.5),
         lambda: _quantile_config(base_seed=0.5),
         lambda: _quantile_config(threads=1.5),
+        lambda: _quantile_config(n=np.float32(60.5)),
+        lambda: _quantile_config(replications=np.bool_(True)),
     ):
         with pytest.raises(ValueError, match="must be a whole number"):
             bad()
@@ -226,6 +228,7 @@ def test_sizes_and_seeds_refuse_fractions_and_take_whole_floats_as_ints():
     npt.assert_array_equal(floats.y, ints.y)
     config = _quantile_config(n=60.0, p=20.0, replications=2.0, base_seed=100.0, threads=1.0)
     assert config == _quantile_config(replications=2)
+    assert config == _quantile_config(n=np.float32(60.0), p=np.int64(20), replications=np.uint8(2))
     assert all(
         type(getattr(config, name)) is int
         for name in ("n", "p", "replications", "base_seed", "threads")
@@ -750,7 +753,13 @@ def test_design_reader_takes_processes_by_the_one_count_rule(processes, message,
     [
         (True, "trailing response count must be a whole number, got True"),
         (1.5, "trailing response count must be a whole number, got 1.5"),
+        (np.bool_(True), "trailing response count must be a whole number, got np.True_"),
+        (np.float32(1.5), "trailing response count must be a whole number, got np.float32(1.5)"),
         (2.0, None),
+        (np.int64(2), None),
+        (np.int32(2), None),
+        (np.uint8(2), None),
+        (np.float32(2.0), None),
     ],
 )
 def test_design_reader_takes_a_response_count_by_the_one_count_rule(count, message, tmp_path):

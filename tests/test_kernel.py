@@ -4,6 +4,7 @@ agreement between the fast paths and the literal reference implementation."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -32,6 +33,32 @@ from .reference import (
 
 def _points(seed, n, m):
     return np.random.default_rng(seed).standard_normal((n, m))
+
+
+@pytest.mark.parametrize(
+    ("value", "expected"),
+    [
+        (2, 2),
+        (2.0, 2),
+        (np.int64(2), 2),
+        (np.uint8(2), 2),
+        (np.float32(2.0), 2),
+        (True, "got True"),
+        (np.bool_(True), "got np.True_"),
+        (np.bool_(False), "got np.False_"),
+        (2.5, "got 2.5"),
+        (np.float32(2.5), "got np.float32(2.5)"),
+        (np.float16(-0.5), "got np.float16(-0.5)"),
+    ],
+)
+def test_count_rule_takes_numpy_scalars_like_python_numbers(value, expected):
+    if isinstance(expected, str):
+        message = f"^count must be a whole number, {re.escape(expected)}$"
+        with pytest.raises(ValueError, match=message):
+            kernel._whole(value, "count", 1)
+        return
+    got = kernel._whole(value, "count", 1)
+    assert (got, type(got)) == (expected, int)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,12 @@ def test_sdp_rejects_singular_sigma():
         sdp_h(_known_cov([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_sdp_refuses_a_start_without_a_finite_barrier(monkeypatch):
+    monkeypatch.setattr("pcscreen.knockoffs._log_barrier", lambda two_sigma, h: None)
+    with pytest.raises(SolverFailure, match="could not find a strictly feasible starting point"):
+        sdp_h(_known_cov([[1.0, 0.5], [0.5, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # model assembly
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import pytest
 import pcscreen
 from pcscreen.errors import UnknownModel
 from pcscreen.models import (
-    _AR_BLOCK,
     _AR_SCALE_BITS,
     MODEL_IDS,
     ModelSpec,
@@ -263,18 +262,20 @@ class _FixedDraw:
 
 
 def _span_width(rho):
-    """Columns per span of the AR recursion: a prefix-sum slab for rho = 2^-k,
-    a block of the transposed buffer otherwise."""
+    """Columns per prefix-sum slab for rho = 2^-k, 1 <= k <= 64; 64 for every
+    other rho, which keeps the p values the tests span."""
     mantissa, exponent = math.frexp(rho)
-    return _AR_SCALE_BITS // (1 - exponent) if mantissa == 0.5 else _AR_BLOCK
+    k = 1 - exponent
+    return _AR_SCALE_BITS // k if mantissa == 0.5 and k <= 64 else 64
 
 
 def test_gaussian_ar_matches_the_column_recursion():
-    # 0.5 and 0.25 take the prefix-sum path, -0.5 and 0.3 the column loop
-    for rho in (0.5, -0.5, 0.25, 0.3):
+    # 0.5, 0.25 and 2^-64 take the prefix-sum path; -0.5, 0.3, 2^-65 and 0
+    # the plain recursion
+    for rho in (0.5, -0.5, 0.25, 0.3, 2.0**-64, 2.0**-65, 0.0):
         for n in (2, 7):
             # p - 1 on both sides of one and of two spans of either width
-            widths = (_span_width(rho), _AR_BLOCK)
+            widths = (_span_width(rho), 64)
             for p in sorted({1, 2} | {v for w in widths for v in (w, w + 1, w + 2, 2 * w + 2)}):
                 z = np.random.default_rng(4).standard_normal((n, p))
                 got = _gaussian_ar(np.random.default_rng(4), n, p, rho)
