@@ -24,6 +24,7 @@ from .pipeline import (
     DEFAULT_CONSTRUCTION, check_construction, core_diagnostics, pc_knockoff_core, selection_fields,
     selection_from_core, split_sizes,
 )
+from .placement import _cpus_but_this_one, cpus
 from .screening import minimum_model_size, pearson_sis_rank, rank_features
 
 QUANTILE_METHODS = ("pc_screen", "pearson_sis")
@@ -200,7 +201,10 @@ def _run_replications(build, config):
     """``build``'s records of every (model, seed) pair of a run, in (model,
     seed) order, from one pool of min(``config.threads``, pairs) processes
     (at one, from this process).  The pool starts all its workers at its
-    first task, so it is never larger than the run."""
+    first task, so it is never larger than the run.  Each worker keeps to
+    its own share of this process's CPUs (:func:`_take_share`), so two
+    workers are not left on one CPU and a worker's kernel threads do not
+    crowd another's."""
     argses = [
         (build, spec, config.base_seed + r, config)
         for spec in config.specs
@@ -209,13 +213,31 @@ def _run_replications(build, config):
     workers = min(config.threads, len(argses))
     if workers > 1:
         # imported here: a serial run never loads the process pool
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        context = multiprocessing.get_context()
+        initargs = (sorted(cpus()), workers, context.Value("i", 0))
+        with ProcessPoolExecutor(workers, context, _take_share, initargs) as pool:
             results = list(pool.map(_replicate, argses))
     else:
         results = [_replicate(args) for args in argses]
     return [record for result in results for record in result]
+
+
+def _take_share(cpus, workers, started):
+    """A pool worker's initializer: keep to share i of the ``cpus`` of the
+    pool's parent, i the count of workers ``started`` before this one; with
+    more workers than CPUs, each share is one CPU.  A placement hint: where
+    the mask cannot be set, the worker runs where it is."""
+    with started.get_lock():
+        index = started.value % workers
+        started.value += 1
+    first = index * len(cpus) // workers
+    share = cpus[first : max((index + 1) * len(cpus) // workers, first + 1)]
+    if share:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, share)
 
 
 def _summarize(records, keys, columns):
@@ -395,8 +417,8 @@ def _read_body(path, width, processes):
     child runs off the parent's CPU where Linux says which that is: a
     scheduler that left both on one CPU made the parse slower than one range.
     """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    usable = len(cpus) if cpus else os.cpu_count() or 1
+    mask = cpus()
+    usable = len(mask) or os.cpu_count() or 1
     count = min(processes, usable) if hasattr(os, "fork") else 1
     with open(path, "rb") as raw:
         if _stray_cr(raw.readline()):
@@ -410,7 +432,7 @@ def _read_body(path, width, processes):
     ranges = [(start, end) for start, end in zip(cuts, cuts[1:] + [size]) if start < end]
     if len(ranges) < 2:
         return _parse_range(path, cuts[0], size, width)
-    others = cpus and _cpus_but_this_one(cpus)
+    others = mask and _cpus_but_this_one(mask)
     reads, pids = [], []
     try:
         for start, end in ranges[:-1]:
@@ -434,17 +456,6 @@ def _read_body(path, width, processes):
         return None
     parts = [np.frombuffer(data, np.float64).reshape(-1, width) for data in sent]
     return np.concatenate(parts + [last])
-
-
-def _cpus_but_this_one(cpus):
-    """The CPUs of ``cpus`` but the one this process runs on, or None where
-    /proc does not say which that is."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            # field 39, "processor", counted past the parenthesized name
-            return cpus - {int(stat.read().rsplit(b")", 1)[1].split()[36])}
-    except (OSError, IndexError, ValueError):
-        return None
 
 
 # numpy's reader strips these around a number; float() does not strip them

@@ -57,8 +57,10 @@ Both evaluation strategies follow from it, chosen by column counts:
   column's self sum always comes from the exact counts.
 
 The slice loop adds its per-r contributions in ascending r, so results are
-reproducible run to run; integer sums do not depend on order at all.  Nothing
-is cached between calls.
+reproducible run to run; integer sums do not depend on order at all.  The
+exact sweep splits its columns over the CPUs of the caller's affinity mask,
+one pinned thread each (:mod:`pcscreen.placement`), with the same integers;
+the slice loop runs in the calling thread.  Nothing is cached between calls.
 
 The literal triple-loop reference these paths are checked against lives with
 the tests (``tests/reference.py``).
@@ -67,10 +69,12 @@ the tests (``tests/reference.py``).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, InputTooLarge
+from .placement import cpus, run_pinned
 
 _HALF_PI = math.pi / 2.0
 
@@ -126,16 +130,24 @@ def as_row_index(rows, n):
 
 
 def _whole(value, name="value", least=None):
-    """``int(value)``, refusing a bool, a float with a fractional part (numpy
-    scalars alike) and, when ``least`` is given, a value below it: the one
-    count rule."""
-    if isinstance(value, (bool, np.bool_)) or (
-        isinstance(value, (float, np.floating)) and not value.is_integer()
+    """``int(value)``, refusing a bool, a number that ``int()`` changes (a
+    fraction of any numeric type, numpy scalars alike), a string ``int()``
+    does not read and, when ``least`` is given, a value below it: the one
+    count rule.  A string of digits, as a setting read from text may be,
+    counts as its number."""
+    try:
+        whole = int(value)
+    except (ValueError, OverflowError):  # not a number, or not finite
+        whole = None
+    if (
+        whole is None
+        or isinstance(value, (bool, np.bool_))
+        or (not isinstance(value, (str, bytes, bytearray)) and whole != value)
     ):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if least is not None and int(value) < least:
-        raise ValueError(f"{name} must be at least {least}, got {int(value)}")
-    return int(value)
+    if least is not None and whole < least:
+        raise ValueError(f"{name} must be at least {least}, got {whole}")
+    return whole
 
 
 def _seed(value, name="seed"):
@@ -474,6 +486,16 @@ def univariate_sums(x, y, rows=None):
     (:func:`_tied_cross_totals`).  When neither y nor any column of the block
     has a tie, the cross totals take the closed form of
     :func:`_tie_free_cross_totals`.  The integers are the same either way.
+
+    Where the n x p sample holds two blocks of ``_BLOCK_ELEMENTS`` or more,
+    the columns are split into parts, one per CPU of the caller's affinity
+    mask and at most one per block of ``_BLOCK_ELEMENTS // n`` columns, and
+    each part is swept in blocks of that width over the number of parts, so
+    the parts together hold one block's temporaries.  This thread sweeps one
+    part and a pinned helper thread each other part
+    (:func:`placement.run_pinned`); with one CPU, or a smaller sample, this
+    thread sweeps them all.  A column's totals depend on that column alone,
+    so the integers do not depend on the split.
     """
     if rows is not None:
         y = y[rows]
@@ -489,42 +511,57 @@ def univariate_sums(x, y, rows=None):
     xy = np.empty(p, dtype=_totals_dtype(n))
     xx = np.empty_like(xy)
     block = max(1, _BLOCK_ELEMENTS // n)
-    steps = np.arange(n)
-    for c0 in range(0, p, block):
-        c = slice(c0, c0 + block)
-        order, below, above, x_tied = _sorted_counts(np.ascontiguousarray(x[x_rows, c].T))
-        xx[c] = _block_self_totals(n, below, above, x_tied)
-        x_tied = x_tied.any()
-        if x_tied:
-            # x ties in row order (below is constant on a tie run)
-            order += below * n
-            order.sort(axis=1)
-            order -= below * n
-        if y_tied:
-            # rows in y order ranked in x order, each y tie group in x order
-            # in the places the group holds
-            bases = (np.arange(len(order)) * n)[:, None]  # flat index of each column's row
-            rank = np.empty_like(order)
-            rank.ravel()[order + bases] = steps
-            del order
-            rank += y_below * n
-            rank.sort(axis=1)
-            rank -= y_below * n
-            x_counts = (None, None)
-            if x_tied:
-                x_counts = below.ravel()[rank + bases], n - above.ravel()[rank + bases]
-            counts = (*x_counts, y_below, y_upto)
-        else:
-            # roles swap (counting note): the x places are the rows and their
-            # y places the ranks, so x takes the part of y in the tie terms
-            rank = order
-            counts = (None, None, below, n - above) if x_tied else None
-        q = _joint_below(rank)
-        if counts is None:
-            xy[c] = _tie_free_cross_totals(q, rank)
-        else:
-            xy[c] = _tied_cross_totals(q, rank, *counts)
+    # one part per CPU and at most one per block, where x spans two blocks
+    # or more; the parts' blocks together hold one block, so the temporaries
+    # stay those of one block
+    parts = max(1, min(len(cpus()), -(-p // block))) if n * p >= 2 * _BLOCK_ELEMENTS else 1
+    width = max(1, block // parts)
+
+    def sweep(start, stop):
+        for c0 in range(start, stop, width):
+            c = slice(c0, min(c0 + width, stop))
+            xy[c], xx[c] = _block_sums(x[x_rows, c].T, y_tied, y_below, y_upto)
+
+    run_pinned([partial(sweep, p * k // parts, p * (k + 1) // parts) for k in range(parts)])
     return xy, xx, yy
+
+
+def _block_sums(columns, y_tied, y_below, y_upto):
+    """``(xy, xx)`` of a (b, n) block of columns whose rows are in ascending
+    y, by :func:`univariate_sums`'s rules."""
+    n = columns.shape[1]
+    steps = np.arange(n)
+    order, below, above, x_tied = _sorted_counts(np.ascontiguousarray(columns))
+    xx = _block_self_totals(n, below, above, x_tied)
+    x_tied = x_tied.any()
+    if x_tied:
+        # x ties in row order (below is constant on a tie run)
+        order += below * n
+        order.sort(axis=1)
+        order -= below * n
+    if y_tied:
+        # rows in y order ranked in x order, each y tie group in x order
+        # in the places the group holds
+        bases = (np.arange(len(order)) * n)[:, None]  # flat index of each column's row
+        rank = np.empty_like(order)
+        rank.ravel()[order + bases] = steps
+        del order
+        rank += y_below * n
+        rank.sort(axis=1)
+        rank -= y_below * n
+        x_counts = (None, None)
+        if x_tied:
+            x_counts = below.ravel()[rank + bases], n - above.ravel()[rank + bases]
+        counts = (*x_counts, y_below, y_upto)
+    else:
+        # roles swap (counting note): the x places are the rows and their
+        # y places the ranks, so x takes the part of y in the tie terms
+        rank = order
+        counts = (None, None, below, n - above) if x_tied else None
+    q = _joint_below(rank)
+    if counts is None:
+        return _tie_free_cross_totals(q, rank), xx
+    return _tied_cross_totals(q, rank, *counts), xx
 
 
 def _ratio(s_xy, s_xx, s_yy):

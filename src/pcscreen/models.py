@@ -5,13 +5,15 @@ covariates."""
 from __future__ import annotations
 
 import math
+import queue
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import UnknownModel
-from .kernel import _seed, _whole
+from .kernel import _BLOCK_ELEMENTS, _seed, _whole
+from .placement import run_pinned
 
 MODEL_IDS = (
     "1a", "1b", "1c", "1d", "1e", "1f",
@@ -150,26 +152,77 @@ def _gaussian_ar(rng, n, p, rho):
     not commute with an exact cancellation (x + (-x) is +0, never -0), so
     every other rho (negative, 0, 0.3, ...) runs the recursion as written,
     one column at a time.
+
+    The draw fills the rows in order, in chunks, which is the stream and the
+    bits of one draw.  The recursion runs within each row, so where the
+    affinity mask holds two CPUs and x at least two kernel blocks
+    (``_BLOCK_ELEMENTS``), a helper thread on the other CPU runs it on the
+    rows drawn so far while this thread draws on
+    (:func:`placement.run_pinned`); elsewhere it runs on all rows after the
+    draw.  A prefix-sum chunk is one block.  The plain recursion takes p
+    Python steps a pass, which hold the interpreter lock, and a draw waits
+    for that lock at the end of each chunk, so it draws in two halves.
     """
-    x = rng.standard_normal((n, p))
+    x = np.empty((n, p))
+    c = math.sqrt(1.0 - rho * rho)
     mantissa, exponent = math.frexp(rho)
     k = 1 - exponent
     if mantissa == 0.5 and k <= 64:
-        width = _AR_SCALE_BITS // k
-        m = np.arange(p - 1) % width + 1  # column j's place in its slab
-        x[:, 1:] *= np.ldexp(math.sqrt(1.0 - rho * rho), k * m)
-        carry = x[:, 0]
-        for start in range(1, p, width):
-            slab = x[:, start : start + width]
-            slab[:, 0] += carry
-            np.add.accumulate(slab, axis=1, out=slab)
-            carry = slab[:, -1] * math.ldexp(1.0, -k * width)
-        x[:, 1:] *= np.ldexp(1.0, -k * m)
-        return x
-    x[:, 1:] *= math.sqrt(1.0 - rho * rho)
-    for j in range(1, p):
-        x[:, j] += rho * x[:, j - 1]
+        recur, chunk = partial(_ar_prefix_sums, k=k, c=c), max(1, _BLOCK_ELEMENTS // p)
+    else:
+        recur, chunk = partial(_ar_plain, rho=rho, c=c), -(-n // 2)
+    drawn = queue.SimpleQueue()  # the end of each chunk drawn; None after a failed draw
+
+    def draw():
+        try:
+            for start in range(0, n, chunk):
+                rng.standard_normal(out=x[start : start + chunk])
+                drawn.put(min(start + chunk, n))
+        except BaseException:
+            drawn.put(None)  # stops the recursion; the error reaches the caller
+            raise
+
+    def recur_drawn():
+        done = 0
+        while done < n:
+            stop = drawn.get()
+            while stop is not None and not drawn.empty():  # every row drawn by now
+                stop = drawn.get()
+            if stop is None:
+                return
+            recur(x[done:stop])
+            done = stop
+
+    if n * p < 2 * _BLOCK_ELEMENTS:  # too small to share
+        draw()
+        recur_drawn()
+    else:
+        run_pinned([draw, recur_drawn])
     return x
+
+
+def _ar_prefix_sums(x, k, c):
+    """:func:`_gaussian_ar`'s prefix-sum path for rho = 2^-k and
+    c = sqrt(1 - rho^2), in place on the drawn rows ``x``."""
+    p = x.shape[1]
+    width = _AR_SCALE_BITS // k
+    m = np.arange(p - 1) % width + 1  # column j's place in its slab
+    x[:, 1:] *= np.ldexp(c, k * m)
+    carry = x[:, 0]
+    for start in range(1, p, width):
+        slab = x[:, start : start + width]
+        slab[:, 0] += carry
+        np.add.accumulate(slab, axis=1, out=slab)
+        carry = slab[:, -1] * math.ldexp(1.0, -k * width)
+    x[:, 1:] *= np.ldexp(1.0, -k * m)
+
+
+def _ar_plain(x, rho, c):
+    """:func:`_gaussian_ar`'s recursion as written, with c = sqrt(1 - rho^2),
+    in place on the drawn rows ``x``."""
+    x[:, 1:] *= c
+    for j in range(1, x.shape[1]):
+        x[:, j] += rho * x[:, j - 1]
 
 
 def _standard_cauchy(rng, shape):

@@ -4,21 +4,25 @@ ingestion."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pcscreen import harness
+from pcscreen import harness, placement
 from pcscreen.errors import (
     DegenerateColumn,
     DimensionMismatch,
@@ -44,6 +48,7 @@ from pcscreen.kernel import _sample_pair, as_sample_matrix
 from pcscreen.models import ModelSpec, generate_dataset
 from pcscreen.pipeline import pc_knockoff_core
 
+from .cpus import only_cpus
 from .memory import traced_peak
 
 
@@ -215,6 +220,9 @@ def test_sizes_and_seeds_refuse_fractions_and_take_whole_floats_as_ints():
         lambda: _quantile_config(threads=1.5),
         lambda: _quantile_config(n=np.float32(60.5)),
         lambda: _quantile_config(replications=np.bool_(True)),
+        lambda: _quantile_config(n=Fraction(121, 2)),
+        lambda: _quantile_config(p=Decimal("20.5")),
+        lambda: _quantile_config(replications="2.5"),
     ):
         with pytest.raises(ValueError, match="must be a whole number"):
             bad()
@@ -229,6 +237,7 @@ def test_sizes_and_seeds_refuse_fractions_and_take_whole_floats_as_ints():
     config = _quantile_config(n=60.0, p=20.0, replications=2.0, base_seed=100.0, threads=1.0)
     assert config == _quantile_config(replications=2)
     assert config == _quantile_config(n=np.float32(60.0), p=np.int64(20), replications=np.uint8(2))
+    assert config == _quantile_config(n=Fraction(120, 2), p=Decimal("20.0"), replications="2")
     assert all(
         type(getattr(config, name)) is int
         for name in ("n", "p", "replications", "base_seed", "threads")
@@ -302,6 +311,58 @@ def test_a_pool_is_never_larger_than_its_run(replications, workers, started_pool
     serial = run_quantile_experiment(config)
     assert run_quantile_experiment(replace(config, threads=4)) == serial
     assert [pool._max_workers for pool in started_pools] == ([] if workers is None else [workers])
+
+
+def _worker_mask(data, seed, config):
+    time.sleep(0.05)  # long enough that every worker takes a replication
+    return [{"pid": os.getpid(), "cpus": tuple(sorted(os.sched_getaffinity(0)))}]
+
+
+def test_pool_workers_keep_to_cpus_of_their_own():
+    config = _quantile_config(replications=6, threads=2)
+    with only_cpus(2):
+        mask = os.sched_getaffinity(0)
+        records = harness._run_replications(_worker_mask, config)
+    workers = {(r["pid"], r["cpus"]) for r in records}
+    assert len(workers) == 2
+    assert sorted(cpu for _, cpus in workers for cpu in cpus) == sorted(mask)
+
+
+class _Started:
+    """A stand-in for the pool's shared start count."""
+
+    def __init__(self):
+        self.value = 0
+
+    def get_lock(self):
+        return contextlib.nullcontext()
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, shares",
+    [
+        ([0, 1], 2, [[0], [1]]),
+        ([0, 1], 4, [[0], [0], [1], [1]]),
+        ([0, 1, 2, 3, 4, 5, 6, 7], 3, [[0, 1], [2, 3, 4], [5, 6, 7]]),
+        ([3, 5, 9], 2, [[3], [5, 9]]),
+    ],
+)
+def test_each_pool_worker_takes_its_own_share_of_the_cpus(cpus, workers, shares, monkeypatch):
+    taken = []
+    monkeypatch.setattr(harness.os, "sched_setaffinity", lambda pid, share: taken.append(share))
+    started = _Started()
+    for _ in range(workers):
+        harness._take_share(cpus, workers, started)
+    assert taken == shares
+
+
+def test_a_refused_share_leaves_the_worker_where_it_is(monkeypatch):
+    def refuse(pid, share):
+        raise PermissionError("placement refused")
+
+    monkeypatch.setattr(harness.os, "sched_setaffinity", refuse)
+    harness._take_share([0, 1], 2, _Started())
+    harness._take_share([], 2, _Started())
 
 
 def _refuse_core(*args, **kwargs):
@@ -1131,10 +1192,11 @@ def test_a_read_without_a_pipe_or_a_process_reads_serially(call, processes, tmp_
 )
 def test_no_cpu_is_left_out_where_proc_does_not_say_which_one_runs(stat, monkeypatch):
     def opened(path, mode):
-        assert (path, mode) == ("/proc/self/stat", "rb")
+        assert (path, mode) == ("/proc/thread-self/stat", "rb")
         if stat is None:
             raise PermissionError(path)
         return io.BytesIO(stat)
 
-    monkeypatch.setattr(harness, "open", opened, raising=False)
-    assert harness._cpus_but_this_one(set(range(8))) is None
+    monkeypatch.setattr(placement, "open", opened, raising=False)
+    assert harness._cpus_but_this_one is placement._cpus_but_this_one
+    assert placement._cpus_but_this_one(set(range(8))) is None

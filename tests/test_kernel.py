@@ -4,7 +4,10 @@ agreement between the fast paths and the literal reference implementation."""
 from __future__ import annotations
 
 import math
+import os
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcscreen import kernel
+from pcscreen import kernel, placement
 from pcscreen.errors import DimensionMismatch, InputTooLarge
 from pcscreen.kernel import (
     center_slice,
@@ -22,6 +25,7 @@ from pcscreen.kernel import (
 )
 from pcscreen.screening import rank_features
 
+from .cpus import only_cpus
 from .reference import (
     angle_matrix_fsum,
     double_center_fsum,
@@ -52,6 +56,35 @@ def _points(seed, n, m):
     ],
 )
 def test_count_rule_takes_numpy_scalars_like_python_numbers(value, expected):
+    if isinstance(expected, str):
+        message = f"^count must be a whole number, {re.escape(expected)}$"
+        with pytest.raises(ValueError, match=message):
+            kernel._whole(value, "count", 1)
+        return
+    got = kernel._whole(value, "count", 1)
+    assert (got, type(got)) == (expected, int)
+
+
+@pytest.mark.parametrize(
+    ("value", "expected"),
+    [
+        (Fraction(4, 2), 2),
+        (Decimal("2.0"), 2),
+        ("2", 2),
+        (" 3 ", 3),
+        (10**30, 10**30),
+        (Fraction(5, 2), "got Fraction(5, 2)"),
+        (Decimal("2.5"), "got Decimal('2.5')"),
+        (Decimal("NaN"), "got Decimal('NaN')"),
+        ("2.5", "got '2.5'"),
+        ("two", "got 'two'"),
+        (float("inf"), "got inf"),
+        (np.float64("nan"), "got np.float64(nan)"),
+    ],
+)
+def test_count_rule_refuses_what_int_would_change(value, expected):
+    # int() truncates a Fraction or Decimal and raises its own message for a
+    # string it cannot read; the rule refuses both with its message
     if isinstance(expected, str):
         message = f"^count must be a whole number, {re.escape(expected)}$"
         with pytest.raises(ValueError, match=message):
@@ -519,7 +552,8 @@ def test_one_tie_sends_its_block_to_the_general_formulas(monkeypatch, n):
     cases["signed zero"] = (signed_zero, y, [x_ties, closed])
     for name, (xs, ys, passes) in cases.items():
         blocks.clear()
-        xy, xx, yy = univariate_sums(xs, ys)
+        with only_cpus(1):  # the spies record one block at a time
+            xy, xx, yy = univariate_sums(xs, ys)
         assert blocks == passes, name
         got = ([int(v) for v in xy], [int(v) for v in xx], int(yy))
         assert got == exact_univariate_totals(xs, ys), name
@@ -579,6 +613,80 @@ def test_exact_sums_past_the_int64_total_range(n):
 def test_exact_sums_refuse_samples_past_the_int64_term_range():
     with pytest.raises(InputTooLarge):
         univariate_sums(np.zeros((46341, 1)), np.zeros(46341))
+
+
+def _threaded_sweep_sample(case, n, p):
+    rng = np.random.default_rng(n + p)
+    x = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    if case in ("x ties", "x and y ties"):
+        x[:, ::2] = rng.integers(0, 3, size=(n, len(range(0, p, 2))))
+    if case in ("y ties", "x and y ties"):
+        y = rng.poisson(2.0, size=n).astype(float)
+    rows = rng.integers(0, n, size=n) if case == "rows" else None  # repeats rows
+    return x, y, rows
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9])
+@pytest.mark.parametrize("case", ["tie-free", "x ties", "y ties", "x and y ties", "rows"])
+def test_sweep_on_every_cpu_is_bitwise_the_sweep_on_one(monkeypatch, case, p):
+    # a block of two columns: below p = 4 the sample holds fewer than two
+    # blocks' elements and runs in this thread; from p = 4 the columns split
+    # into one part per CPU, at most one per block, each part in blocks of
+    # 2 // parts columns
+    n = 70
+    x, y, rows = _threaded_sweep_sample(case, n, p)
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 2 * n)
+    parts = []
+    run_pinned = kernel.run_pinned
+
+    def counted(tasks):
+        parts.append(len(tasks))
+        return run_pinned(tasks)
+
+    monkeypatch.setattr(kernel, "run_pinned", counted)
+    results = {}
+    for count in (1, len(os.sched_getaffinity(0))):
+        with only_cpus(count):
+            sums = univariate_sums(x, y, rows)
+            scores = column_scores(x, y[:, None], rows)
+        results[count] = ([int(v) for v in sums[0]], [int(v) for v in sums[1]], sums[2], scores)
+    one, every = results.values()
+    assert every[:3] == one[:3]
+    assert every[3].tobytes() == one[3].tobytes()
+    cpus = len(os.sched_getaffinity(0))
+    split = min(cpus, -(-p // 2)) if p >= 4 else 1
+    assert parts == [1, 1, split, split]
+    reference = (x, y) if rows is None else (x[rows], y[rows])
+    assert one[:3] == exact_univariate_totals(*reference)
+
+
+@pytest.mark.parametrize("n, p", [(250, 600), (6000, 3)])
+def test_sweep_parts_at_the_default_block_and_past_int64_totals(monkeypatch, n, p):
+    # 250 rows take 262-column blocks, so 600 columns are three blocks; 6000
+    # rows sum into Python ints, here one column a block
+    rng = np.random.default_rng(p)
+    x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+    if n == 6000:
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", n)
+    with only_cpus(1):
+        one = univariate_sums(x, y)
+    with only_cpus(len(os.sched_getaffinity(0))):
+        every = univariate_sums(x, y)
+    assert [list(map(int, v)) for v in every[:2]] == [list(map(int, v)) for v in one[:2]]
+    assert every[0].dtype == one[0].dtype and every[2] == one[2]
+
+
+def test_a_one_cpu_mask_sweeps_without_a_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 2 * 30)
+    monkeypatch.setattr(placement.threading, "Thread", no_thread)
+    x, y, _ = _threaded_sweep_sample("x ties", 30, 9)
+    with only_cpus(1):
+        xy, xx, yy = univariate_sums(x, y)
+    assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == exact_univariate_totals(x, y)
 
 
 # ---------------------------------------------------------------------------

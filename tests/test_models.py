@@ -3,6 +3,7 @@ tail behavior, and overflow tallies for every simulation design."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import numpy.testing as npt
 import pytest
 
 import pcscreen
+from pcscreen import models, placement
 from pcscreen.errors import UnknownModel
 from pcscreen.models import (
     _AR_SCALE_BITS,
@@ -25,6 +27,7 @@ from pcscreen.models import (
     generate_dataset,
 )
 
+from .cpus import only_cpus
 from .memory import traced_peak
 from .reference import ar_covariance
 
@@ -251,14 +254,17 @@ def _assert_same_bits(got, expected, msg):
 
 
 class _FixedDraw:
-    """A generator stand-in whose standard normal draw is a given array."""
+    """A generator stand-in whose standard normal draw is a given array,
+    served in order into the row chunks the generator asks for."""
 
     def __init__(self, z):
         self.z = z
+        self.served = 0
 
-    def standard_normal(self, shape):
-        assert shape == self.z.shape
-        return self.z.copy()
+    def standard_normal(self, *, out):
+        assert out.shape[1:] == self.z.shape[1:]
+        out[...] = self.z[self.served : self.served + len(out)]
+        self.served += len(out)
 
 
 def _span_width(rho):
@@ -298,10 +304,55 @@ def test_gaussian_ar_keeps_the_sign_of_every_zero(rho):
         row[q : q + 2] = -w / rho, w
     z[-1] = -0.0  # an all -0 row, and an all +0 row before it
     z[-2] = 0.0
-    got = _gaussian_ar(_FixedDraw(z), z.shape[0], p, rho)
     expected = _column_recursion(z, rho)
     assert all(expected[i, q + 1] == 0.0 for i, q in enumerate(qs))
-    _assert_same_bits(got, expected, f"rho={rho}")
+    # a block of p elements draws one row a chunk, and with two CPUs a helper
+    # runs the recursion beside the draw
+    for block_elements in (models._BLOCK_ELEMENTS, p):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_BLOCK_ELEMENTS", block_elements)
+            got = _gaussian_ar(_FixedDraw(z), z.shape[0], p, rho)
+        _assert_same_bits(got, expected, f"rho={rho}, block={block_elements}")
+
+
+def _design_digest(mid, n, p, rho):
+    ds = generate_dataset(ModelSpec(id=mid, n=n, p=p, rho=rho), seed=3)
+    return hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.25, 0.3, -0.5])
+def test_generated_bits_do_not_depend_on_the_cpus(monkeypatch, rho):
+    # The default block draws every shape below in one chunk, the recursion
+    # after it; a 64-element block puts each design in two blocks or more:
+    # one row a prefix-sum chunk (n = 2 included), two halves of the rows for
+    # the plain recursion.  With the mask at one CPU the recursion follows
+    # the draw in this thread; with every CPU a helper runs it beside the
+    # draw.  0.5 and 0.25 take the prefix sum, 0.3 and -0.5 the plain path.
+    shapes = [(n, p) for n in (2, 3, 30) for p in (40, 130)]
+
+    def digests():
+        return {
+            (mid, n, p): _design_digest(mid, n, p, rho) for mid in MODEL_IDS for n, p in shapes
+        }
+
+    serial = digests()
+    monkeypatch.setattr(models, "_BLOCK_ELEMENTS", 64)
+    with only_cpus(1):
+        one_cpu = digests()
+    with only_cpus(len(os.sched_getaffinity(0))):
+        every_cpu = digests()
+    assert one_cpu == serial
+    assert every_cpu == serial
+
+
+def test_a_one_cpu_mask_generates_without_a_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(models, "_BLOCK_ELEMENTS", 64)
+    monkeypatch.setattr(placement.threading, "Thread", no_thread)
+    with only_cpus(1):
+        assert _design_digest("4c", 30, 130, 0.5) == PINNED_DIGESTS["4c"]
 
 
 @pytest.mark.parametrize("mid, bound", [("4a", 1.25), ("4c", 2.25)])

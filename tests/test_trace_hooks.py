@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import math
 import sys
+import threading
 from pathlib import Path
 
-from pcscreen import cli, harness, models, pipeline, screening
+from pcscreen import cli, harness, kernel, models, pipeline, placement, screening
 from pcscreen.harness import ExperimentConfig, run_fdr_experiment
+
+from .cpus import only_cpus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -117,3 +121,53 @@ def test_every_workload_passes_its_own_output_check_at_the_tiny_shape(monkeypatc
             out = runner.output(inp, runner.execute(inp))
             problems[workloads.input_key(inp)] = runner.check(inp, out, references)
     assert problems and not any(problems.values()), problems
+
+
+def test_traced_spans_nest_on_the_op_thread_while_kernel_helpers_run(monkeypatch):
+    # The tracer keeps one span stack and reads every traced call as made by
+    # the thread that runs the op.  Small blocks make this replication's
+    # kernel sweeps and covariate draw start helper threads on a second CPU;
+    # their work stays inside the traced calls, so every span still opens on
+    # the op's thread, nests in its parent, and the self times add up to the
+    # op.
+    tracing = _load(monkeypatch, "tracing")
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 2 * 40)
+    monkeypatch.setattr(models, "_BLOCK_ELEMENTS", 2 * 30)
+    started = []
+    thread = placement.threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(placement.threading, "Thread", counted)
+    tracer = tracing.Tracer()
+    opened_on = []
+    span = tracer.span
+
+    def recorded(name):
+        opened_on.append(threading.get_ident())
+        return span(name)
+
+    tracer.span = recorded
+    config = ExperimentConfig(
+        models=("4a",), n=120, p=30, replications=1, alphas=(0.1, 0.2), n1=40, d=10, base_seed=300
+    )
+    with only_cpus(2):
+        tracer.install()
+        try:
+            with tracer.op(0):
+                run_fdr_experiment(config)
+        finally:
+            tracer.uninstall()
+    assert started
+    assert set(opened_on) == {threading.get_ident()}
+    intervals = {sid: (start, end) for sid, _, _, start, end, _ in tracer.spans}
+    roots = [sid for sid, parent, *_ in tracer.spans if parent is None]
+    assert len(roots) == 1 and len(tracer.spans) > 1
+    for sid, parent, _, start, end, _ in tracer.spans:
+        if parent is not None:
+            assert intervals[parent][0] <= start <= end <= intervals[parent][1]
+    totals = tracer.layer_totals()
+    op = totals[tracing.ROOT_SPAN]["total_s"]
+    assert math.isclose(sum(row["self_s"] for row in totals.values()), op, rel_tol=1e-9)
