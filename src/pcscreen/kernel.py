@@ -58,9 +58,13 @@ Both evaluation strategies follow from it, chosen by column counts:
 
 The slice loop adds its per-r contributions in ascending r, so results are
 reproducible run to run; integer sums do not depend on order at all.  The
-exact sweep splits its columns over the CPUs of the caller's affinity mask,
-one pinned thread each (:mod:`pcscreen.placement`), with the same integers;
-the slice loop runs in the calling thread.  Nothing is cached between calls.
+exact sweep splits the columns of every sample wider than one block into
+parts, one per CPU of the caller's affinity mask and at most one per block,
+each on a pinned thread of its own (:mod:`pcscreen.placement`), with the
+same integers.  A part sweeps blocks of twice its share of one block, and
+never more than one block, so on two CPUs each part takes whole blocks and
+the parts together hold at most two blocks' temporaries.  The slice loop
+runs in the calling thread.  Nothing is cached between calls.
 
 The literal triple-loop reference these paths are checked against lives with
 the tests (``tests/reference.py``).
@@ -487,15 +491,15 @@ def univariate_sums(x, y, rows=None):
     has a tie, the cross totals take the closed form of
     :func:`_tie_free_cross_totals`.  The integers are the same either way.
 
-    Where the n x p sample holds two blocks of ``_BLOCK_ELEMENTS`` or more,
-    the columns are split into parts, one per CPU of the caller's affinity
-    mask and at most one per block of ``_BLOCK_ELEMENTS // n`` columns, and
-    each part is swept in blocks of that width over the number of parts, so
-    the parts together hold one block's temporaries.  This thread sweeps one
-    part and a pinned helper thread each other part
-    (:func:`placement.run_pinned`); with one CPU, or a smaller sample, this
-    thread sweeps them all.  A column's totals depend on that column alone,
-    so the integers do not depend on the split.
+    The columns are split into parts, one per CPU of the caller's affinity
+    mask and at most one per block of ``_BLOCK_ELEMENTS // n`` columns, so
+    every sample wider than one block splits.  Each part is swept in blocks
+    of ``min(block, 2 * block // parts)`` columns: with two parts each takes
+    whole blocks, and the parts together never hold more than two blocks'
+    temporaries.  This thread sweeps one part and a pinned helper thread
+    each other part (:func:`placement.run_pinned`); with one CPU, or one
+    block of columns, this thread sweeps them all.  A column's totals depend
+    on that column alone, so the integers do not depend on the split.
     """
     if rows is not None:
         y = y[rows]
@@ -511,11 +515,9 @@ def univariate_sums(x, y, rows=None):
     xy = np.empty(p, dtype=_totals_dtype(n))
     xx = np.empty_like(xy)
     block = max(1, _BLOCK_ELEMENTS // n)
-    # one part per CPU and at most one per block, where x spans two blocks
-    # or more; the parts' blocks together hold one block, so the temporaries
-    # stay those of one block
-    parts = max(1, min(len(cpus()), -(-p // block))) if n * p >= 2 * _BLOCK_ELEMENTS else 1
-    width = max(1, block // parts)
+    # whole blocks on two CPUs; on any host at most two blocks' temporaries
+    parts = max(1, min(len(cpus()), -(-p // block)))
+    width = max(1, min(block, 2 * block // parts))
 
     def sweep(start, stop):
         for c0 in range(start, stop, width):

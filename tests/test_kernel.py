@@ -630,10 +630,9 @@ def _threaded_sweep_sample(case, n, p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 9])
 @pytest.mark.parametrize("case", ["tie-free", "x ties", "y ties", "x and y ties", "rows"])
 def test_sweep_on_every_cpu_is_bitwise_the_sweep_on_one(monkeypatch, case, p):
-    # a block of two columns: below p = 4 the sample holds fewer than two
-    # blocks' elements and runs in this thread; from p = 4 the columns split
-    # into one part per CPU, at most one per block, each part in blocks of
-    # 2 // parts columns
+    # a block of two columns: up to p = 2 the sample is one block and runs
+    # in this thread; from p = 3 the columns split into one part per CPU, at
+    # most one per block
     n = 70
     x, y, rows = _threaded_sweep_sample(case, n, p)
     monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 2 * n)
@@ -655,16 +654,17 @@ def test_sweep_on_every_cpu_is_bitwise_the_sweep_on_one(monkeypatch, case, p):
     assert every[:3] == one[:3]
     assert every[3].tobytes() == one[3].tobytes()
     cpus = len(os.sched_getaffinity(0))
-    split = min(cpus, -(-p // 2)) if p >= 4 else 1
+    split = min(cpus, -(-p // 2))
     assert parts == [1, 1, split, split]
     reference = (x, y) if rows is None else (x[rows], y[rows])
     assert one[:3] == exact_univariate_totals(*reference)
 
 
-@pytest.mark.parametrize("n, p", [(250, 600), (6000, 3)])
+@pytest.mark.parametrize("n, p", [(250, 600), (100, 1000), (6000, 3)])
 def test_sweep_parts_at_the_default_block_and_past_int64_totals(monkeypatch, n, p):
-    # 250 rows take 262-column blocks, so 600 columns are three blocks; 6000
-    # rows sum into Python ints, here one column a block
+    # 250 rows take 262-column blocks, so 600 columns are three blocks; 100
+    # rows take 655-column blocks, so 1000 columns are two; 6000 rows sum
+    # into Python ints, here one column a block
     rng = np.random.default_rng(p)
     x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
     if n == 6000:
@@ -675,6 +675,37 @@ def test_sweep_parts_at_the_default_block_and_past_int64_totals(monkeypatch, n, 
         every = univariate_sums(x, y)
     assert [list(map(int, v)) for v in every[:2]] == [list(map(int, v)) for v in one[:2]]
     assert every[0].dtype == one[0].dtype and every[2] == one[2]
+
+
+def test_parts_on_four_cpus_hold_at_most_two_blocks(monkeypatch):
+    # blocks of 8 columns: 37 columns are five blocks, so a 4-CPU mask makes
+    # four parts, each swept in blocks of 2 * 8 // 4 = 4 columns.  Where the
+    # real mask holds fewer CPUs, run_pinned runs the parts in turn; the
+    # widths are the same either way.
+    n, p, block = 70, 37, 8
+    x, y, rows = _threaded_sweep_sample("x and y ties", n, p)
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", block * n)
+    with only_cpus(1):
+        one = univariate_sums(x, y, rows)
+    widths, parts = [], []
+    block_sums, run_pinned = kernel._block_sums, kernel.run_pinned
+
+    def counted_block(columns, *args):
+        widths.append(len(columns))
+        return block_sums(columns, *args)
+
+    def counted_parts(tasks):
+        parts.append(len(tasks))
+        return run_pinned(tasks)
+
+    monkeypatch.setattr(kernel, "_block_sums", counted_block)
+    monkeypatch.setattr(kernel, "run_pinned", counted_parts)
+    monkeypatch.setattr(kernel, "cpus", lambda: {0, 1, 2, 3})
+    four = univariate_sums(x, y, rows)
+    assert parts == [4]
+    assert max(widths) == 2 * block // 4 and sum(widths) == p
+    assert [v.tobytes() for v in four[:2]] == [v.tobytes() for v in one[:2]]
+    assert four[2] == one[2]
 
 
 def test_a_one_cpu_mask_sweeps_without_a_thread(monkeypatch):

@@ -14,7 +14,7 @@ import threading
 from pathlib import Path
 
 from pcscreen import cli, harness, kernel, models, pipeline, placement, screening
-from pcscreen.harness import ExperimentConfig, run_fdr_experiment
+from pcscreen.harness import ExperimentConfig, run_fdr_experiment, run_quantile_experiment
 
 from .cpus import only_cpus
 
@@ -124,15 +124,29 @@ def test_every_workload_passes_its_own_output_check_at_the_tiny_shape(monkeypatc
 
 
 def test_traced_spans_nest_on_the_op_thread_while_kernel_helpers_run(monkeypatch):
-    # The tracer keeps one span stack and reads every traced call as made by
-    # the thread that runs the op.  Small blocks make this replication's
-    # kernel sweeps and covariate draw start helper threads on a second CPU;
-    # their work stays inside the traced calls, so every span still opens on
-    # the op's thread, nests in its parent, and the self times add up to the
-    # op.
-    tracing = _load(monkeypatch, "tracing")
+    # Small blocks make this replication's kernel sweeps and covariate draw
+    # start helper threads on a second CPU.
     monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 2 * 40)
     monkeypatch.setattr(models, "_BLOCK_ELEMENTS", 2 * 30)
+    config = ExperimentConfig(
+        models=("4a",), n=120, p=30, replications=1, alphas=(0.1, 0.2), n1=40, d=10, base_seed=300
+    )
+    _assert_traced_spans_nest(monkeypatch, run_fdr_experiment, config)
+
+
+def test_traced_quantile_spans_nest_on_the_op_thread_while_kernel_helpers_run(monkeypatch):
+    # quantile_desk's shape at the default block: 1000 columns of 100 rows
+    # are two blocks, so every sweep hands one to a helper on a second CPU.
+    config = ExperimentConfig(models=("1a",), n=100, p=1000, replications=1, base_seed=300)
+    _assert_traced_spans_nest(monkeypatch, run_quantile_experiment, config)
+
+
+def _assert_traced_spans_nest(monkeypatch, run, config):
+    # The tracer keeps one span stack and reads every traced call as made by
+    # the thread that runs the op.  The helpers' work stays inside the traced
+    # calls, so every span still opens on the op's thread, nests in its
+    # parent, and the self times add up to the op.
+    tracing = _load(monkeypatch, "tracing")
     started = []
     thread = placement.threading.Thread
 
@@ -150,14 +164,11 @@ def test_traced_spans_nest_on_the_op_thread_while_kernel_helpers_run(monkeypatch
         return span(name)
 
     tracer.span = recorded
-    config = ExperimentConfig(
-        models=("4a",), n=120, p=30, replications=1, alphas=(0.1, 0.2), n1=40, d=10, base_seed=300
-    )
     with only_cpus(2):
         tracer.install()
         try:
             with tracer.op(0):
-                run_fdr_experiment(config)
+                run(config)
         finally:
             tracer.uninstall()
     assert started
