@@ -49,8 +49,9 @@ class SelectionResult:
 def w_statistics(x, x_knock, y):
     """W_j = pc(X_j, Y)^2 - pc(Xknock_j, Y)^2 for every feature column j.
 
-    ``[X | X_knock]`` is scored in one :func:`~pcscreen.kernel.column_scores`
-    call: the exact-integer sweep for a univariate response, the slice loop
+    X and X_knock are each scored by one
+    :func:`~pcscreen.kernel.column_scores` call, in place, with no joint
+    copy: the exact-integer sweep for a univariate response, the slice loop
     for a multivariate one.  Large positive values indicate activity, and
     null statistics have symmetric signs.
     """
@@ -58,12 +59,10 @@ def w_statistics(x, x_knock, y):
     km = as_sample_matrix(x_knock, "x_knock")
     if xm.shape != km.shape:
         raise DimensionMismatch(f"x has shape {xm.shape} but x_knock has {km.shape}")
-    d = xm.shape[1]
-    scores = column_scores(np.hstack([xm, km]), ym)
-    w = scores[:d] - scores[d:]
+    w = column_scores(xm, ym) - column_scores(km, ym)
     if np.any(np.abs(w) > 2.0):
         raise ValueError("W statistic outside [-2, 2]; kernel outputs are out of range")
-    return WVector(feature=np.arange(d), w_hat=w)
+    return WVector(feature=np.arange(xm.shape[1]), w_hat=w)
 
 
 def check_alpha(alpha):

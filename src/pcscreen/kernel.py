@@ -271,15 +271,17 @@ def _sorted_counts(columns):
     entries in sorted order, how many entries of the row lie strictly below
     and strictly above each one (n - below - above are level with it); and
     whether each row has a tie.  With no tie in any row, ``below`` and
-    ``above`` are read-only views of 0..n-1 and its reverse.  The sorted
-    values the runs are read from come from a second, value-only sort, which
-    is cheaper than gathering them through ``order``.
+    ``above`` are read-only views of 0..n-1 and its reverse.  ``columns`` is
+    sorted in place after the argsort, and the runs are read from it, which
+    is cheaper than gathering the values through ``order``: the caller owns
+    the array and passes a private C-ordered copy, never a view of its
+    input.
     """
     p, n = columns.shape
     order = np.argsort(columns, axis=1)
-    ordered = np.sort(columns, axis=1)
+    columns.sort(axis=1)
     edge = np.ones((p, n + 1), dtype=bool)  # edge[:, i]: a new value starts at i
-    edge[:, 1:-1] = ordered[:, 1:] != ordered[:, :-1]
+    edge[:, 1:-1] = columns[:, 1:] != columns[:, :-1]
     tied = ~edge.all(axis=1)
     if not tied.any():
         steps = np.arange(n)
@@ -313,17 +315,19 @@ def _joint_below(rank):
     puts each row's bit into the word its rank + 1 opens, and a cumulative OR
     over c fills in the rest.  Row r counts the rows of earlier words with a
     lower rank (``carry``) plus the popcount of t[rank_r] masked below its
-    own bit.  One word's table is b (n + 1) words.
+    own bit.  The table is b (n + 1) words, allocated once and cleared for
+    each word.
     """
     b, n = rank.shape
     bases = (np.arange(b) * (n + 1))[:, None]  # flat index of each column's table row
     carry = np.zeros((b, n + 1), dtype=np.int32)  # rows of earlier words with rank below c
     found = np.empty((b, n), dtype=np.int64)
+    table = np.empty((b, n + 1), dtype=np.uint64)
     for start in range(0, n, 64):
         stop = min(start + 64, n)
         bits = _bits(np.arange(start, stop))
         flat = bases + rank[:, start:stop]
-        table = np.zeros((b, n + 1), dtype=np.uint64)
+        table.fill(0)
         table.ravel()[flat + 1] = bits
         np.bitwise_or.accumulate(table, axis=1, out=table)
         below = table.ravel()[flat] & (bits - np.uint64(1))
@@ -403,7 +407,8 @@ def _self_totals(x):
     totals = np.empty(p)
     block = max(1, _BLOCK_ELEMENTS // n)
     for c in range(0, p, block):
-        _, below, above, tied = _sorted_counts(np.ascontiguousarray(x[:, c : c + block].T))
+        # a copy: with one column the transpose is already C-ordered, a view of x
+        _, below, above, tied = _sorted_counts(x[:, c : c + block].T.copy())
         totals[c : c + block] = _block_self_totals(n, below, above, tied)
     return totals
 
@@ -471,7 +476,8 @@ def univariate_sums(x, y, rows=None):
     ``rows``, an index from :func:`as_row_index`, selects the sample: the n
     rows ``x[rows]`` against ``y[rows]`` (all N rows without it).  x is not
     copied: each block of columns is gathered once, through the index
-    composed with the y order.
+    composed with the y order, into a private C-ordered copy that is sorted
+    in place; neither x nor y is written.
     I = 8 sum_r (a d + b c) for the pair, from its centered quadrant counts;
     the accumulated statistics are s = (pi/2)^2 I / n^5.  Returns
     ``(xy, xx, yy)``: two length-p integer arrays (int64, or Python ints past
@@ -505,7 +511,7 @@ def univariate_sums(x, y, rows=None):
         y = y[rows]
     n, p = len(y), x.shape[1]
     _check_exact_range(n)
-    y_order, y_below, y_above, y_tied = _sorted_counts(y[None, :])
+    y_order, y_below, y_above, y_tied = _sorted_counts(y[None, :].copy())
     yy = int(_block_self_totals(n, y_below, y_above, y_tied)[0])
     y_tied = bool(y_tied[0])
     y_order, y_below, y_upto = y_order[0], y_below[0], n - y_above[0]
@@ -522,7 +528,9 @@ def univariate_sums(x, y, rows=None):
     def sweep(start, stop):
         for c0 in range(start, stop, width):
             c = slice(c0, min(c0 + width, stop))
-            xy[c], xx[c] = _block_sums(x[x_rows, c].T, y_tied, y_below, y_upto)
+            xy[c], xx[c] = _block_sums(
+                np.ascontiguousarray(x[x_rows, c].T), y_tied, y_below, y_upto
+            )
 
     run_pinned([partial(sweep, p * k // parts, p * (k + 1) // parts) for k in range(parts)])
     return xy, xx, yy
@@ -530,10 +538,13 @@ def univariate_sums(x, y, rows=None):
 
 def _block_sums(columns, y_tied, y_below, y_upto):
     """``(xy, xx)`` of a (b, n) block of columns whose rows are in ascending
-    y, by :func:`univariate_sums`'s rules."""
+    y, by :func:`univariate_sums`'s rules.  ``columns`` is a private
+    C-ordered copy, which :func:`_sorted_counts` sorts in place; it is
+    released once sorted, before the counting pass."""
     n = columns.shape[1]
     steps = np.arange(n)
-    order, below, above, x_tied = _sorted_counts(np.ascontiguousarray(columns))
+    order, below, above, x_tied = _sorted_counts(columns)
+    del columns
     xx = _block_self_totals(n, below, above, x_tied)
     x_tied = x_tied.any()
     if x_tied:

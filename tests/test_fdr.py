@@ -20,6 +20,7 @@ from pcscreen.fdr import (
     w_statistics,
 )
 
+from .memory import traced_peak
 from .reference import (
     brute_force_selection,
     chain_stop_mass,
@@ -127,12 +128,26 @@ def test_w_statistics_shape_errors():
 
 
 def test_w_statistics_refuse_kernel_scores_outside_the_unit_interval(monkeypatch):
-    # scores lie in [0, 1], so |W| <= 1; a kernel giving 3 and 0 is refused
+    # scores lie in [0, 1], so |W| <= 1; a kernel giving 3 for X and 0 for
+    # the knockoffs is refused
     rng = np.random.default_rng(3)
     x = rng.standard_normal((20, 1))
-    monkeypatch.setattr("pcscreen.fdr.column_scores", lambda xy, y: np.array([3.0, 0.0]))
+    scores = iter([np.array([3.0]), np.array([0.0])])
+    monkeypatch.setattr("pcscreen.fdr.column_scores", lambda features, y: next(scores))
     with pytest.raises(ValueError, match=r"^W statistic outside \[-2, 2\]"):
         w_statistics(x, x.copy(), rng.standard_normal((20, 1)))
+
+
+def test_w_statistics_peak_memory_stays_below_3_mb():
+    # X and X_knock are 0.6 MB each at 750 x 100.  They are scored in place,
+    # with no [X | X_knock] copy, and each part of the sweep holds one copy
+    # of its block (0.3 to 0.5 MB) with the block's count arrays
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((750, 100))
+    y = x[:, :3].sum(axis=1) + rng.standard_normal(750)
+    w, peak = traced_peak(w_statistics, x, rng.standard_normal(x.shape), y)
+    assert len(w.w_hat) == 100
+    assert peak < 3 * 2**20
 
 
 def test_w_statistics_entries_view():

@@ -720,6 +720,31 @@ def test_a_one_cpu_mask_sweeps_without_a_thread(monkeypatch):
     assert ([int(v) for v in xy], [int(v) for v in xx], int(yy)) == exact_univariate_totals(x, y)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("p", [1, 5])
+@pytest.mark.parametrize("rows", [None, "subset"])
+def test_scoring_leaves_x_and_y_unchanged(q, p, rows):
+    # the sweep sorts its blocks in place, so every array it sorts must be a
+    # private copy, a one-column x (whose transpose is C-ordered) included
+    rng = np.random.default_rng(29)
+    n = 40
+    x = np.round(rng.standard_normal((n, p)), 1)  # ties, in no order
+    y = np.round(rng.standard_normal((n, q)), 1)
+    if rows is not None:
+        rows = rng.integers(0, n, size=30)
+    before = x.tobytes(), y.tobytes()
+    calls = [
+        lambda: column_scores(x, y, rows),
+        lambda: rank_features(x, y, rows),
+        lambda: projection_correlation_sq(x, y),
+    ]
+    if q == 1:
+        calls.append(lambda: univariate_sums(x, y[:, 0], rows))
+    for call in calls:
+        call()
+        assert (x.tobytes(), y.tobytes()) == before
+
+
 # ---------------------------------------------------------------------------
 # correlation-level properties
 # ---------------------------------------------------------------------------
