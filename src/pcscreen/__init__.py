@@ -9,6 +9,7 @@ discovery control; models/harness reproduce the simulation studies.
 from __future__ import annotations
 
 from . import errors
+from .design import DesignData, read_design_csv, write_design_csv
 from .errors import PcScreenError
 from .fdr import (
     SelectionResult,
@@ -18,14 +19,11 @@ from .fdr import (
     w_statistics,
 )
 from .harness import (
-    DesignData,
     ExperimentConfig,
     SummaryTable,
     nearest_rank_quantile,
-    read_design_csv,
     run_fdr_experiment,
     run_quantile_experiment,
-    write_design_csv,
 )
 from .kernel import as_sample_matrix, center_slice, projection_correlation_sq
 from .knockoffs import (

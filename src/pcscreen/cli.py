@@ -14,12 +14,12 @@ import json
 import sys
 from pathlib import Path
 
+from .design import read_design_csv
 from .errors import DegenerateColumn, InfeasibleH, ParseError, PcScreenError, SolverFailure
 from .fdr import check_alpha
 from .harness import (
     ExperimentConfig,
     SummaryTable,
-    read_design_csv,
     run_fdr_experiment,
     run_quantile_experiment,
     write_records_jsonl,

@@ -99,12 +99,9 @@ def minimum_model_size(ranking, true_active):
     p = len(ranking)
     if any(j < 0 or j >= p for j in active):
         raise UnknownFeature(f"active indices must lie in 0..{p - 1}")
-    remaining = set(active)
-    for position, j in enumerate(ranking.feature.tolist()):
-        remaining.discard(j)
-        if not remaining:
-            return position + 1
-    return p
+    place = np.empty_like(ranking.feature)
+    place[ranking.feature] = np.arange(p)  # feature is a permutation of 0..p-1
+    return int(place[list(active)].max()) + 1
 
 
 def signal_gap_diagnostic(ranking):

@@ -100,7 +100,7 @@ def run_commands():
     "files": {name: digest}}}, with {"inputs": {file: digest}} for the
     CSVs the cases read."""
     from pcscreen.cli import cli_main
-    from pcscreen.harness import write_design_csv
+    from pcscreen.design import write_design_csv
     from pcscreen.models import ModelSpec, generate_dataset
 
     digests = {}

@@ -16,8 +16,9 @@ import time
 import numpy as np
 import pytest
 
+from pcscreen.design import write_design_csv
 from pcscreen.fdr import w_statistics
-from pcscreen.harness import ExperimentConfig, run_fdr_experiment, run_quantile_experiment, write_design_csv
+from pcscreen.harness import ExperimentConfig, run_fdr_experiment, run_quantile_experiment
 from pcscreen.kernel import projection_correlation_sq
 from pcscreen.knockoffs import (
     CovarianceEstimate,

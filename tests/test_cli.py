@@ -16,7 +16,8 @@ import pytest
 import pcscreen
 from pcscreen import cli, errors, harness
 from pcscreen.cli import cli_main
-from pcscreen.harness import SummaryTable, write_design_csv
+from pcscreen.design import write_design_csv
+from pcscreen.harness import SummaryTable
 from pcscreen.models import ModelSpec, generate_dataset
 
 

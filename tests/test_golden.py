@@ -90,7 +90,7 @@ def univariate_screen(tmp_path_factory):
     """A fixed univariate-response CSV with ties in x, and its default screen."""
     import numpy as np
 
-    from pcscreen.harness import write_design_csv
+    from pcscreen.design import write_design_csv
     from pcscreen.models import ModelSpec, generate_dataset
 
     workdir = tmp_path_factory.mktemp("univariate_screen")

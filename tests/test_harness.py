@@ -22,7 +22,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pcscreen import harness, placement
+from pcscreen import design, harness, placement
 from pcscreen.errors import (
     DegenerateColumn,
     DimensionMismatch,
@@ -32,15 +32,14 @@ from pcscreen.errors import (
     ParseError,
     PcScreenError,
 )
+from pcscreen.design import read_design_csv, write_design_csv
 from pcscreen.fdr import check_alpha
 from pcscreen.harness import (
     ExperimentConfig,
     SummaryTable,
     nearest_rank_quantile,
-    read_design_csv,
     run_fdr_experiment,
     run_quantile_experiment,
-    write_design_csv,
     write_records_jsonl,
     write_summary_csv,
 )
@@ -659,7 +658,7 @@ def test_design_round_trip_is_bit_exact(tmp_path):
     y = rng.standard_normal((23, 2)) / 3.0
     path = tmp_path / "design.csv"
     write_design_csv(path, x, y)
-    assert harness._read_body(path, 6, 1) is not None  # the C reader takes it
+    assert design._read_body(path, 6, 1) is not None  # the C reader takes it
     parsed = read_design_csv(path, 2)
     npt.assert_array_equal(parsed.x, x)
     npt.assert_array_equal(parsed.y, y)
@@ -688,19 +687,19 @@ def test_design_arrays_are_read_in_place(processes, row_wise, tmp_path, monkeypa
         cells, last = lines[1].rsplit(b",", 1)
         lines[1] = cells + b',"' + last + b'\n"'
         path.write_bytes(b"\r\n".join(lines))
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(design.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     bodies = []
-    read_body = harness._read_body
+    read_body = design._read_body
     monkeypatch.setattr(
-        harness, "_read_body", lambda *args: bodies.append(read_body(*args)) or bodies[-1]
+        design, "_read_body", lambda *args: bodies.append(read_body(*args)) or bodies[-1]
     )
-    design = read_design_csv(path, 2, processes)
+    parsed = read_design_csv(path, 2, processes)
     assert [body is None for body in bodies] == [row_wise]
-    assert design.x.tobytes() == x.tobytes() and design.y.tobytes() == y.tobytes()
-    assert design.x.flags.c_contiguous and design.y.flags.c_contiguous
-    assert as_sample_matrix(design.x) is design.x and as_sample_matrix(design.y) is design.y
+    assert parsed.x.tobytes() == x.tobytes() and parsed.y.tobytes() == y.tobytes()
+    assert parsed.x.flags.c_contiguous and parsed.y.flags.c_contiguous
+    assert as_sample_matrix(parsed.x) is parsed.x and as_sample_matrix(parsed.y) is parsed.y
     # a copy of x would take all of its bytes; the finiteness check takes one per cell
-    assert traced_peak(_sample_pair, design.x, design.y)[1] < design.x.nbytes // 2
+    assert traced_peak(_sample_pair, parsed.x, parsed.y)[1] < parsed.x.nbytes // 2
 
 
 def test_design_writer_refuses_mismatched_inputs_before_opening_the_file(tmp_path):
@@ -739,6 +738,16 @@ def test_design_writer_refuses_a_non_finite_cell_before_opening_the_file(tmp_pat
         assert not path.exists()
 
 
+def test_design_writer_refuses_a_repeated_name_before_opening_the_file(tmp_path):
+    path = tmp_path / "design.csv"
+    x, y = np.arange(6.0).reshape(2, 3), np.arange(2.0)
+    # the reader strips each name, so " x2" repeats the default name x2
+    for names in ({"x_names": ["a", "b", "c"], "y_names": ["a"]}, {"y_names": [" x2"]}):
+        with pytest.raises(ParseError, match="duplicate column names in header$"):
+            write_design_csv(path, x, y, **names)
+        assert not path.exists()
+
+
 def test_design_response_selection_by_name(tmp_path):
     path = tmp_path / "named.csv"
     path.write_text("a,b,c\n1,2,3\n4,5,6\n")
@@ -747,6 +756,16 @@ def test_design_response_selection_by_name(tmp_path):
     npt.assert_array_equal(parsed.y, [[2.0], [5.0]])
     assert parsed.x_names == ("a", "c")
     assert parsed.y_names == ("b",)
+
+
+def test_design_response_given_as_a_string_names_one_column(tmp_path):
+    path = tmp_path / "design.csv"
+    path.write_text("x1,y,1,y1\n1,2,3,4\n5,6,7,8\n")
+    parsed = read_design_csv(path, "y1")
+    assert (parsed.x_names, parsed.y_names) == (("x1", "y", "1"), ("y1",))
+    npt.assert_array_equal(parsed.y, [[4.0], [8.0]])
+    with pytest.raises(MissingColumn, match="response column 'y2' not in header"):
+        read_design_csv(path, "y2")
 
 
 def test_design_header_drops_a_utf8_byte_order_mark(tmp_path):
@@ -859,10 +878,10 @@ def _parsed_on_both_paths(path, response, monkeypatch):
             return type(exc), str(exc)
         return parsed.x.tobytes(), parsed.y.tobytes(), parsed.x.shape, parsed.y.shape
 
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(design.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     chosen = {processes: outcome(processes) for processes in (1, 2, 3)}
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_read_body", lambda path, width, processes: None)
+        patch.setattr(design, "_read_body", lambda path, width, processes: None)
         row_wise = outcome()
     assert chosen == dict.fromkeys(chosen, row_wise), path.name
     return row_wise
@@ -977,12 +996,12 @@ def test_design_bodies_parse_alike_in_byte_ranges(tmp_path, monkeypatch):
     }
     fork = hasattr(os, "fork")
     bodies, spans = [], []
-    read_body, parse_range = harness._read_body, harness._parse_range
+    read_body, parse_range = design._read_body, design._parse_range
     monkeypatch.setattr(
-        harness, "_read_body", lambda *args: bodies.append(read_body(*args)) or bodies[-1]
+        design, "_read_body", lambda *args: bodies.append(read_body(*args)) or bodies[-1]
     )
     monkeypatch.setattr(
-        harness,
+        design,
         "_parse_range",
         lambda path, start, end, width: spans.append((start, end))
         or parse_range(path, start, end, width),
@@ -1027,7 +1046,7 @@ def _assert_no_child_left():
 
 
 def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypatch, capfd):
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(design.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     rows = b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000))
     bad = tmp_path / "bad_utf8.csv"  # the first of two ranges cannot be decoded
     bad.write_bytes(b"a,b\n" + rows + b"1,\xff\n" + rows + rows + rows)
@@ -1038,7 +1057,7 @@ def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypa
     for processes in (2, 3):
         assert _outcome(bad, processes) == serial[bad]
     parent = os.getpid()
-    real = harness._parse_range
+    real = design._parse_range
 
     def fails_in_a_child(*args):
         if os.getpid() != parent:
@@ -1046,7 +1065,7 @@ def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypa
         return real(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_parse_range", fails_in_a_child)
+        patch.setattr(design, "_parse_range", fails_in_a_child)
         for processes in (2, 3):
             assert _outcome(good, processes) == serial[good]
     _assert_no_child_left()
@@ -1056,20 +1075,20 @@ def test_a_failing_range_reads_serially_and_leaves_no_process(tmp_path, monkeypa
 def test_a_child_killed_by_a_signal_refuses_its_range(tmp_path, monkeypatch):
     import signal
 
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(design.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     path = tmp_path / "good.csv"
     path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000)))
     serial = _outcome(path)
     parent = os.getpid()
-    real = harness._parse_range
+    real = design._parse_range
 
     def killed_in_a_child(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return real(*args)
 
-    monkeypatch.setattr(harness, "_parse_range", killed_in_a_child)
-    assert harness._read_body(path, 2, 2) is None
+    monkeypatch.setattr(design, "_parse_range", killed_in_a_child)
+    assert design._read_body(path, 2, 2) is None
     assert _outcome(path, 2) == serial
     _assert_no_child_left()
 
@@ -1080,18 +1099,18 @@ def test_a_one_range_read_forks_nothing(tmp_path, monkeypatch):
     span = (4, path.stat().st_size)
     # at 1 process the body is one range, parsed by this process, which
     # imports no multiprocessing and forks nothing
-    src = str(Path(harness.__file__).resolve().parents[1])
+    src = str(Path(design.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import os, sys\n"
-        "from pcscreen import harness\n"
+        "from pcscreen import design\n"
         "def forked(*args):\n"
         "    raise AssertionError('a process was started')\n"
         "os.fork = os.posix_spawn = forked\n"
-        "spans, real = [], harness._parse_range\n"
-        "harness._parse_range = lambda *args: spans.append(args[1:3]) or real(*args)\n"
-        "design = harness.read_design_csv(sys.argv[1], 1, processes=1)\n"
-        "print(spans, design.x.shape, sorted(m for m in sys.modules if 'multiprocessing' in m))\n"
+        "spans, real = [], design._parse_range\n"
+        "design._parse_range = lambda *args: spans.append(args[1:3]) or real(*args)\n"
+        "parsed = design.read_design_csv(sys.argv[1], 1, processes=1)\n"
+        "print(spans, parsed.x.shape, sorted(m for m in sys.modules if 'multiprocessing' in m))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, str(path)], capture_output=True, text=True, env=env,
@@ -1099,11 +1118,11 @@ def test_a_one_range_read_forks_nothing(tmp_path, monkeypatch):
     )
     assert result.stdout.strip() == f"[{span}] (300, 1) []"
     # without os.fork 2 processes also read one range here
-    spans, real = [], harness._parse_range
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.delattr(harness.os, "fork")
+    spans, real = [], design._parse_range
+    monkeypatch.setattr(design.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.delattr(design.os, "fork")
     monkeypatch.setattr(
-        harness, "_parse_range", lambda *args: spans.append(args[1:3]) or real(*args)
+        design, "_parse_range", lambda *args: spans.append(args[1:3]) or real(*args)
     )
     assert _outcome(path, 2) == _outcome(path, 1)
     assert spans == [span, span]
@@ -1113,16 +1132,16 @@ def test_a_one_range_read_forks_nothing(tmp_path, monkeypatch):
 def test_a_two_range_read_forks_once_without_multiprocessing(tmp_path):
     path = tmp_path / "good.csv"
     path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(300)))
-    src = str(Path(harness.__file__).resolve().parents[1])
+    src = str(Path(design.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import os, sys\n"
-        "from pcscreen import harness\n"
+        "from pcscreen import design\n"
         "os.sched_getaffinity = lambda pid: set(range(8))\n"
         "forks, fork = [], os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
-        "design = harness.read_design_csv(sys.argv[1], 1, processes=2)\n"
-        "values = design.x[:, 0].tolist() == [i + 0.5 for i in range(300)]\n"
+        "parsed = design.read_design_csv(sys.argv[1], 1, processes=2)\n"
+        "values = parsed.x[:, 0].tolist() == [i + 0.5 for i in range(300)]\n"
         "print(len(forks), values, sorted(m for m in sys.modules if 'multiprocessing' in m))\n"
     )
     result = subprocess.run(
@@ -1135,12 +1154,12 @@ def test_a_two_range_read_forks_once_without_multiprocessing(tmp_path):
 def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monkeypatch):
     import signal
 
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(design.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     path = tmp_path / "long.csv"
     # each child's rows are about 200 kB, more than a pipe holds unread
     path.write_bytes(b"a,b\n" + b"1.5,2\n" * 40_000)
     parent = os.getpid()
-    real = harness._parse_range
+    real = design._parse_range
 
     def fails_in_the_parent(*args):
         if os.getpid() == parent:
@@ -1150,7 +1169,7 @@ def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monke
     def hung(signum, frame):
         raise AssertionError("a child was left blocked on its pipe")
 
-    monkeypatch.setattr(harness, "_parse_range", fails_in_the_parent)
+    monkeypatch.setattr(design, "_parse_range", fails_in_the_parent)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
     try:
@@ -1165,7 +1184,7 @@ def test_a_read_that_fails_in_the_parent_leaves_no_child_blocked(tmp_path, monke
 @pytest.mark.parametrize("processes", [2, 3])
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 def test_a_read_without_a_pipe_or_a_process_reads_serially(call, processes, tmp_path, monkeypatch):
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(design.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     path = tmp_path / "good.csv"
     path.write_bytes(b"a,b\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000)))
     serial = _outcome(path)
@@ -1178,8 +1197,8 @@ def test_a_read_without_a_pipe_or_a_process_reads_serially(call, processes, tmp_
             raise OSError(f"no {call} could be made")
         return real(*args)
 
-    monkeypatch.setattr(harness.os, call, fails_at_the_last_child)
-    assert harness._read_body(path, 2, processes) is None
+    monkeypatch.setattr(design.os, call, fails_at_the_last_child)
+    assert design._read_body(path, 2, processes) is None
     assert _outcome(path, processes) == serial
     assert len(calls) == 2 * (processes - 1)
     _assert_no_child_left()
@@ -1198,5 +1217,5 @@ def test_no_cpu_is_left_out_where_proc_does_not_say_which_one_runs(stat, monkeyp
         return io.BytesIO(stat)
 
     monkeypatch.setattr(placement, "open", opened, raising=False)
-    assert harness._cpus_but_this_one is placement._cpus_but_this_one
+    assert design._cpus_but_this_one is placement._cpus_but_this_one
     assert placement._cpus_but_this_one(set(range(8))) is None

@@ -289,6 +289,16 @@ def test_minimum_model_size_validation():
         minimum_model_size(ranking, {-1})
 
 
+def test_minimum_model_size_is_the_shortest_prefix_holding_every_active_feature():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        p = int(rng.integers(1, 30))
+        ranking = FeatureRanking(feature=rng.permutation(p), omega_hat=np.zeros(p), n_used=10)
+        active = set(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False).tolist())
+        sizes = [k for k in range(1, p + 1) if active <= set(ranking.feature[:k].tolist())]
+        assert minimum_model_size(ranking, active) == sizes[0]
+
+
 def test_minimum_model_size_equals_count_only_for_top_block():
     ranking = _ranking([0.9, 0.7, 0.5, 0.3])
     assert minimum_model_size(ranking, {0, 1}) == 2

@@ -13,7 +13,7 @@ import sys
 import threading
 from pathlib import Path
 
-from pcscreen import cli, harness, kernel, models, pipeline, placement, screening
+from pcscreen import cli, design, harness, kernel, models, pipeline, placement, screening
 from pcscreen.harness import ExperimentConfig, run_fdr_experiment, run_quantile_experiment
 
 from .cpus import only_cpus
@@ -42,6 +42,8 @@ def test_benchmark_workloads_import_and_resolve_their_entry_points(monkeypatch):
     assert [
         name for module, names in looked_up.items() for name in names if not hasattr(module, name)
     ] == []
+    # the benchmark writes its design CSV with the design module's writer
+    assert harness.write_design_csv is design.write_design_csv
 
 
 def test_every_patch_point_resolves(monkeypatch):
@@ -52,6 +54,8 @@ def test_every_patch_point_resolves(monkeypatch):
         if not hasattr(importlib.import_module(module_name), attr)
     ]
     assert missing == []
+    # the reader patched on cli is the design module's reader
+    assert cli.read_design_csv is design.read_design_csv
 
 
 def test_one_fdr_replication_thresholds_through_pipeline_once_per_alpha(monkeypatch):
